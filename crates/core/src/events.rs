@@ -74,6 +74,15 @@ pub enum LtrEventKind {
         /// The master's last_ts at that moment.
         master_last_ts: u64,
     },
+    /// A grant hint told this replica the master reached `ts`: the
+    /// retrieval that follows — at once if the replica was idle, else when
+    /// its current retrieval completes — started for this reason.
+    Hinted {
+        /// Document name.
+        doc: DocName,
+        /// The hinted timestamp.
+        ts: u64,
+    },
     /// This master detected it was stale (log conflict) and stood down.
     StaleMasterStoodDown {
         /// Document key involved.

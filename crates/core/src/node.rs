@@ -18,7 +18,7 @@ use bytes::Bytes;
 use chord::{ChordNode, ChordTimer, NodeRef, OpId, StorageDelta};
 use kts::{KtsMaster, ReqId};
 use p2plog::{DocName, FenceTracker, LogProbe, PublishTracker, Retriever};
-use simnet::{CounterId, Ctx, Duration, Metrics, NodeId, Process, Time};
+use simnet::{CounterId, Ctx, Duration, HistogramId, Metrics, NodeId, Process, Time};
 use store::{NullStore, RecoveredState, Store, StoreEntry};
 
 use crate::config::LtrConfig;
@@ -83,9 +83,44 @@ pub(crate) struct DocState {
     /// Highest master epoch witnessed in records this replica integrated
     /// (and in its own grants). Fetched records below this floor are
     /// rejected: a superseded master's write at a re-granted slot.
-    /// Never updated from `LastTsReply` — an unfenced hint must not be
-    /// able to wedge the replica above every real record.
+    /// Never updated from `LastTsReply` or a grant hint — an unfenced
+    /// word from the master must not be able to wedge the replica above
+    /// every real record.
     pub last_epoch: u64,
+    /// Highest timestamp this replica has been *told* exists (`Retry`,
+    /// `LastTsReply`, grant hint) since its last backoff. What it is told
+    /// while busy is chased when the document next settles; a backoff
+    /// forgets it, so a bogus word costs one stalled retrieval, not a loop.
+    pub master_ts: u64,
+}
+
+impl DocState {
+    /// A freshly opened document: nothing in flight, nothing known.
+    pub(crate) fn open(name: DocName, replica: ot::Replica) -> Self {
+        DocState {
+            key: p2plog::ht(&name),
+            name,
+            replica,
+            phase: UserPhase::Idle,
+            inflight: None,
+            retr: None,
+            cycle_started: None,
+            last_epoch: 0,
+            master_ts: 0,
+        }
+    }
+
+    /// Whether the anti-entropy tick polls the master for this document:
+    /// when idle, and also while a retrieval nobody is waiting on runs —
+    /// a holder kept busy by hint-driven retrievals must keep renewing
+    /// the subscription its polls are.
+    pub(crate) fn polls(&self) -> bool {
+        match self.phase {
+            UserPhase::Idle => true,
+            UserPhase::Retrieving => self.retr.as_ref().is_some_and(|r| !r.resume_validate),
+            _ => false,
+        }
+    }
 }
 
 /// Why a Chord operation was issued (completion routing).
@@ -143,10 +178,9 @@ pub(crate) enum CoreTimer {
     RetryDoc { doc: DocName },
 }
 
-/// Pre-registered handles for every fixed-name counter the node bumps —
-/// resolved to dense array slots once at `on_start`, so the message and
-/// event hot paths never do a by-name map lookup. (Histograms stay
-/// string-keyed: they fire orders of magnitude less often.)
+/// Pre-registered handles for every fixed-name counter and histogram the
+/// node feeds — resolved to dense array slots once at `on_start`, so the
+/// message and event hot paths never do a by-name map lookup.
 #[derive(Clone, Copy)]
 pub(crate) struct NodeCounters {
     pub joined: CounterId,
@@ -188,6 +222,12 @@ pub(crate) struct NodeCounters {
     pub log_gc_removed: CounterId,
     pub store_appends: CounterId,
     pub store_append_errors: CounterId,
+    pub hints_sent: CounterId,
+    pub hints_followed: CounterId,
+    pub hints_deferred: CounterId,
+    pub hints_stale: CounterId,
+    pub publish_latency_ms: HistogramId,
+    pub lookup_hops: HistogramId,
 }
 
 impl NodeCounters {
@@ -232,6 +272,12 @@ impl NodeCounters {
             log_gc_removed: m.register_counter("log.gc_removed"),
             store_appends: m.register_counter("store.appends"),
             store_append_errors: m.register_counter("store.append_errors"),
+            hints_sent: m.register_counter("kts.hints_sent"),
+            hints_followed: m.register_counter("ltr.hints_followed"),
+            hints_deferred: m.register_counter("ltr.hints_deferred"),
+            hints_stale: m.register_counter("ltr.hints_stale"),
+            publish_latency_ms: m.register_histogram("ltr.publish_latency_ms"),
+            lookup_hops: m.register_histogram("chord.lookup_hops"),
         }
     }
 }
@@ -261,7 +307,12 @@ pub struct LtrNode {
     /// Outstanding KTS requests → document routing. BTreeMap: recovery
     /// and crash handling may sweep these, so order must be fixed.
     pub(crate) validate_reqs: BTreeMap<ReqId, DocName>,
-    pub(crate) lastts_reqs: BTreeMap<ReqId, DocName>,
+    /// The one outstanding `LastTs` poll per document: a new tick replaces
+    /// the old handle, so unanswered polls cannot accumulate.
+    pub(crate) lastts_reqs: BTreeMap<DocName, ReqId>,
+    /// Master-side grant-hint registry (see [`crate::node_master`]): per
+    /// key, the holders that polled it and when each subscription lapses.
+    pub(crate) hint_subs: BTreeMap<chord::Id, BTreeMap<NodeId, Time>>,
 
     // detlint::allow(DET-HASH, per-op routing looked up by unique id on completion; never iterated)
     pub(crate) chord_ops: HashMap<OpId, OpPurpose>,
@@ -334,6 +385,7 @@ impl LtrNode {
             req_seq: 0,
             validate_reqs: BTreeMap::new(),
             lastts_reqs: BTreeMap::new(),
+            hint_subs: BTreeMap::new(),
             chord_ops: HashMap::new(), // detlint::allow(DET-HASH, lookup-only; see field decl)
             publishes: HashMap::new(), // detlint::allow(DET-HASH, lookup-only; see field decl)
             probes: HashMap::new(),    // detlint::allow(DET-HASH, lookup-only; see field decl)
@@ -382,19 +434,7 @@ impl LtrNode {
         node.kts.restore_backups(state.kts_backups);
         for (doc, initial) in state.docs {
             let replica = ot::Replica::new(node.site, ot::Document::from_text(&initial));
-            node.docs.insert(
-                doc.clone(),
-                DocState {
-                    key: p2plog::ht(&doc),
-                    name: doc,
-                    replica,
-                    phase: UserPhase::Idle,
-                    inflight: None,
-                    retr: None,
-                    cycle_started: None,
-                    last_epoch: 0,
-                },
-            );
+            node.docs.insert(doc.clone(), DocState::open(doc, replica));
         }
         node
     }
@@ -460,6 +500,12 @@ impl LtrNode {
     /// Names of the documents this peer has open, in sorted order.
     pub fn open_docs(&self) -> Vec<String> {
         self.docs.keys().map(|d| d.to_string()).collect()
+    }
+
+    /// Grant-hint subscriptions held here as a master: `(key, holder)`
+    /// pairs, lapsed ones included until the next sync tick sweeps them.
+    pub fn hint_subscriptions(&self) -> usize {
+        self.hint_subs.values().map(BTreeMap::len).sum()
     }
 
     /// All `MasterGranted` events recorded here (continuity oracle input).
@@ -554,6 +600,7 @@ impl LtrNode {
         match timer {
             CoreTimer::Start => self.start_network(ctx),
             CoreTimer::SyncTick => {
+                self.expire_hint_subs(ctx.now());
                 self.tick_sync(ctx);
                 if let Some(period) = self.cfg.sync_every {
                     self.arm_core_timer(ctx, period, CoreTimer::SyncTick);
@@ -590,6 +637,7 @@ impl LtrNode {
     /// Hand off timestamps and keys, then quit the ring.
     pub(crate) fn graceful_leave(&mut self, ctx: &mut Ctx<'_, Payload>) {
         // 1. Timestamp table to the successor (it becomes the new master).
+        self.hint_subs.clear();
         let succ = self.chord.successor();
         if succ.addr != self.me.addr {
             let (entries, acts) = self.kts.export_all();

@@ -55,7 +55,7 @@ impl LtrNode {
                 ctx.metrics().incr_id(self.c().join_failed);
             }
             ChordEvent::LookupDone { op, owner, hops } => {
-                ctx.metrics().record("chord.lookup_hops", hops as f64);
+                ctx.metrics().record_id(self.c().lookup_hops, hops as f64);
                 match self.chord_ops.remove(&op) {
                     Some(OpPurpose::MasterLookup { doc }) => {
                         self.on_master_located(ctx, &doc, owner);
@@ -144,6 +144,9 @@ impl LtrNode {
                 // the new Master-key").
                 if let Some(new_pred) = new {
                     let from = old.map_or(self.me.id, |p| p.id);
+                    // The subscriptions go with the keys.
+                    self.hint_subs
+                        .retain(|k, _| !k.in_half_open(from, new_pred.id));
                     let (entries, acts) = self.kts.export_range(from, new_pred.id);
                     self.apply_master_actions(ctx, acts);
                     if !entries.is_empty() {

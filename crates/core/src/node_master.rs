@@ -1,13 +1,28 @@
 //! Master-side wiring: KTS message handling, publish fan-out, last-ts
-//! backups, and log-probe recovery.
+//! backups, log-probe recovery, and the grant-hint registry.
+//!
+//! **Grant hints.** A holder learns of a new timestamp from a `Retry` or
+//! from its own `LastTs` poll, i.e. up to one `sync_every` late. The
+//! master shortens that to one message delay: every `LastTs` poll doubles
+//! as a subscription (`hint_subs`, soft state, `HINT_TTL_PERIODS` poll
+//! periods long, renewed by each poll), and every fully acknowledged grant
+//! sends a [`KtsMsg::Published`] to the key's subscribers. The registry
+//! is never handed over, journaled or replicated: a new master starts
+//! empty and refills within one poll period, during which holders converge
+//! by polling exactly as they would without hints.
 
 use kts::{KtsMsg, MasterAction, MasterEvent};
 use p2plog::{FenceResponse, FenceTracker, FenceVerdict, LogProbe, PublishTracker};
-use simnet::{Ctx, NodeId};
+use simnet::{Ctx, NodeId, Time};
 
 use crate::events::LtrEventKind;
 use crate::node::{FenceCtx, LtrNode, OpPurpose, ProbeCtx, PublishCtx};
 use crate::payload::Payload;
+
+/// A hint subscription outlives this many missed polls: long enough to
+/// ride out a lost poll or two, short enough that a holder that closed
+/// the document or left stops costing a message per grant within seconds.
+const HINT_TTL_PERIODS: u64 = 3;
 
 impl LtrNode {
     /// Route an incoming KTS message.
@@ -34,6 +49,14 @@ impl LtrNode {
                 user,
                 known_ts,
             } => {
+                // The poll is the subscription. No poll period, no hints.
+                if let Some(period) = self.cfg.sync_every {
+                    let lapses = ctx.now() + period * HINT_TTL_PERIODS;
+                    self.hint_subs
+                        .entry(key)
+                        .or_default()
+                        .insert(user.addr, lapses);
+                }
                 let acts = self.kts.on_last_ts(key, op, user, known_ts);
                 self.apply_master_actions(ctx, acts);
             }
@@ -72,14 +95,42 @@ impl LtrNode {
             KtsMsg::Retry { op, last_ts } => self.on_validate_retry(ctx, op, last_ts),
             KtsMsg::Redirect { op } => self.on_validate_redirect(ctx, op),
             KtsMsg::Failed { op, reason } => self.on_validate_failed(ctx, op, reason),
-            KtsMsg::LastTsReply {
-                op,
-                key: _,
-                last_ts,
-            } => {
-                self.on_lastts_reply(ctx, op, last_ts);
+            KtsMsg::LastTsReply { op, key, last_ts } => {
+                self.on_lastts_reply(ctx, op, key, last_ts);
+            }
+            KtsMsg::Published { key, ts } => self.on_grant_hint(ctx, key, ts),
+        }
+    }
+
+    /// Hint every live subscriber of `key` — the grant's author excepted,
+    /// it is sent `Granted` — that the key reached `ts`.
+    fn send_grant_hints(
+        &mut self,
+        ctx: &mut Ctx<'_, Payload>,
+        key: chord::Id,
+        ts: u64,
+        author: Option<NodeId>,
+    ) {
+        let Some(subs) = self.hint_subs.get(&key) else {
+            return;
+        };
+        let now = ctx.now();
+        let hints_sent = self.c().hints_sent;
+        for (&holder, &lapses) in subs {
+            if lapses > now && Some(holder) != author {
+                ctx.send(holder, Payload::Kts(KtsMsg::Published { key, ts }));
+                ctx.metrics().incr_id(hints_sent);
             }
         }
+    }
+
+    /// Drop lapsed subscriptions (run on the node's own sync tick, so the
+    /// registry of a master whose keys went quiet shrinks too).
+    pub(crate) fn expire_hint_subs(&mut self, now: Time) {
+        self.hint_subs.retain(|_, subs| {
+            subs.retain(|_, lapses| *lapses > now);
+            !subs.is_empty()
+        });
     }
 
     /// Execute the effects requested by the KTS master state machine.
@@ -88,9 +139,17 @@ impl LtrNode {
         ctx: &mut Ctx<'_, Payload>,
         actions: Vec<MasterAction>,
     ) {
+        // `Granted` precedes its `MasterEvent::Granted` in the same batch;
+        // remembered so the hint fan-out can skip the author.
+        let mut granted_to = None;
         for act in actions {
             match act {
-                MasterAction::Send(to, msg) => ctx.send(to, Payload::Kts(msg)),
+                MasterAction::Send(to, msg) => {
+                    if matches!(msg, KtsMsg::Granted { .. }) {
+                        granted_to = Some(to);
+                    }
+                    ctx.send(to, Payload::Kts(msg));
+                }
                 MasterAction::BeginPublish {
                     token,
                     key: _,
@@ -149,7 +208,7 @@ impl LtrNode {
                         );
                     }
                 }
-                MasterAction::Event(ev) => self.on_master_event(ctx, ev),
+                MasterAction::Event(ev) => self.on_master_event(ctx, ev, granted_to),
             }
         }
     }
@@ -304,12 +363,18 @@ impl LtrNode {
         self.pump_probe(ctx, token);
     }
 
-    fn on_master_event(&mut self, ctx: &mut Ctx<'_, Payload>, ev: MasterEvent) {
+    fn on_master_event(
+        &mut self,
+        ctx: &mut Ctx<'_, Payload>,
+        ev: MasterEvent,
+        granted_to: Option<NodeId>,
+    ) {
         let now = ctx.now();
         match ev {
-            MasterEvent::Granted { key: _, doc, ts } => {
+            MasterEvent::Granted { key, doc, ts } => {
                 ctx.metrics().incr_id(self.c().kts_grants);
                 self.record(now, LtrEventKind::MasterGranted { doc, ts });
+                self.send_grant_hints(ctx, key, ts, granted_to);
             }
             MasterEvent::StaleDetected { key } => {
                 ctx.metrics().incr_id(self.c().kts_stale_detected);

@@ -11,7 +11,9 @@
 //!    validated timestamp.
 //!
 //! Plus anti-entropy: idle replicas periodically ask the master for
-//! `last_ts(key)` and pull what they miss.
+//! `last_ts(key)` and pull what they miss — and, between polls, follow the
+//! master's grant hints ([`KtsMsg::Published`]) the same way: both land in
+//! `LtrNode::on_master_at`.
 
 use bytes::Bytes;
 
@@ -47,19 +49,7 @@ impl LtrNode {
             },
         );
         let replica = ot::Replica::new(self.site, Document::from_text(&initial));
-        self.docs.insert(
-            doc.clone(),
-            DocState {
-                key: p2plog::ht(&doc),
-                name: doc,
-                replica,
-                phase: UserPhase::Idle,
-                inflight: None,
-                retr: None,
-                cycle_started: None,
-                last_epoch: 0,
-            },
-        );
+        self.docs.insert(doc.clone(), DocState::open(doc, replica));
         ctx.metrics().incr_id(self.c().docs_opened);
     }
 
@@ -101,18 +91,19 @@ impl LtrNode {
         self.issue_sync_lookup(ctx, doc);
     }
 
-    /// Anti-entropy tick: probe the master of every idle open document.
+    /// Anti-entropy tick: probe the master of every open document that
+    /// [`DocState::polls`].
     pub(crate) fn tick_sync(&mut self, ctx: &mut Ctx<'_, Payload>) {
         if !self.chord.is_joined() {
             return;
         }
-        let idle_docs: Vec<DocName> = self
+        let polling: Vec<DocName> = self
             .docs
             .values()
-            .filter(|d| d.phase == UserPhase::Idle)
+            .filter(|d| d.polls())
             .map(|d| d.name.clone())
             .collect();
-        for doc in idle_docs {
+        for doc in polling {
             self.issue_sync_lookup(ctx, &doc);
         }
     }
@@ -240,8 +231,9 @@ impl LtrNode {
             .take()
             .map(|t0| now.since(t0).as_millis_f64())
             .unwrap_or(0.0);
-        ctx.metrics().incr_id(self.c().publish_ok);
-        ctx.metrics().record("ltr.publish_latency_ms", latency_ms);
+        let c = self.c();
+        ctx.metrics().incr_id(c.publish_ok);
+        ctx.metrics().record_id(c.publish_latency_ms, latency_ms);
         self.record(
             now,
             LtrEventKind::OwnPublished {
@@ -375,6 +367,7 @@ impl LtrNode {
             Some(state) => {
                 state.phase = UserPhase::Backoff;
                 state.retr = None;
+                state.master_ts = 0;
                 state.name.clone()
             }
             None => DocName::from(doc),
@@ -405,7 +398,8 @@ impl LtrNode {
     }
 
     /// A cycle finished: publish any pending remainder (edits saved while
-    /// the previous cycle was in flight).
+    /// the previous cycle was in flight), else pull what the master was
+    /// said to have while this replica was busy.
     pub(crate) fn resume_after_cycle(&mut self, ctx: &mut Ctx<'_, Payload>, doc: &str) {
         let now = ctx.now();
         let state = match self.docs.get_mut(doc) {
@@ -416,6 +410,9 @@ impl LtrNode {
         if state.replica.pending().is_some() {
             state.cycle_started = Some(now);
             self.start_validation(ctx, doc);
+        } else if state.master_ts > state.replica.ts {
+            let to_ts = state.master_ts;
+            self.begin_retrieval(ctx, doc, to_ts, false);
         }
     }
 
@@ -442,6 +439,7 @@ impl LtrNode {
             }
             return;
         }
+        state.master_ts = state.master_ts.max(to_ts);
         let name = state.name.clone();
         let mut retriever = Retriever::new(name.clone(), state.replica.ts, to_ts, n, window);
         let cmds = retriever.start();
@@ -561,7 +559,11 @@ impl LtrNode {
                         .map(|r| r.resume_validate)
                         .unwrap_or(false);
                     state.phase = UserPhase::Idle;
-                    if resume && state.replica.pending().is_some() {
+                    if state.master_ts > state.replica.ts {
+                        // Told of more while retrieving: keep going.
+                        let to_ts = state.master_ts;
+                        self.begin_retrieval(ctx, doc, to_ts, resume);
+                    } else if resume && state.replica.pending().is_some() {
                         self.start_validation(ctx, doc);
                     } else {
                         self.resume_after_cycle(ctx, doc);
@@ -692,7 +694,7 @@ impl LtrNode {
         }
     }
 
-    // ---- anti-entropy reply ---------------------------------------------
+    // ---- anti-entropy: polls and grant hints ------------------------------
 
     /// Lookup for a sync probe resolved: ask the master for last_ts.
     pub(crate) fn on_sync_master_located(
@@ -707,7 +709,7 @@ impl LtrNode {
             Some(s) => s,
             None => return,
         };
-        if state.phase != UserPhase::Idle {
+        if !state.polls() {
             return;
         }
         let key = state.key;
@@ -723,7 +725,7 @@ impl LtrNode {
         } else {
             0
         };
-        self.lastts_reqs.insert(req, name);
+        self.lastts_reqs.insert(name, req);
         ctx.send(
             master.addr,
             Payload::Kts(KtsMsg::LastTs {
@@ -735,18 +737,152 @@ impl LtrNode {
         );
     }
 
-    /// `LastTsReply`: pull anything we miss.
-    pub(crate) fn on_lastts_reply(&mut self, ctx: &mut Ctx<'_, Payload>, req: ReqId, last_ts: u64) {
-        let doc = match self.lastts_reqs.remove(&req) {
-            Some(d) => d,
-            None => return,
+    /// `LastTsReply`: the answer to this document's outstanding poll.
+    pub(crate) fn on_lastts_reply(
+        &mut self,
+        ctx: &mut Ctx<'_, Payload>,
+        req: ReqId,
+        key: chord::Id,
+        last_ts: u64,
+    ) {
+        let Some(doc) = self.doc_by_key(key) else {
+            return;
         };
-        let behind = self
-            .docs
-            .get(&doc)
-            .is_some_and(|s| s.phase == UserPhase::Idle && last_ts > s.replica.ts);
-        if behind {
-            self.begin_retrieval(ctx, &doc, last_ts, false);
+        if self.lastts_reqs.get(&doc) != Some(&req) {
+            return; // answer to a poll a later tick replaced
         }
+        self.lastts_reqs.remove(&doc);
+        self.on_master_at(ctx, &doc, last_ts, false);
+    }
+
+    /// `Published`: the master granted `ts` for `key`.
+    pub(crate) fn on_grant_hint(&mut self, ctx: &mut Ctx<'_, Payload>, key: chord::Id, ts: u64) {
+        if let Some(doc) = self.doc_by_key(key) {
+            self.on_master_at(ctx, &doc, ts, true);
+        }
+    }
+
+    /// The open document mastered under `key` (a peer holds few documents;
+    /// a scan beats maintaining a second index).
+    fn doc_by_key(&self, key: chord::Id) -> Option<DocName> {
+        self.docs
+            .values()
+            .find(|d| d.key == key)
+            .map(|d| d.name.clone())
+    }
+
+    /// The master says `doc` is at `ts` — by poll reply or by grant hint
+    /// (`hinted`), the replica does the same thing. Behind and idle: start
+    /// the retrieval procedure now. Busy: remember it; a retrieval chases
+    /// it on completion, a validation cycle is told by `Retry` anyway and
+    /// falls back on it only when it ends with nothing to publish. Old
+    /// news (duplicate, reordered, already integrated): nothing. It is the
+    /// master's unfenced word, so it moves `master_ts` only — never
+    /// `last_epoch`, never the replica.
+    pub(crate) fn on_master_at(
+        &mut self,
+        ctx: &mut Ctx<'_, Payload>,
+        doc: &DocName,
+        ts: u64,
+        hinted: bool,
+    ) {
+        let c = self.c();
+        let Some(state) = self.docs.get_mut(doc) else {
+            return;
+        };
+        // An idle replica measures news against what it *has*: whatever it
+        // was told earlier and did not get to must not mask a poll reply.
+        let idle = state.phase == UserPhase::Idle;
+        let known = if idle {
+            state.replica.ts
+        } else {
+            state.replica.ts.max(state.master_ts)
+        };
+        if ts <= known {
+            if hinted {
+                ctx.metrics().incr_id(c.hints_stale);
+            }
+            return;
+        }
+        state.master_ts = state.master_ts.max(ts);
+        if hinted {
+            ctx.metrics().incr_id(if idle {
+                c.hints_followed
+            } else {
+                c.hints_deferred
+            });
+            self.record(
+                ctx.now(),
+                LtrEventKind::Hinted {
+                    doc: doc.clone(),
+                    ts,
+                },
+            );
+        }
+        if idle {
+            self.begin_retrieval(ctx, doc, ts, false);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::LtrConfig;
+    use chord::{Id, NodeRef};
+    use simnet::{Duration, Metrics, NodeId, Process, Rng64, Time};
+
+    /// Polls that are never answered (lost request, lost reply, crashed
+    /// master) must not pile up: one outstanding handle per document.
+    #[test]
+    fn unanswered_polls_do_not_accumulate() {
+        let me = NodeRef::new(NodeId(0), Id(7));
+        let mut node = LtrNode::new(me, LtrConfig::default(), None, Duration::ZERO);
+        let (mut rng, mut metrics, mut timers) = (Rng64::new(1), Metrics::new(), 0);
+        // A detached context: everything the node sends is dropped.
+        let mut ctx = Ctx::detached(Time::ZERO, me.addr, &mut rng, &mut metrics, &mut timers);
+        node.on_start(&mut ctx);
+        for doc in ["a", "b", "c"] {
+            node.cmd_open_doc(&mut ctx, doc.into(), "text".into());
+        }
+        for _ in 0..1_000 {
+            node.tick_sync(&mut ctx);
+        }
+        assert_eq!(node.lastts_reqs.len(), node.docs.len());
+        let polls = ctx
+            .take_effects()
+            .msgs
+            .iter()
+            .filter(|(_, m)| matches!(m, Payload::Kts(KtsMsg::LastTs { .. })))
+            .count();
+        assert_eq!(polls, 3_000, "every tick polled every document");
+    }
+
+    /// Something the replica was told and never got to (a validation that
+    /// fizzled out) must not make the next poll reply look like old news.
+    #[test]
+    fn idle_replica_follows_the_master_whatever_it_was_told_before() {
+        let me = NodeRef::new(NodeId(0), Id(7));
+        let mut node = LtrNode::new(me, LtrConfig::default(), None, Duration::ZERO);
+        let (mut rng, mut metrics, mut timers) = (Rng64::new(1), Metrics::new(), 0);
+        let mut ctx = Ctx::detached(Time::ZERO, me.addr, &mut rng, &mut metrics, &mut timers);
+        node.on_start(&mut ctx);
+        node.cmd_open_doc(&mut ctx, "a".into(), "text".into());
+        let doc = DocName::from("a");
+        node.docs.get_mut(&doc).expect("open").master_ts = 4;
+
+        node.on_master_at(&mut ctx, &doc, 4, false);
+
+        // Alone on its ring with an empty log the retrieval stalls on the
+        // spot — but it was started, and the stall forgot the claim.
+        let c = node.c();
+        assert_eq!(ctx.metrics().counter_by_id(c.retrievals), 1);
+        assert_eq!(ctx.metrics().counter_by_id(c.retrieval_stalled), 1);
+        let state = &node.docs[&doc];
+        assert_eq!(
+            (state.phase.clone(), state.master_ts),
+            (UserPhase::Backoff, 0)
+        );
+        assert_eq!(state.replica.ts, 0);
     }
 }

@@ -156,6 +156,7 @@ mod tests {
             patch: Bytes::from(vec![1, 2, 3]),
             user: NodeRef::new(NodeId(4), Id(5)),
         }));
+        rt(Payload::Kts(KtsMsg::Published { key: Id(2), ts: 3 }));
         rt(Payload::Cmd(UserCmd::OpenDoc {
             doc: "wiki/Main".into(),
             initial: "# Welcome".into(),
@@ -179,6 +180,10 @@ mod tests {
         assert_eq!(
             Payload::Kts(KtsMsg::Redirect { op: ReqId(1) }).wire_class(),
             "kts.redirect"
+        );
+        assert_eq!(
+            Payload::Kts(KtsMsg::Published { key: Id(1), ts: 1 }).wire_class(),
+            "kts.published"
         );
         assert_eq!(Payload::Cmd(UserCmd::Leave).wire_class(), "cmd");
     }

@@ -122,6 +122,18 @@ pub enum KtsMsg {
         /// The entries; receiver becomes the master for them.
         entries: Vec<HandoffEntry>,
     },
+    /// Master → holder: "`key` is at `ts`" — a grant hint sent, once the
+    /// grant's publish fan-out is fully acknowledged, to the holders that
+    /// poll this master. Purely an accelerator for the retrieval the
+    /// holder's next `LastTs` poll would start anyway, so it carries no
+    /// request handle, no epoch and no patch: the records still come from
+    /// the Log-Peers, and a lost, duplicated or stale hint costs nothing.
+    Published {
+        /// The key.
+        key: Id,
+        /// The timestamp just granted.
+        ts: u64,
+    },
 }
 
 /// One entry of a [`KtsMsg::TableHandoff`].

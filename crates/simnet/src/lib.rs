@@ -61,7 +61,7 @@ pub mod sim;
 pub mod time;
 
 pub use fault::{FaultPlan, LinkFaults, ScheduledCrash, ScheduledCut};
-pub use metrics::{CounterId, Histogram, Metrics, Summary};
+pub use metrics::{CounterId, Histogram, HistogramId, Metrics, Summary};
 pub use net::{LatencyModel, MsgMeta, NetConfig};
 pub use process::{Ctx, Effects, Process, TimerId};
 pub use rng::{Rng64, Zipf};

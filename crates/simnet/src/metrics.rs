@@ -16,6 +16,10 @@
 //! Both flavours share one namespace: `incr("x")` and
 //! `incr_id(register_counter("x"))` hit the same slot, and reporting
 //! iterates names in deterministic (sorted) order either way.
+//!
+//! Histograms follow the same scheme: [`HistogramId`] handles for the
+//! per-operation samples of the protocol hot path, [`Metrics::record`] by
+//! name for everything else, one namespace.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -28,6 +32,12 @@ use crate::time::Duration;
 /// [`Metrics::register_counter`]; valid for the registry that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CounterId(u32);
+
+/// Pre-registered handle to a named histogram, the sample-recording twin
+/// of [`CounterId`]. Obtain via [`Metrics::register_histogram`]; valid for
+/// the registry that issued it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct HistogramId(u32);
 
 /// Lazily sorted copy of a histogram's samples. `record` only marks it
 /// stale, so a report-time quantile sweep (p50/p95/p99/min/max) costs one
@@ -159,14 +169,16 @@ impl fmt::Display for Summary {
 
 /// Registry of named counters and histograms.
 ///
-/// Counter values live in a dense `Vec` indexed by [`CounterId`]; the
-/// `BTreeMap` maps names to slots, so iteration (reporting) is
-/// deterministically name-ordered regardless of registration order.
+/// Counter values and histograms live in dense `Vec`s indexed by
+/// [`CounterId`] / [`HistogramId`]; the `BTreeMap`s map names to slots, so
+/// iteration (reporting) is deterministically name-ordered regardless of
+/// registration order.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     counter_ids: BTreeMap<String, CounterId>,
     counter_vals: Vec<u64>,
-    histograms: BTreeMap<String, Histogram>,
+    histogram_ids: BTreeMap<String, HistogramId>,
+    histogram_vals: Vec<Histogram>,
 }
 
 impl Metrics {
@@ -225,15 +237,29 @@ impl Metrics {
             .unwrap_or(0)
     }
 
+    /// Resolve `name` to a histogram handle, creating it (empty) if new.
+    /// Idempotent: the same name always yields the same handle.
+    pub fn register_histogram(&mut self, name: &str) -> HistogramId {
+        if let Some(id) = self.histogram_ids.get(name) {
+            return *id;
+        }
+        let id = HistogramId(self.histogram_vals.len() as u32);
+        self.histogram_vals.push(Histogram::default());
+        self.histogram_ids.insert(name.to_owned(), id);
+        id
+    }
+
+    /// Record a raw sample into the histogram behind a pre-registered
+    /// handle.
+    #[inline]
+    pub fn record_id(&mut self, id: HistogramId, v: f64) {
+        self.histogram_vals[id.0 as usize].record(v);
+    }
+
     /// Record a raw sample into the named histogram.
     pub fn record(&mut self, name: &str, v: f64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(v);
-        } else {
-            let mut h = Histogram::default();
-            h.record(v);
-            self.histograms.insert(name.to_owned(), h);
-        }
+        let id = self.register_histogram(name);
+        self.record_id(id, v);
     }
 
     /// Record a duration in **milliseconds** into the named histogram,
@@ -243,15 +269,16 @@ impl Metrics {
         self.record(name, d.as_millis_f64());
     }
 
-    /// Borrow a histogram if present.
+    /// Borrow a histogram if present (registered or recorded into).
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histogram_ids
+            .get(name)
+            .map(|id| &self.histogram_vals[id.0 as usize])
     }
 
     /// Summary of a histogram (default/empty when absent).
     pub fn summary(&self, name: &str) -> Summary {
-        self.histograms
-            .get(name)
+        self.histogram(name)
             .map(Histogram::summary)
             .unwrap_or_default()
     }
@@ -265,7 +292,9 @@ impl Metrics {
 
     /// Iterate histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        self.histogram_ids
+            .iter()
+            .map(|(k, id)| (k.as_str(), &self.histogram_vals[id.0 as usize]))
     }
 
     /// Merge another registry into this one (used to aggregate runs).
@@ -273,9 +302,10 @@ impl Metrics {
         for (k, v) in other.counters() {
             self.incr_by(k, v);
         }
-        for (k, h) in &other.histograms {
+        for (k, h) in other.histograms() {
+            let id = self.register_histogram(k);
             for &s in h.samples() {
-                self.record(k, s);
+                self.record_id(id, s);
             }
         }
     }
@@ -314,6 +344,19 @@ mod tests {
         assert_eq!(m.counter("armed"), 0);
         let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["armed"]);
+    }
+
+    #[test]
+    fn histogram_handle_and_name_share_one_slot() {
+        let mut m = Metrics::new();
+        let id = m.register_histogram("lat");
+        assert_eq!(m.histogram("lat").map(Histogram::count), Some(0));
+        m.record_id(id, 2.0);
+        m.record("lat", 4.0);
+        assert_eq!(m.register_histogram("lat"), id);
+        assert_eq!(m.summary("lat").count, 2);
+        assert!((m.summary("lat").mean - 3.0).abs() < 1e-9);
+        assert!(m.histogram("absent").is_none());
     }
 
     #[test]

@@ -632,6 +632,7 @@ pub fn kts_class(msg: &KtsMsg) -> &'static str {
         KtsMsg::LastTsReply { .. } => "kts.last_ts_reply",
         KtsMsg::ReplicateEntry { .. } => "kts.replicate_entry",
         KtsMsg::TableHandoff { .. } => "kts.table_handoff",
+        KtsMsg::Published { .. } => "kts.published",
     }
 }
 
@@ -715,6 +716,11 @@ impl Encode for KtsMsg {
                 out.push(8);
                 entries.encode(out);
             }
+            KtsMsg::Published { key, ts } => {
+                out.push(9);
+                key.encode(out);
+                ts.encode(out);
+            }
         }
     }
 
@@ -773,6 +779,7 @@ impl Encode for KtsMsg {
                     + epoch.encoded_len()
             }
             KtsMsg::TableHandoff { entries } => entries.encoded_len(),
+            KtsMsg::Published { key, ts } => key.encoded_len() + ts.encoded_len(),
         }
     }
 }
@@ -832,6 +839,10 @@ impl Decode for KtsMsg {
             },
             8 => KtsMsg::TableHandoff {
                 entries: Vec::<HandoffEntry>::decode(r)?,
+            },
+            9 => KtsMsg::Published {
+                key: Id::decode(r)?,
+                ts: u64::decode(r)?,
             },
             tag => {
                 return Err(WireError::BadTag {
@@ -1038,6 +1049,10 @@ mod tests {
                 epoch: 0,
             }],
         });
+        rt_kts(KtsMsg::Published {
+            key: Id(u64::MAX),
+            ts: 1 << 40,
+        });
     }
 
     #[test]
@@ -1120,6 +1135,19 @@ mod tests {
             ChordMsg::SyncAck { ver: 42 }.to_wire(),
             vec![18 /*tag*/, 42 /*ver*/]
         );
+        // The grant hint: tag, raw key, varint ts — nothing else.
+        assert_eq!(
+            KtsMsg::Published {
+                key: Id(7),
+                ts: 300
+            }
+            .to_wire(),
+            vec![
+                9, // tag
+                7, 0, 0, 0, 0, 0, 0, 0, // key LE
+                0xac, 0x02, // ts = 300 varint
+            ]
+        );
     }
 
     #[test]
@@ -1130,7 +1158,7 @@ mod tests {
                 Err(WireError::BadTag { .. })
             ));
         }
-        for tag in 9u8..=255 {
+        for tag in 10u8..=255 {
             assert!(matches!(
                 KtsMsg::from_wire(&[tag]),
                 Err(WireError::BadTag { .. })

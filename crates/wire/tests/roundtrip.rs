@@ -155,7 +155,7 @@ fn arb_chord_msg(rng: &mut Rng64) -> ChordMsg {
 }
 
 fn arb_kts_msg(rng: &mut Rng64) -> KtsMsg {
-    match rng.gen_below(9) {
+    match rng.gen_below(10) {
         0 => KtsMsg::Validate {
             op: ReqId(arb_u64(rng)),
             key: arb_id(rng),
@@ -201,6 +201,10 @@ fn arb_kts_msg(rng: &mut Rng64) -> KtsMsg {
             key_name: arb_doc_name(rng),
             last_ts: arb_u64(rng),
             epoch: arb_u64(rng),
+        },
+        8 => KtsMsg::Published {
+            key: arb_id(rng),
+            ts: arb_u64(rng),
         },
         _ => {
             let n = rng.gen_below(4) as usize;

@@ -140,3 +140,34 @@ fn repro_dual_grant_seed_merkle() {
     );
     assert!(out.equivocation_free && out.epoch_monotonic);
 }
+
+/// The open 5 %-loss defect (ROADMAP Known issues, "`lossy_links` safety
+/// residue"): about 3 runs in 1 024 of `lossy_links` end with a dual grant
+/// inside one epoch, OT divergence between replicas at the same timestamp,
+/// or the divergence panic. These are the runs of the wide sweep's block
+/// (`grant_fence_sweep.rs`, `0xAB_0000`) that are red at this commit,
+/// pinned so the fix has something to turn green. Which seeds of a block
+/// are red moves with every change to the message pattern; the rate has
+/// not (see CHANGES.md, PR 14).
+#[test]
+#[ignore = "open defect: red until the 5 %-loss residue is fixed"]
+fn repro_lossy_links_loss_residue() {
+    use chord::ReplicationMode::{FullPush, MerkleDiff};
+    let (_, sc) = find("lossy_links");
+    let mut red = Vec::new();
+    for (seed, mode) in [
+        (0xAB_0054, MerkleDiff), // replicas at one ts, two texts
+        (0xAB_0093, MerkleDiff), // two payloads at (doc, ts) under one epoch
+        (0xAB_0136, FullPush),   // same
+        (0xAB_0145, MerkleDiff), // same
+        (0xAB_01D2, MerkleDiff), // "replica divergence" panic
+    ] {
+        let run = std::panic::catch_unwind(|| run_scenario_with_mode(&sc, seed, mode));
+        match run {
+            Ok(out) if out.ok() => {}
+            Ok(out) => red.push(format!("{seed:#x} {mode:?}: {}", out.detail)),
+            Err(_) => red.push(format!("{seed:#x} {mode:?}: panicked")),
+        }
+    }
+    assert!(red.is_empty(), "still red:\n{}", red.join("\n"));
+}

@@ -22,7 +22,17 @@
 //! scenarios run in well under a second each, and a blowup here means
 //! the simulator or the protocol regressed badly enough that the seed
 //! verdicts are beside the point.
+//!
+//! **The wide sweep** (`--ignored`): the 64 pinned seeds are a gate, not a
+//! rate. Any protocol change that adds or moves a message reshuffles the
+//! fault RNG draws, so a red pinned seed after such a change may be the
+//! change's fault or the pre-existing 5 %-loss defect (ROADMAP Known
+//! issues) landing on a different seed. `wide_sweep_*` runs 512 seeds ×
+//! 2 modes from `WIDE_BASE`, catches panics, prints the red *rate* and
+//! bounds it by what the defect's rate before grant hints allows — the
+//! evidence to look at before touching `SEED_BASE`.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use workload::scenario::{named_scenarios, run_scenario_with_mode, Scenario};
@@ -34,41 +44,69 @@ use workload::scenario::{named_scenarios, run_scenario_with_mode, Scenario};
 const SEEDS: u64 = 32;
 const SEED_BASE: u64 = 0xFE_0000;
 
+/// The wide sweep's block: disjoint from the matrix and the pinned sweep.
+const WIDE_SEEDS: u64 = 512;
+const WIDE_BASE: u64 = 0xAB_0000;
+
 /// Wall-clock budget for one scenario's full sweep (both modes). Far
 /// above the observed cost (populations are quick-mode); a breach means
 /// the harness itself regressed.
 const BUDGET_SECS: u64 = 600;
 
-fn sweep(scenario: &str) {
+const MODES: [(chord::ReplicationMode, &str); 2] = [
+    (chord::ReplicationMode::MerkleDiff, "merkle"),
+    (chord::ReplicationMode::FullPush, "full-push"),
+];
+
+/// Run `scenario` on `seeds` consecutive seeds from `base` in both modes;
+/// one verdict line per run, the red runs (violated invariant or panic)
+/// returned by name.
+fn run_block(scenario: &str, base: u64, seeds: u64) -> Vec<String> {
     let sc: Scenario = named_scenarios(true)
         .into_iter()
         .find(|s| s.name == scenario)
         .unwrap_or_else(|| panic!("unknown scenario {scenario}"));
-    let wall = Instant::now();
     let mut red: Vec<String> = Vec::new();
-    for i in 0..SEEDS {
-        let seed = SEED_BASE + i;
-        for (mode, tag) in [
-            (chord::ReplicationMode::MerkleDiff, "merkle"),
-            (chord::ReplicationMode::FullPush, "full-push"),
-        ] {
-            let out = run_scenario_with_mode(&sc, seed, mode);
-            println!(
-                "sweep {scenario} seed={seed:#x} mode={tag} ok={} dual-grant-free={} \
-                 epoch-monotonic={} ({:.0} ms)",
-                out.ok(),
-                out.equivocation_free,
-                out.epoch_monotonic,
-                out.wall_ms
-            );
-            if !out.ok() {
-                red.push(format!(
-                    "{scenario} seed={seed:#x} mode={tag}: {}",
-                    out.detail
-                ));
+    for seed in base..base + seeds {
+        for (mode, tag) in MODES {
+            let run = catch_unwind(AssertUnwindSafe(|| run_scenario_with_mode(&sc, seed, mode)));
+            match run {
+                Ok(out) => {
+                    println!(
+                        "sweep {scenario} seed={seed:#x} mode={tag} ok={} dual-grant-free={} \
+                         epoch-monotonic={} ({:.0} ms)",
+                        out.ok(),
+                        out.equivocation_free,
+                        out.epoch_monotonic,
+                        out.wall_ms
+                    );
+                    if !out.ok() {
+                        red.push(format!(
+                            "{scenario} seed={seed:#x} mode={tag}: {}",
+                            out.detail
+                        ));
+                    }
+                }
+                Err(panic) => {
+                    let msg = panic
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| panic.downcast_ref::<&str>().copied())
+                        .unwrap_or("non-string panic");
+                    println!("sweep {scenario} seed={seed:#x} mode={tag} PANIC {msg}");
+                    red.push(format!(
+                        "{scenario} seed={seed:#x} mode={tag}: panic: {msg}"
+                    ));
+                }
             }
         }
     }
+    red
+}
+
+fn sweep(scenario: &str) {
+    let wall = Instant::now();
+    let red = run_block(scenario, SEED_BASE, SEEDS);
     assert!(
         red.is_empty(),
         "{} of {} sweep runs violated an invariant:\n{}",
@@ -83,6 +121,34 @@ fn sweep(scenario: &str) {
     );
 }
 
+/// Most red runs `lossy_links` may show in the wide block. At the commit
+/// before grant hints the block had 3, and eight further blocks of 1 024
+/// had 4, 1, 2, 4, 4, 3, 3, 4 — 28 in 9 216, the open 5 %-loss defect.
+/// With grant hints the same nine blocks have 5, 3, 3, 2, 5, 4, 3, 3, 3 —
+/// 31 in 9 216: which seeds are red moved, the rate did not. A count that
+/// scatters like that cannot be held to the 3 of one block; it is held to
+/// the 99th percentile of a Poisson count at the earlier rate (3.04 per
+/// block). More than that is a regression, not a reshuffle.
+const WIDE_RED_MAX_LOSSY: usize = 8;
+
+/// The rate-reporting sweep: prints every red run by name, asserts
+/// `red <= max_red`.
+fn wide_sweep(scenario: &str, max_red: usize) {
+    let red = run_block(scenario, WIDE_BASE, WIDE_SEEDS);
+    println!(
+        "wide sweep {scenario}: {} red of {} runs\n{}",
+        red.len(),
+        WIDE_SEEDS * 2,
+        red.join("\n")
+    );
+    assert!(
+        red.len() <= max_red,
+        "{scenario}: {} red runs of {}, bound {max_red}",
+        red.len(),
+        WIDE_SEEDS * 2
+    );
+}
+
 #[test]
 fn sweep_lossy_links_both_modes() {
     sweep("lossy_links");
@@ -91,4 +157,17 @@ fn sweep_lossy_links_both_modes() {
 #[test]
 fn sweep_partition_during_handoff_both_modes() {
     sweep("partition_during_handoff");
+}
+
+#[test]
+#[ignore = "1024 runs, minutes; run with --release -- --ignored --nocapture"]
+fn wide_sweep_lossy_links() {
+    wide_sweep("lossy_links", WIDE_RED_MAX_LOSSY);
+}
+
+#[test]
+#[ignore = "1024 runs, minutes; run with --release -- --ignored --nocapture"]
+fn wide_sweep_partition_during_handoff() {
+    // 0 of 1 024 before grant hints and with them.
+    wide_sweep("partition_during_handoff", 0);
 }
