@@ -247,6 +247,44 @@ fn bench_retriever(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_sync_round(c: &mut Criterion) {
+    // One steady-state anti-entropy round at a peer of a 32-node ring
+    // holding `n` primary records (its own 1/32 arc) and `n` replicas (its
+    // predecessor's arc), after one put on each side: the owner-tick
+    // summary (primary view) plus the `SyncRoot` comparison (union view).
+    // Arcs are not bucket-aligned, so each has two partial edge buckets.
+    use chord::{Storage, SyncView};
+    const ARC: u64 = 1 << 59;
+    let from = Id(0x40a0_0000_0000_0000);
+    let (pred, me) = (Id(from.0 - ARC), Id(from.0 + ARC));
+    let key_in = |start: Id, i: u64| Id(start.0 + 1 + sha1_u64(&i.to_le_bytes()) % ARC);
+    let value = |round: u64| {
+        let mut v = vec![0x5au8; 200];
+        v[..8].copy_from_slice(&round.to_le_bytes());
+        Bytes::from(v)
+    };
+    let mut g = c.benchmark_group("sync_round");
+    for (label, n) in [("1k", 1_000u64), ("10k", 10_000)] {
+        let mut store = Storage::new();
+        for i in 0..n {
+            store.put_primary(key_in(from, i), value(0));
+            store.put_replica(key_in(pred, i), value(0));
+        }
+        let mut round = 0u64;
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                round += 1;
+                store.put_primary(key_in(from, round % n), value(round));
+                let own = store.sync_bucket_digests(SyncView::Primary, from, me);
+                store.put_replica(key_in(pred, round % n), value(round));
+                let held = store.sync_bucket_digests(SyncView::Union, pred, from);
+                (own, held)
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_sha1,
@@ -255,6 +293,7 @@ criterion_group!(
     bench_codecs,
     bench_master_stamping,
     bench_sim_event_loop,
-    bench_retriever
+    bench_retriever,
+    bench_sync_round
 );
 criterion_main!(benches);

@@ -241,14 +241,20 @@ impl ChordNode {
     /// loss we briefly believed our predecessor was gone). Re-insert each
     /// at the true owner with an ordinary first-writer put and demote our
     /// copy to a replica once acked. A node with a consistent ring view
-    /// has no orphans, so a clean run never enters this path.
+    /// has no orphans, so a clean run never enters this path — and the
+    /// sweep costs it one ordered range probe, not a pass over the store:
+    /// the orphans are exactly the primaries in the complement arc
+    /// `(me, pred]`.
     fn rehome_orphans(&mut self, now: Time) {
         /// Puts started per sweep (orphans are rare; bound the burst).
         const MAX_REHOMES_PER_SWEEP: usize = 16;
+        // No (or a self-pointing) predecessor: we answer for every key.
+        let Some(pred) = self.pred.filter(|p| p.id != self.me.id) else {
+            return;
+        };
         let orphans: Vec<(Id, Bytes)> = self
             .store
-            .iter_primary()
-            .filter(|(k, _)| !self.is_responsible(**k))
+            .primary_in_arc(self.me.id, pred.id)
             .filter(|(k, _)| !self.rehoming_keys.contains(*k))
             .map(|(k, v)| (*k, v.clone()))
             .take(MAX_REHOMES_PER_SWEEP)

@@ -5,11 +5,12 @@
 //! role). Replicas are promoted to primary when responsibility shifts after
 //! a failure.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
 use crate::id::Id;
+use crate::merkle;
 use crate::sha1::Digest;
 use crate::sync;
 
@@ -82,35 +83,104 @@ pub enum SyncView {
     Union,
 }
 
-/// Per-bucket digest cache for one [`SyncView`]. An entry holds the
-/// digest of the bucket's *entire* key span, so it is consulted only when
-/// a sync range covers the bucket fully; mutations invalidate the touched
-/// bucket, making the replicate-tick root a cache lookup in steady state.
-#[derive(Clone)]
-struct BucketCache {
-    digests: [Option<Digest>; sync::BUCKETS],
+/// The two digests the sync tree needs of one stored record (40 bytes):
+/// its entry digest, which leaf listings ship, and that digest
+/// leaf-hashed, which a bucket root folds.
+#[derive(Clone, Copy, Debug)]
+struct LeafDigests {
+    entry: Digest,
+    leaf: Digest,
 }
 
-impl Default for BucketCache {
-    fn default() -> Self {
-        BucketCache {
-            digests: [None; sync::BUCKETS],
+/// A stored value with its sync digests. They are a function of
+/// `(key, value)` alone, so they are computed at most once — on the first
+/// digest read that reaches the record — and travel with it when it moves
+/// between the primary and replica buckets.
+#[derive(Clone, Debug)]
+struct Record {
+    value: Bytes,
+    digests: Option<LeafDigests>,
+}
+
+impl Record {
+    fn new(value: Bytes) -> Self {
+        Record {
+            value,
+            digests: None,
+        }
+    }
+
+    fn digests(&mut self, key: Id) -> LeafDigests {
+        *self.digests.get_or_insert_with(|| {
+            let entry = sync::entry_digest(key, &self.value);
+            LeafDigests {
+                entry,
+                leaf: merkle::leaf(&entry),
+            }
+        })
+    }
+}
+
+/// Cached bucket roots of one [`SyncView`]: the root over a bucket's
+/// whole key span, and roots of buckets an arc covers only partly, keyed
+/// by that arc. Any mutation in a bucket drops every root of the bucket.
+#[derive(Clone, Default)]
+struct RootCache {
+    whole: BTreeMap<u32, Digest>,
+    edges: Vec<(u32, Id, Id, Digest)>,
+}
+
+impl RootCache {
+    /// Edge roots kept; a node serves its own arc and those of its few
+    /// storage predecessors, two edge buckets each. Arcs retired by churn
+    /// go when their bucket is next written or the cache fills.
+    const MAX_EDGES: usize = 32;
+
+    fn invalidate(&mut self, bucket: u32) {
+        self.whole.remove(&bucket);
+        self.edges.retain(|e| e.0 != bucket);
+    }
+
+    /// `edge` is the arc `(from, to]` when it covers `bucket` only
+    /// partly, `None` for the root over the bucket's whole span.
+    fn get(&self, bucket: u32, edge: Option<(Id, Id)>) -> Option<Digest> {
+        match edge {
+            None => self.whole.get(&bucket).copied(),
+            Some((from, to)) => self
+                .edges
+                .iter()
+                .find(|e| (e.0, e.1, e.2) == (bucket, from, to))
+                .map(|e| e.3),
+        }
+    }
+
+    fn insert(&mut self, bucket: u32, edge: Option<(Id, Id)>, root: Digest) {
+        match edge {
+            None => {
+                self.whole.insert(bucket, root);
+            }
+            Some((from, to)) => {
+                if self.edges.len() >= Self::MAX_EDGES {
+                    self.edges.clear();
+                }
+                self.edges.push((bucket, from, to, root));
+            }
         }
     }
 }
 
-impl std::fmt::Debug for BucketCache {
+impl std::fmt::Debug for RootCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let filled = self.digests.iter().filter(|d| d.is_some()).count();
-        write!(f, "BucketCache({filled}/{} cached)", sync::BUCKETS)
+        let (whole, edges) = (self.whole.len(), self.edges.len());
+        write!(f, "RootCache({whole} whole, {edges} edge roots)")
     }
 }
 
 /// Primary + replica item store for one node.
 #[derive(Clone, Debug, Default)]
 pub struct Storage {
-    primary: BTreeMap<Id, Bytes>,
-    replica: BTreeMap<Id, Bytes>,
+    primary: BTreeMap<Id, Record>,
+    replica: BTreeMap<Id, Record>,
     /// Per-key fence floors: `key → (floor, origin)`. A fenced key only
     /// accepts ranked records of rank ≥ floor. Floors are local write
     /// barriers, not data: they are journaled for crash recovery but
@@ -119,15 +189,15 @@ pub struct Storage {
     /// Record mutations as [`StorageDelta`]s for the embedding layer.
     journaling: bool,
     deltas: Vec<StorageDelta>,
-    /// Merkle summary caches for the two sync views.
-    cache_primary: BucketCache,
-    cache_union: BucketCache,
+    /// Bucket-root caches of the two sync views, indexed by
+    /// `SyncView as usize`.
+    roots: [RootCache; 2],
 }
 
 /// Extract the keys of `map` lying in the clockwise arc `(from, to]`,
 /// handling wrap-around. Uses ordered `range` traversal so a stabilization
 /// transfer touches only the keys in the arc, not the whole map.
-fn keys_in_range(map: &BTreeMap<Id, Bytes>, from: Id, to: Id) -> Vec<Id> {
+fn keys_in_range<V>(map: &BTreeMap<Id, V>, from: Id, to: Id) -> Vec<Id> {
     use std::ops::Bound::{Excluded, Included, Unbounded};
     if from == to {
         // Degenerate arc `(a, a]` = the whole ring (single-node ownership),
@@ -145,6 +215,23 @@ fn keys_in_range(map: &BTreeMap<Id, Bytes>, from: Id, to: Id) -> Vec<Id> {
             .map(|(k, _)| *k)
             .collect()
     }
+}
+
+/// The clockwise arc `(from, to]` as inclusive key spans in *ascending*
+/// key order (a wrapping arc yields its low piece first); `from == to` is
+/// the whole ring, matching `Id::in_half_open`.
+fn arc_spans(from: Id, to: Id) -> impl Iterator<Item = (u64, u64)> {
+    let spans = if from == to {
+        [Some((0, u64::MAX)), None]
+    } else if from < to {
+        [Some((from.0 + 1, to.0)), None]
+    } else {
+        [
+            Some((0, to.0)),
+            from.0.checked_add(1).map(|lo| (lo, u64::MAX)),
+        ]
+    };
+    spans.into_iter().flatten()
 }
 
 impl Storage {
@@ -176,19 +263,19 @@ impl Storage {
         }
     }
 
-    /// Primary-bucket mutation: dirties the key's bucket in both sync
-    /// views (the union view reads through the primary).
+    /// Primary-bucket mutation: drops the cached roots of the key's
+    /// bucket in both sync views (the union view reads through the
+    /// primary).
     #[inline]
     fn touch_primary(&mut self, key: Id) {
-        let b = sync::bucket_of(key) as usize;
-        self.cache_primary.digests[b] = None;
-        self.cache_union.digests[b] = None;
+        let b = sync::bucket_of(key);
+        self.roots.iter_mut().for_each(|r| r.invalidate(b));
     }
 
     /// Replica-bucket mutation: dirties the union view only.
     #[inline]
     fn touch_replica(&mut self, key: Id) {
-        self.cache_union.digests[sync::bucket_of(key) as usize] = None;
+        self.roots[SyncView::Union as usize].invalidate(sync::bucket_of(key));
     }
 
     /// Store as primary (unconditional overwrite).
@@ -198,21 +285,21 @@ impl Storage {
             value: value.clone(),
         });
         self.touch_primary(key);
-        self.primary.insert(key, value);
+        self.primary.insert(key, Record::new(value));
     }
 
     /// Store as primary only if absent or equal; on mismatch returns the
     /// existing value (first-writer-wins arbitration).
     pub fn put_primary_first_writer(&mut self, key: Id, value: Bytes) -> Result<(), Bytes> {
         match self.primary.get(&key) {
-            Some(existing) if *existing != value => Err(existing.clone()),
+            Some(existing) if existing.value != value => Err(existing.value.clone()),
             _ => {
                 self.journal(|| StorageDelta::PutPrimary {
                     key,
                     value: value.clone(),
                 });
                 self.touch_primary(key);
-                self.primary.insert(key, value);
+                self.primary.insert(key, Record::new(value));
                 Ok(())
             }
         }
@@ -259,7 +346,7 @@ impl Storage {
     /// but still empty).
     pub fn put_primary_ranked(&mut self, key: Id, value: Bytes) -> Result<(), Option<Bytes>> {
         let rank = value_rank(&value);
-        if let Some(existing) = self.primary.get(&key) {
+        if let Some(existing) = self.get_primary(key) {
             if *existing == value {
                 return Ok(());
             }
@@ -270,14 +357,14 @@ impl Storage {
             }
         }
         if rank < self.fence_floor(key) {
-            return Err(self.primary.get(&key).cloned());
+            return Err(self.get_primary(key).cloned());
         }
         self.journal(|| StorageDelta::PutPrimary {
             key,
             value: value.clone(),
         });
         self.touch_primary(key);
-        self.primary.insert(key, value);
+        self.primary.insert(key, Record::new(value));
         Ok(())
     }
 
@@ -286,7 +373,7 @@ impl Storage {
     /// replica settles on the same survivor without coordination);
     /// unranked values keep the legacy unconditional overwrite.
     pub fn put_replica(&mut self, key: Id, value: Bytes) {
-        if let Some(existing) = self.replica.get(&key) {
+        if let Some(existing) = self.replica.get(&key).map(|r| &r.value) {
             let (new_r, cur_r) = (value_rank(&value), value_rank(existing));
             if (new_r > 0 || cur_r > 0)
                 && *existing != value
@@ -300,18 +387,21 @@ impl Storage {
             value: value.clone(),
         });
         self.touch_replica(key);
-        self.replica.insert(key, value);
+        self.replica.insert(key, Record::new(value));
     }
 
     /// Read, preferring primary, falling back to the replica bucket (covers
     /// the window between a predecessor's crash and promotion).
     pub fn get(&self, key: Id) -> Option<&Bytes> {
-        self.primary.get(&key).or_else(|| self.replica.get(&key))
+        self.primary
+            .get(&key)
+            .or_else(|| self.replica.get(&key))
+            .map(|r| &r.value)
     }
 
     /// Read only the primary bucket.
     pub fn get_primary(&self, key: Id) -> Option<&Bytes> {
-        self.primary.get(&key)
+        self.primary.get(&key).map(|r| &r.value)
     }
 
     /// Does either bucket hold the key?
@@ -321,7 +411,7 @@ impl Storage {
 
     /// All primary items (for replica pushes and graceful handoff).
     pub fn primary_items(&self) -> Vec<(Id, Bytes)> {
-        self.primary.iter().map(|(k, v)| (*k, v.clone())).collect()
+        self.iter_primary().map(|(k, v)| (*k, v.clone())).collect()
     }
 
     /// Remove and return primary items in `(from, to]` — the handoff set
@@ -330,7 +420,8 @@ impl Storage {
         let keys = keys_in_range(&self.primary, from, to);
         keys.into_iter()
             .map(|k| {
-                let v = self.primary.remove(&k).expect("key listed but missing");
+                let rec = self.primary.remove(&k).expect("key listed but missing");
+                let v = rec.value.clone();
                 // Keep a replica copy: we are the new owner's successor.
                 self.journal(|| StorageDelta::DelPrimary { key: k });
                 self.journal(|| StorageDelta::PutReplica {
@@ -338,7 +429,7 @@ impl Storage {
                     value: v.clone(),
                 });
                 self.touch_primary(k);
-                self.replica.insert(k, v.clone());
+                self.replica.insert(k, rec);
                 (k, v)
             })
             .collect()
@@ -350,16 +441,17 @@ impl Storage {
         let keys = keys_in_range(&self.replica, from, to);
         let n = keys.len();
         for k in keys {
-            let v = self.replica.remove(&k).expect("key listed but missing");
+            let rec = self.replica.remove(&k).expect("key listed but missing");
+            let v = &rec.value;
             self.journal(|| StorageDelta::DelReplica { key: k });
             // A ranked replica that outranks the resident primary record
             // replaces it (the resident lost the epoch arbitration);
             // otherwise keep the incumbent, as the legacy path always did.
-            let replace = match self.primary.get(&k) {
+            let replace = match self.get_primary(k) {
                 None => true,
-                Some(cur) if *cur != v => {
-                    let (vr, cr) = (value_rank(&v), value_rank(cur));
-                    vr > cr || (vr == cr && vr > 0 && v > *cur)
+                Some(cur) if cur != v => {
+                    let (vr, cr) = (value_rank(v), value_rank(cur));
+                    vr > cr || (vr == cr && vr > 0 && v > cur)
                 }
                 Some(_) => false,
             };
@@ -368,7 +460,7 @@ impl Storage {
                     key: k,
                     value: v.clone(),
                 });
-                self.primary.insert(k, v);
+                self.primary.insert(k, rec);
             }
             self.touch_primary(k);
         }
@@ -400,12 +492,22 @@ impl Storage {
 
     /// Iterate primary entries without cloning (e.g. for GC sweeps).
     pub fn iter_primary(&self) -> impl Iterator<Item = (&Id, &Bytes)> {
-        self.primary.iter()
+        self.primary.iter().map(|(k, r)| (k, &r.value))
+    }
+
+    /// Primary entries with keys in the arc `(from, to]`, by ordered range
+    /// query (entries outside the arc are never visited), in ascending
+    /// key order — not clockwise: a wrapping arc yields its low piece
+    /// first, the order a filter over [`Storage::iter_primary`] gives.
+    pub fn primary_in_arc(&self, from: Id, to: Id) -> impl Iterator<Item = (&Id, &Bytes)> {
+        arc_spans(from, to)
+            .flat_map(|(lo, hi)| self.primary.range(Id(lo)..=Id(hi)))
+            .map(|(k, r)| (k, &r.value))
     }
 
     /// Iterate replica entries without cloning.
     pub fn iter_replica(&self) -> impl Iterator<Item = (&Id, &Bytes)> {
-        self.replica.iter()
+        self.replica.iter().map(|(k, r)| (k, &r.value))
     }
 
     /// Move a primary item into the replica bucket (re-homing: we held it
@@ -414,14 +516,14 @@ impl Storage {
     /// advertising ownership. Returns false when the key is not primary.
     pub fn demote_to_replica(&mut self, key: Id) -> bool {
         match self.primary.remove(&key) {
-            Some(v) => {
+            Some(rec) => {
                 self.journal(|| StorageDelta::DelPrimary { key });
                 self.journal(|| StorageDelta::PutReplica {
                     key,
-                    value: v.clone(),
+                    value: rec.value.clone(),
                 });
                 self.touch_primary(key);
-                self.replica.insert(key, v);
+                self.replica.insert(key, rec);
                 true
             }
             None => false,
@@ -456,84 +558,142 @@ impl Storage {
     }
 
     // ----- Merkle sync summaries ------------------------------------------
+    //
+    // Cost model: a summary read is O(occupied buckets of the arc) ordered
+    // probes and cached roots, plus, for each bucket written since its
+    // root was last folded, one pass over the bucket's cached leaf
+    // digests. A value is SHA-1'd once, when a read first reaches it.
 
-    /// Per-key entry digests of the view's keys in leaf bucket `bucket`
-    /// restricted to the arc `(from, to]`, in ascending key order — both
-    /// the leaf listing shipped in `SyncNodes` and the input to
-    /// [`sync::bucket_digest`].
-    pub fn sync_leaf(&self, view: SyncView, bucket: u32, from: Id, to: Id) -> Vec<(Id, Digest)> {
+    /// The view's records of leaf bucket `bucket` restricted to the arc
+    /// `(from, to]`, ascending by key, with their digests (computed here
+    /// for records no read has reached yet). A replica record shadowed by
+    /// a primary one is skipped, as in [`Storage::get`].
+    fn bucket_leaves(
+        &mut self,
+        view: SyncView,
+        bucket: u32,
+        from: Id,
+        to: Id,
+    ) -> Vec<(Id, LeafDigests)> {
         let lo = Id((bucket as u64) << sync::BUCKET_SHIFT);
         let hi = Id(lo.0 | sync::BUCKET_SPAN_MASK);
-        match view {
-            SyncView::Primary => self
-                .primary
-                .range(lo..=hi)
-                .filter(|(k, _)| k.in_half_open(from, to))
-                .map(|(k, v)| (*k, sync::entry_digest(*k, v)))
-                .collect(),
-            SyncView::Union => {
-                let mut merged: BTreeMap<Id, &Bytes> =
-                    self.replica.range(lo..=hi).map(|(k, v)| (*k, v)).collect();
-                for (k, v) in self.primary.range(lo..=hi) {
-                    merged.insert(*k, v);
+        let mut primary = self.primary.range_mut(lo..=hi).peekable();
+        let mut replica = (view == SyncView::Union)
+            .then(|| self.replica.range_mut(lo..=hi))
+            .into_iter()
+            .flatten()
+            .peekable();
+        let mut out = Vec::new();
+        loop {
+            let next_primary = primary.peek().map(|(k, _)| **k);
+            let next_replica = replica.peek().map(|(k, _)| **k);
+            let next = match (next_primary, next_replica) {
+                (Some(p), Some(r)) if p <= r => {
+                    if p == r {
+                        replica.next();
+                    }
+                    primary.next()
                 }
-                merged
-                    .into_iter()
-                    .filter(|(k, _)| k.in_half_open(from, to))
-                    .map(|(k, v)| (k, sync::entry_digest(k, v)))
-                    .collect()
+                (Some(_), None) => primary.next(),
+                (_, Some(_)) => replica.next(),
+                (None, None) => break,
+            };
+            let (key, rec) = next.expect("peeked");
+            if key.in_half_open(from, to) {
+                out.push((*key, rec.digests(*key)));
             }
         }
+        out
+    }
+
+    /// The non-empty leaf buckets of the view's keys in `(from, to]`,
+    /// ascending: one ordered probe per occupied bucket, hopping from
+    /// bucket to bucket, never visiting the keys in between.
+    fn occupied_buckets(&self, view: SyncView, from: Id, to: Id) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (mut lo, hi) in arc_spans(from, to) {
+            loop {
+                let first =
+                    |map: &BTreeMap<Id, Record>| map.range(Id(lo)..=Id(hi)).next().map(|(k, _)| *k);
+                let key = match view {
+                    SyncView::Primary => first(&self.primary),
+                    SyncView::Union => first(&self.primary)
+                        .into_iter()
+                        .chain(first(&self.replica))
+                        .min(),
+                };
+                let Some(key) = key else { break };
+                let b = sync::bucket_of(key);
+                // A wrapping arc may begin and end in one bucket: the
+                // second span meets it again; list it once.
+                if out.last() != Some(&b) {
+                    out.push(b);
+                }
+                if b as usize + 1 == sync::BUCKETS {
+                    break;
+                }
+                lo = (b as u64 + 1) << sync::BUCKET_SHIFT;
+                if lo > hi {
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// Per-key entry digests of the view's keys in leaf bucket `bucket`
+    /// restricted to the arc `(from, to]`, in ascending key order — the
+    /// leaf listing shipped in `SyncNodes`, whose [`sync::bucket_digest`]
+    /// is the bucket's entry in [`Storage::sync_bucket_digests`].
+    pub fn sync_leaf(
+        &mut self,
+        view: SyncView,
+        bucket: u32,
+        from: Id,
+        to: Id,
+    ) -> Vec<(Id, Digest)> {
+        self.bucket_leaves(view, bucket, from, to)
+            .into_iter()
+            .map(|(k, d)| (k, d.entry))
+            .collect()
     }
 
     /// The non-empty leaf buckets of the view's keys in `(from, to]`,
     /// each with its bucket digest, ascending by bucket number — the flat
     /// summary [`sync::range_root`] and [`sync::children_of`] consume.
-    /// Buckets fully covered by the arc are served from the per-view
-    /// cache (filled on demand, invalidated per mutation); the at most
-    /// two partial edge buckets are recomputed with the range filter.
+    /// Roots come from the per-view cache; a bucket written since its
+    /// root was cached is folded again from its records' cached leaf
+    /// digests.
     pub fn sync_bucket_digests(&mut self, view: SyncView, from: Id, to: Id) -> Vec<(u32, Digest)> {
-        let mut buckets: BTreeSet<u32> = keys_in_range(&self.primary, from, to)
-            .into_iter()
-            .map(sync::bucket_of)
-            .collect();
-        if view == SyncView::Union {
-            buckets.extend(
-                keys_in_range(&self.replica, from, to)
-                    .into_iter()
-                    .map(sync::bucket_of),
-            );
-        }
+        #[cfg(test)]
+        DIGEST_READS.with(|n| n.set(n.get() + 1));
+        let buckets = self.occupied_buckets(view, from, to);
         let mut out = Vec::with_capacity(buckets.len());
         for b in buckets {
-            let covered = sync::bucket_covered(b, from, to);
-            let cache = match view {
-                SyncView::Primary => &self.cache_primary,
-                SyncView::Union => &self.cache_union,
-            };
-            let cached = if covered {
-                cache.digests[b as usize]
-            } else {
-                None
-            };
-            let digest = match cached {
-                Some(d) => d,
+            let edge = (!sync::bucket_covered(b, from, to)).then_some((from, to));
+            let root = match self.roots[view as usize].get(b, edge) {
+                Some(root) => root,
                 None => {
-                    let d = sync::bucket_digest(&self.sync_leaf(view, b, from, to));
-                    if covered {
-                        let cache = match view {
-                            SyncView::Primary => &mut self.cache_primary,
-                            SyncView::Union => &mut self.cache_union,
-                        };
-                        cache.digests[b as usize] = Some(d);
-                    }
-                    d
+                    let leaves: Vec<Digest> = self
+                        .bucket_leaves(view, b, from, to)
+                        .iter()
+                        .map(|(_, d)| d.leaf)
+                        .collect();
+                    let root = merkle::root(&leaves);
+                    self.roots[view as usize].insert(b, edge, root);
+                    root
                 }
             };
-            out.push((b, digest));
+            out.push((b, root));
         }
         out
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`Storage::sync_bucket_digests`] on this thread.
+    pub(crate) static DIGEST_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -885,22 +1045,57 @@ mod tests {
 
     // ----- Merkle sync summaries -----
 
-    /// Uncached reference: digests recomputed from scratch on a fresh
-    /// store holding the same contents.
-    fn fresh_digests(
+    /// The oracle: leaf listings recomputed from scratch, straight from
+    /// the digest *definitions* — every key of the view visited, every
+    /// value hashed, nothing cached. This is the recompute the cache
+    /// replaced; equality with it freezes the definitions.
+    fn fresh_leaves(
         s: &Storage,
         view: SyncView,
         from: Id,
         to: Id,
-    ) -> Vec<(u32, crate::sha1::Digest)> {
-        let mut c = Storage::new();
-        for (k, v) in s.iter_primary() {
-            c.put_primary(*k, v.clone());
+    ) -> BTreeMap<u32, Vec<(Id, Digest)>> {
+        let mut merged: BTreeMap<Id, &Bytes> = BTreeMap::new();
+        if view == SyncView::Union {
+            merged.extend(s.iter_replica().map(|(k, v)| (*k, v)));
         }
-        for (k, v) in s.iter_replica() {
-            c.put_replica(*k, v.clone());
+        merged.extend(s.iter_primary().map(|(k, v)| (*k, v)));
+        let mut leaves: BTreeMap<u32, Vec<(Id, Digest)>> = BTreeMap::new();
+        for (k, v) in merged {
+            if k.in_half_open(from, to) {
+                leaves
+                    .entry(sync::bucket_of(k))
+                    .or_default()
+                    .push((k, sync::entry_digest(k, v)));
+            }
         }
-        c.sync_bucket_digests(view, from, to)
+        leaves
+    }
+
+    fn fresh_digests(s: &Storage, view: SyncView, from: Id, to: Id) -> Vec<(u32, Digest)> {
+        fresh_leaves(s, view, from, to)
+            .iter()
+            .map(|(b, leaf)| (*b, sync::bucket_digest(leaf)))
+            .collect()
+    }
+
+    /// Both views' summaries and leaf listings over `(from, to]` equal
+    /// the oracle's.
+    fn assert_matches_oracle(s: &mut Storage, from: Id, to: Id, probe_bucket: u32) {
+        for view in [SyncView::Primary, SyncView::Union] {
+            let ctx = format!("{view:?} ({from:?},{to:?}]");
+            let got = s.sync_bucket_digests(view, from, to);
+            assert_eq!(got, fresh_digests(s, view, from, to), "{ctx}");
+            let leaves = fresh_leaves(s, view, from, to);
+            // Every listed bucket, and one that may well be empty.
+            for b in got.iter().map(|(b, _)| *b).chain([probe_bucket]) {
+                assert_eq!(
+                    s.sync_leaf(view, b, from, to),
+                    leaves.get(&b).cloned().unwrap_or_default(),
+                    "{ctx} leaf {b}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -940,70 +1135,195 @@ mod tests {
     }
 
     #[test]
-    fn cached_digests_track_mutations() {
-        // Every mutation path must invalidate the touched bucket: after
-        // any sequence of ops, cached digests equal a from-scratch
-        // recompute. Exercise each mutator between digest reads.
+    fn primary_in_arc_matches_filter_order() {
         let mut s = Storage::new();
+        for k in [0u64, 1, 7, 100, 1000, u64::MAX / 2, u64::MAX - 3, u64::MAX] {
+            s.put_primary(Id(k), b("v"));
+        }
         let arcs = [
-            (Id(0), Id(u64::MAX)),
-            (Id(u64::MAX), Id(u64::MAX)), // whole ring
-            (Id(2u64 << 56), Id(200u64 << 56)),
-            (Id(250u64 << 56), Id(9u64 << 56)), // wraps
+            (Id(0), Id(1000)),
+            (Id(1000), Id(0)),
+            (Id(u64::MAX - 5), Id(5)),
+            (Id(7), Id(7)),
+            (Id(u64::MAX), Id(u64::MAX - 3)),
+            (Id(u64::MAX), Id(u64::MAX)),
         ];
-        let check = |s: &mut Storage| {
-            for (from, to) in arcs {
-                for view in [SyncView::Primary, SyncView::Union] {
-                    let got = s.sync_bucket_digests(view, from, to);
-                    assert_eq!(
-                        got,
-                        fresh_digests(s, view, from, to),
-                        "{view:?} ({from:?},{to:?}]"
-                    );
-                }
-            }
-        };
-        let key = |b: u64, low: u64| Id((b << 56) | low);
-        s.put_primary(key(3, 1), b("a"));
-        s.put_replica(key(3, 2), b("b"));
-        s.put_primary(key(200, 9), b("c"));
-        check(&mut s);
-        s.put_primary(key(3, 1), b("a2")); // overwrite after caching
-        check(&mut s);
-        assert!(s.put_primary_first_writer(key(7, 7), b("fw")).is_ok());
-        check(&mut s);
-        s.put_replica(key(3, 1), b("shadowed"));
-        check(&mut s);
-        s.extract_primary_range(key(3, 0), key(4, 0));
-        check(&mut s);
-        s.promote_replicas_in_range(key(2, 0), key(5, 0));
-        check(&mut s);
-        s.demote_to_replica(key(200, 9));
-        check(&mut s);
-        s.prune_replicas_in_range(key(2, 0), key(5, 0));
-        check(&mut s);
-        s.remove_replica(key(200, 9));
-        check(&mut s);
-        s.remove(key(7, 7));
-        check(&mut s);
+        for (from, to) in arcs {
+            let got: Vec<Id> = s.primary_in_arc(from, to).map(|(k, _)| *k).collect();
+            let expect: Vec<Id> = s
+                .iter_primary()
+                .map(|(k, _)| *k)
+                .filter(|k| k.in_half_open(from, to))
+                .collect();
+            assert_eq!(got, expect, "arc ({from:?}, {to:?}]");
+        }
     }
 
     #[test]
-    fn covered_buckets_hit_the_cache() {
+    fn cached_digests_track_mutations() {
+        // After any sequence of mutator calls, cached summaries and leaf
+        // listings equal the from-scratch oracle. Keys, values and arc
+        // endpoints come from small pools so that overwrites (with equal
+        // and with different bytes), shadowed replicas, removals that hit,
+        // repeated arcs (cache hits) and arcs sharing an edge bucket are
+        // all common.
+        const BUCKET_POOL: [u64; 8] = [0, 1, 2, 3, 127, 128, 254, 255];
+        const LOW_POOL: [u64; 8] = [
+            0,
+            1,
+            2,
+            5,
+            1 << 40,
+            sync::BUCKET_SPAN_MASK - 1,
+            sync::BUCKET_SPAN_MASK - 2,
+            sync::BUCKET_SPAN_MASK,
+        ];
+        fn key(rng: &mut simnet::Rng64) -> Id {
+            Id((BUCKET_POOL[rng.index(8)] << 56) | LOW_POOL[rng.index(8)])
+        }
+        fn value(rng: &mut simnet::Rng64) -> Bytes {
+            match rng.index(6) {
+                0 => b("a"),
+                1 => b("b"),
+                2 => b("a rather longer value, more than one SHA-1 block of it, for good measure"),
+                3 => ranked(1, "x"),
+                4 => ranked(2, "y"),
+                _ => ranked(2, "z"),
+            }
+        }
+        /// `(from, to]` with both ends in bucket `bucket`; wraps (covers
+        /// nearly the whole ring) when `from`'s low bits exceed `to`'s.
+        fn arc_in_bucket(rng: &mut simnet::Rng64) -> (Id, Id) {
+            let bucket = BUCKET_POOL[rng.index(8)];
+            let (a, b) = (LOW_POOL[rng.index(8)], LOW_POOL[rng.index(8)]);
+            (Id((bucket << 56) | a), Id((bucket << 56) | b))
+        }
+        let mut rng = simnet::Rng64::new(0x5359_4e43);
+        let mut s = Storage::new();
+        let mut reads = 0u32;
+        for step in 0..2_400 {
+            let k = key(&mut rng);
+            match rng.index(13) {
+                0 | 1 => s.put_primary(k, value(&mut rng)),
+                2 => {
+                    // Overwrite with the bytes already there.
+                    if let Some(v) = s.get_primary(k).cloned() {
+                        s.put_primary(k, v);
+                    }
+                }
+                3 => drop(s.put_primary_first_writer(k, value(&mut rng))),
+                4 => {
+                    if rng.chance(0.2) {
+                        s.raise_fence(k, 2, 1).ok();
+                    }
+                    drop(s.put_primary_ranked(k, value(&mut rng)));
+                }
+                5 | 6 => s.put_replica(k, value(&mut rng)),
+                7 => drop(s.extract_primary_range(k, key(&mut rng))),
+                8 => drop(s.promote_replicas_in_range(k, key(&mut rng))),
+                9 => drop(s.prune_replicas_in_range(k, key(&mut rng))),
+                10 => drop(s.demote_to_replica(k)),
+                11 => drop(s.remove(k)),
+                _ => drop(s.remove_replica(k)),
+            }
+            // Read after about half the calls, so caches are sometimes one
+            // mutation stale and sometimes several.
+            if rng.chance(0.5) {
+                continue;
+            }
+            let probe = BUCKET_POOL[rng.index(8)] as u32;
+            let shared_to = key(&mut rng);
+            let arcs = [
+                (key(&mut rng), key(&mut rng)), // any, wrapping or not
+                (k, k),                         // whole ring
+                arc_in_bucket(&mut rng),
+                (key(&mut rng), shared_to), // two arcs sharing `to`'s
+                (key(&mut rng), shared_to), // edge bucket
+                (Id(u64::MAX), key(&mut rng)),
+                (key(&mut rng), Id(u64::MAX)),
+            ];
+            for (from, to) in arcs {
+                assert_matches_oracle(&mut s, from, to, probe);
+                reads += 1;
+            }
+            assert!(s.primary_len() + s.replica_len() > 0 || step < 64);
+        }
+        assert!(reads > 2_000, "{reads} arcs read");
+    }
+
+    #[test]
+    fn cached_roots_are_served_until_the_bucket_is_written() {
         let mut s = Storage::new();
         let key = |b: u64, low: u64| Id((b << 56) | low);
         s.put_primary(key(10, 5), b("x"));
-        let arc = (key(5, 0), key(20, 0));
+        s.put_primary(key(20, 5), b("y"));
+        // Bucket 10 is covered by the arc, bucket 20 is its edge.
+        let arc = (key(5, 0), key(20, 9));
         let first = s.sync_bucket_digests(SyncView::Primary, arc.0, arc.1);
+        assert_eq!(first.len(), 2);
         // Mutate the underlying map *without* the invalidation hook to
         // prove the second read is served from the cache. (White-box: we
         // reach into the private field on purpose.)
-        s.primary.insert(key(10, 6), b("sneaky"));
+        s.primary.insert(key(10, 6), Record::new(b("sneaky")));
+        s.primary.insert(key(20, 6), Record::new(b("sneaky")));
         let second = s.sync_bucket_digests(SyncView::Primary, arc.0, arc.1);
-        assert_eq!(first, second, "cached digest served despite raw change");
-        // A hooked write invalidates and the digest moves.
-        s.put_primary(key(10, 7), b("seen"));
+        assert_eq!(first, second, "cached roots served despite raw changes");
+        // A hooked write drops the roots of its bucket, and of no other.
+        s.put_primary(key(20, 7), b("seen"));
         let third = s.sync_bucket_digests(SyncView::Primary, arc.0, arc.1);
-        assert_ne!(first, third);
+        assert_eq!(first[0], third[0]);
+        assert_ne!(first[1], third[1]);
+    }
+
+    /// `entry_digest` computations during `f` on this thread.
+    fn entry_digests_during(f: impl FnOnce()) -> u64 {
+        let before = sync::ENTRY_DIGESTS.with(|n| n.get());
+        f();
+        sync::ENTRY_DIGESTS.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn a_value_is_hashed_once() {
+        // The operation-count gate on the summary cache: steady-state
+        // rounds hash nothing, a put costs one entry digest, and neither
+        // another arc over the same buckets, nor the other view, nor a
+        // record changing buckets hashes anything again.
+        let mut s = Storage::new();
+        let key = |b: u64, low: u64| Id((b << 56) | low);
+        for bucket in 8..16 {
+            for low in 0..50 {
+                s.put_primary(key(bucket, low), b("primary value"));
+                s.put_replica(key(bucket + 16, low), b("replica value"));
+            }
+        }
+        // Edge buckets 8 and 15 (primary), 24 and 31 (replicas).
+        let arc = (key(8, 10), key(31, 40));
+        let both = |s: &mut Storage, (from, to): (Id, Id)| {
+            s.sync_bucket_digests(SyncView::Primary, from, to);
+            s.sync_bucket_digests(SyncView::Union, from, to);
+            s.sync_leaf(SyncView::Union, 8, from, to);
+        };
+        assert_eq!(
+            entry_digests_during(|| both(&mut s, arc)),
+            50 * 8 - 11 + 50 * 8 - 9,
+            "first read: every record in the arc, once for both views"
+        );
+        assert_eq!(entry_digests_during(|| both(&mut s, arc)), 0, "second read");
+        s.put_primary(key(9, 7), b("changed"));
+        assert_eq!(entry_digests_during(|| both(&mut s, arc)), 1, "one put");
+        let other = (key(8, 20), key(31, 30));
+        assert_eq!(
+            entry_digests_during(|| both(&mut s, other)),
+            0,
+            "a different arc sharing the buckets"
+        );
+        s.demote_to_replica(key(9, 7));
+        s.promote_replicas_in_range(key(24, 0), key(25, 0));
+        s.extract_primary_range(key(12, 0), key(13, 0));
+        assert_eq!(
+            entry_digests_during(|| both(&mut s, arc)),
+            0,
+            "digests travel with a record between the buckets"
+        );
     }
 }

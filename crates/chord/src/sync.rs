@@ -27,9 +27,30 @@
 //!   digest)*)` over the non-empty children ([`interior_digest`]);
 //! * an empty range has the fixed root `SHA-1("p2p-ltr/sync-empty")`.
 //!
-//! A single put or delete dirties one bucket; [`crate::storage::Storage`]
-//! caches per-bucket digests and recomputes only the dirtied path, so the
-//! steady-state tick costs one cached root comparison, not a rehash.
+//! ## What a summary costs
+//!
+//! [`crate::storage::Storage`] answers a summary read in O(occupied
+//! buckets of the arc + records of the buckets written since the last
+//! read), and never hashes a value twice:
+//!
+//! * every stored record carries its entry digest and that digest
+//!   leaf-hashed (40 bytes), computed the first time a summary read
+//!   reaches the record and kept while its bytes stay — also when it moves
+//!   between the primary and the replica bucket;
+//! * each view caches one root per bucket for the bucket's whole key span,
+//!   and roots of the (at most two) buckets an arc covers only partly,
+//!   keyed by `(bucket, from, to)`; a put or delete drops the roots of its
+//!   one bucket, and the next read folds that bucket again from its
+//!   records' cached leaf digests — `n − 1` one-block hashes for `n`
+//!   records, no value touched;
+//! * occupied buckets are found by one ordered `range` probe per bucket,
+//!   not by visiting the keys;
+//! * an owner whose successors have all acknowledged the current
+//!   `store_version` reads no summary at all.
+//!
+//! The digest *definitions* above are frozen: the storage tests compare
+//! every cached summary and leaf listing with a from-scratch recompute
+//! over random mutation sequences, and count [`entry_digest`] calls.
 //!
 //! ## Protocol
 //!
@@ -114,11 +135,20 @@ pub fn empty_digest() -> Digest {
 
 /// Content digest of one stored entry.
 pub fn entry_digest(key: Id, value: &[u8]) -> Digest {
+    #[cfg(test)]
+    ENTRY_DIGESTS.with(|n| n.set(n.get() + 1));
     let mut h = Sha1::new();
     h.update(&[ENTRY_PREFIX]);
     h.update(&key.0.to_le_bytes());
     h.update(value);
     h.finalize()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`entry_digest`] computations on this thread — the deterministic
+    /// operation count the storage tests gate the summary cache with.
+    pub(crate) static ENTRY_DIGESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Digest of one leaf bucket: the generic Merkle root over its entry
@@ -212,14 +242,17 @@ impl crate::node::ChordNode {
     /// every storage successor whose cursor is behind `store_version`.
     pub(crate) fn tick_replicate_merkle(&mut self) {
         let version = self.store_version;
-        let succs: Vec<NodeRef> = self
+        // Settled — every cursor at `version` — is the common case, and
+        // it reads no summary at all.
+        let behind: Vec<NodeRef> = self
             .succs
             .iter()
             .filter(|s| s.id != self.me.id)
             .take(self.cfg.storage_replicas)
+            .filter(|s| self.replicated_to.get(&s.addr) != Some(&version))
             .copied()
             .collect();
-        if succs.is_empty() || self.store.primary_len() == 0 {
+        if behind.is_empty() || self.store.primary_len() == 0 {
             return;
         }
         // With no (or a self-pointing) predecessor we would claim the arc
@@ -234,10 +267,7 @@ impl crate::node::ChordNode {
         let (from, to) = (pred.id, self.me.id);
         let pairs = self.store.sync_bucket_digests(SyncView::Primary, from, to);
         let root = range_root(&pairs);
-        for s in succs {
-            if self.replicated_to.get(&s.addr) == Some(&version) {
-                continue;
-            }
+        for s in behind {
             self.sync_out.insert(
                 s.addr,
                 SyncOut {
@@ -452,6 +482,51 @@ mod tests {
 
     fn d(b: u8) -> Digest {
         [b; 20]
+    }
+
+    #[test]
+    fn settled_ring_reads_no_digest() {
+        // An owner whose successors have all acked the current
+        // `store_version` must not summarize its range just to find that
+        // out: once the ring has settled, replicate ticks go by with no
+        // digest read on any node.
+        use crate::harness::{build_ring, ChordDriver, Cmd, DriverMsg};
+        use crate::storage::DIGEST_READS;
+        use simnet::{Duration, NetConfig, Sim};
+        let mut sim: Sim<DriverMsg> = Sim::new(11, NetConfig::lan());
+        let refs = build_ring(
+            &mut sim,
+            4,
+            &crate::ChordConfig::default(),
+            Duration::from_millis(100),
+        );
+        sim.run_for(Duration::from_secs(10));
+        let before_puts = DIGEST_READS.with(|n| n.get());
+        for i in 0..64u32 {
+            let key = Id::hash(format!("settled-{i}").as_bytes());
+            let put = Cmd::Put(
+                key,
+                bytes::Bytes::from_static(b"v"),
+                crate::PutMode::Overwrite,
+            );
+            sim.send_external(refs[i as usize % 4].addr, DriverMsg::Cmd(put));
+        }
+        sim.run_for(Duration::from_secs(10));
+        let settled = DIGEST_READS.with(|n| n.get());
+        assert!(
+            settled > before_puts,
+            "the puts were replicated by sync rounds"
+        );
+        for r in &refs {
+            let node = &sim.node_as::<ChordDriver>(r.addr).expect("alive").node;
+            assert!(node.storage().primary_len() > 0 && node.storage().replica_len() > 0);
+        }
+        sim.run_for(Duration::from_secs(5));
+        assert_eq!(
+            DIGEST_READS.with(|n| n.get()),
+            settled,
+            "five replicate ticks on each of four settled nodes"
+        );
     }
 
     #[test]
