@@ -394,7 +394,7 @@ fn main() {
     let mut outcomes = Vec::with_capacity(scenarios.len());
     for sc in &scenarios {
         let o = run_scenario(sc);
-        println!(
+        ltr_bench::emit(&format!(
             "{:<30} wall {:>8.1} ms | {:>7.0} events/s | {:>6.0} msgs/s | {:>5.0} ops/s | \
              stamp p50/p99 {:.1}/{:.1} ms | {:>6.2} MB wire | continuity={} converged={}",
             o.name,
@@ -407,13 +407,13 @@ fn main() {
             o.wire_bytes as f64 / 1e6,
             o.continuity,
             o.converged,
-        );
+        ));
         outcomes.push(o);
     }
 
     let json = render_json(quick, &outcomes);
     std::fs::write(&out_path, &json).expect("write BENCH json");
-    println!("\nwrote {out_path}");
+    ltr_bench::emit(&format!("\nwrote {out_path}"));
     if outcomes.iter().any(|o| !o.continuity || !o.converged) {
         eprintln!("WARNING: an invariant failed — perf numbers are not trustworthy");
         std::process::exit(1);

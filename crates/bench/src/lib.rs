@@ -2,9 +2,21 @@
 //! figure/scenario — see `EXPERIMENTS.md` at the workspace root for the
 //! index mapping each `exp_*` binary to its paper figure).
 
+#![forbid(unsafe_code)]
+
 use p2p_ltr::harness::LtrNet;
 use p2p_ltr::LtrConfig;
 use simnet::{Duration, NetConfig, Summary};
+
+/// Print one line to stdout; a closed pipe (`exp_perf | head`) ends the
+/// run quietly with status 0 instead of `println!`'s panic.
+pub fn emit(line: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{line}").and_then(|_| out.flush()) {
+        std::process::exit(i32::from(e.kind() != std::io::ErrorKind::BrokenPipe));
+    }
+}
 
 /// Build a network and let the ring stabilize.
 pub fn settled_net(seed: u64, net_cfg: NetConfig, peers: usize, cfg: LtrConfig) -> LtrNet {

@@ -22,6 +22,7 @@
 //! [`harness`] module provides a ready [`simnet::Process`] embedding.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod docname;

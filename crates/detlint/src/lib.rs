@@ -20,6 +20,8 @@
 //! Run `cargo run -p detlint -- --explain RULE` for the long-form text of
 //! any rule.
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod rules;
 pub mod suppress;

@@ -21,6 +21,7 @@
 //! probing are delegated to the embedding layer (see the `p2p_ltr` crate).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod master;

@@ -22,6 +22,7 @@
 //! every site integrates validated patches in the identical order.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod diff;
 pub mod document;

@@ -23,6 +23,7 @@
 //!   (extension).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod fence;

@@ -13,13 +13,14 @@
 //! * **length-prefixed frames** ([`frame`]) carrying a version byte and
 //!   the sender address, with a [`FrameAssembler`] that re-frames
 //!   arbitrary stream chunkings;
-//! * a batch- and readiness-oriented [`Transport`] trait with three
-//!   endpoints — in-process bounded queues ([`MemHub`]), the threaded
-//!   loopback-TCP baseline ([`TcpHub`]), and the non-blocking
-//!   **event-loop runtime** ([`RtHub`], [`runtime`]) with connection
-//!   multiplexing, write batching and bounded backpressured queues —
-//!   plus the [`WireNet`] runner that drives unmodified
-//!   [`simnet::Process`] state machines over any of them, in real time;
+//! * a batch- and readiness-oriented [`Transport`] trait with two
+//!   endpoints the [`WireNet`] runner drives unmodified
+//!   [`simnet::Process`] state machines over, in real time — in-process
+//!   bounded queues ([`MemHub`]) and the non-blocking **event-loop
+//!   runtime** ([`RtHub`], [`runtime`]: `epoll` readiness, connection
+//!   multiplexing, write batching, bounded backpressured queues; Linux
+//!   only) — plus the threaded loopback-TCP hub ([`TcpHub`]) kept as the
+//!   baseline `exp_net` measures the runtime against;
 //! * total decoding: malformed input of any kind (truncation, corruption,
 //!   hostile length prefixes, unknown tags/versions) yields a
 //!   [`WireError`], never a panic and never an oversized allocation.
@@ -30,12 +31,20 @@
 //! of each message whenever `NetConfig::bandwidth` is set.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("wire's socket runtime parks on Linux epoll and has no fallback for other systems");
 
 pub mod codec;
 pub mod frame;
 pub mod proto;
 pub mod runner;
+#[cfg(target_os = "linux")]
 pub mod runtime;
+#[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
+mod sys;
 pub mod transport;
 pub mod varint;
 
@@ -46,7 +55,7 @@ pub use frame::{
 };
 pub use proto::{chord_class, kts_class};
 pub use runner::WireNet;
-pub use runtime::{RtHub, RtTransport, RuntimeConfig};
+pub use runtime::{RtHub, RtStats, RtTransport, RuntimeConfig};
 pub use transport::{
     MemHub, MemTransport, Readiness, TcpHub, TcpTransport, Transport, TransportError,
 };

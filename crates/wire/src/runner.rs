@@ -9,8 +9,12 @@
 //! wall-clock).
 //!
 //! The runner is single-threaded and cooperative — node state stays
-//! inspectable between pumps — while the transport underneath may be
-//! fully threaded (see [`TcpHub`](crate::TcpHub)).
+//! inspectable between pumps. When a pump finds nothing to do it parks
+//! **once**, in the first node's [`Transport::poll`], until the next
+//! timer of any node is due: over the socket runtime that park ends as
+//! soon as any node's socket has work (see [`runtime`](crate::runtime)),
+//! and over in-process queues nothing can arrive while the one thread
+//! that sends is parked.
 //!
 //! detlint::allow-file(DET-CLOCK, this module IS the real-time harness — wall time is its contract and never feeds back into simulator runs)
 
@@ -34,6 +38,10 @@ const PENDING_CAP: usize = 16 * 1024;
 
 /// Max frames pulled per `recv_batch` call while pumping.
 const RECV_CHUNK: usize = 256;
+
+/// Longest single park of an idle runner: what bounds the delay of a
+/// frame a transport cannot wake the first node's `poll` for.
+const IDLE_BUDGET: std::time::Duration = std::time::Duration::from_micros(500);
 
 /// Per-class transport send-failure counters, pre-registered at slot
 /// creation: one `wire.send_err.<class>` counter per
@@ -125,19 +133,6 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
             Box::new(move |me| Box::new(make.endpoint(me)) as Box<dyn Transport>),
             Box::new(move |to, frame| hub.send(to, frame)),
         )
-    }
-
-    /// Build over threaded loopback TCP.
-    pub fn loopback_tcp(seed: u64) -> std::io::Result<Self> {
-        let hub = crate::TcpHub::new();
-        let make = hub.clone();
-        Ok(Self::new(
-            seed,
-            Box::new(move |me| {
-                Box::new(make.endpoint(me).expect("bind loopback listener")) as Box<dyn Transport>
-            }),
-            Box::new(move |to, frame| hub.send(to, frame)),
-        ))
     }
 
     /// Build over the non-blocking event-loop runtime
@@ -328,9 +323,9 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
         let now = self.now();
         let mut dispatched = 0;
         for slot in &mut self.slots {
-            // One non-blocking I/O rotation (accept/flush/read for the
-            // event-loop runtime, a no-op for the threaded transports),
-            // then retry anything parked by earlier backpressure.
+            // One non-blocking I/O rotation (accept/read/flush for the
+            // event-loop runtime), then retry anything parked by earlier
+            // backpressure.
             slot.transport.poll(std::time::Duration::ZERO);
             Self::flush_pending(slot);
             // Inbound frames, drained in batches.
@@ -392,21 +387,29 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
         dispatched
     }
 
-    /// Park until an endpoint reports inbound readiness or `budget`
-    /// elapses. The wait is delegated to the transports' `poll` — the
-    /// event-loop runtime turns it into I/O rotations, the queue
-    /// transports into a bounded block on their channel — instead of the
-    /// runner spin-sleeping blind.
-    fn idle_wait(&mut self, budget: std::time::Duration) {
-        if self.slots.is_empty() {
-            std::thread::sleep(budget);
+    /// Nothing to do: park once, until the caller's `deadline`, the next
+    /// due timer of any node, or [`IDLE_BUDGET`] — whichever is first.
+    /// The wait is the first node's [`Transport::poll`]; which arrivals
+    /// can end it early is the transport's business (see the module
+    /// docs).
+    fn idle_wait(&mut self, deadline: Instant) {
+        let mut wait = IDLE_BUDGET.min(deadline.saturating_duration_since(Instant::now()));
+        let now = self.now();
+        for slot in self.slots.iter().filter(|s| !s.halted) {
+            if let Some(&Reverse((at, ..))) = slot.timers.peek() {
+                wait = wait.min(std::time::Duration::from_micros(at.since(now).as_micros()));
+            }
+        }
+        if wait.is_zero() {
             return;
         }
-        let slice = (budget / self.slots.len() as u32).max(std::time::Duration::from_micros(100));
-        for slot in &mut self.slots {
-            if slot.transport.poll(slice).readable {
-                return;
+        match self.slots.first_mut() {
+            Some(slot) => {
+                slot.transport.poll(wait);
             }
+            // No node, so no transport to park in and nothing that could
+            // end the wait early.
+            None => std::thread::sleep(wait),
         }
     }
 
@@ -416,7 +419,7 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
         let deadline = Instant::now() + d;
         while Instant::now() < deadline {
             if self.pump() == 0 {
-                self.idle_wait(std::time::Duration::from_micros(500));
+                self.idle_wait(deadline);
             }
         }
     }
@@ -437,7 +440,7 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
                 return false;
             }
             if self.pump() == 0 {
-                self.idle_wait(std::time::Duration::from_micros(500));
+                self.idle_wait(deadline);
             }
         }
     }
@@ -535,11 +538,6 @@ mod tests {
     #[test]
     fn ping_pong_in_process() {
         ping_pong_over(WireNet::in_process(1));
-    }
-
-    #[test]
-    fn ping_pong_loopback_tcp() {
-        ping_pong_over(WireNet::loopback_tcp(1).unwrap());
     }
 
     #[test]

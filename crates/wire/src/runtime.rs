@@ -1,5 +1,5 @@
 //! The readiness-driven network runtime: a non-blocking, zero-extra-thread
-//! event-loop transport over `std::net`.
+//! event-loop transport over `std::net` sockets and Linux `epoll`.
 //!
 //! [`TcpHub`](crate::TcpHub) proved the protocol runs over real sockets,
 //! but its thread-per-connection design (one blocking write syscall per
@@ -8,15 +8,28 @@
 //!
 //! * **Connection multiplexing** — one endpoint owns a non-blocking
 //!   listener plus all of its inbound and outbound connections; a single
-//!   *rotation* of the event loop (see [`Transport::poll`]) accepts new
-//!   connections, reads every readable socket under a per-connection
-//!   byte budget, and flushes every outbound ring. No threads are
-//!   spawned; the caller's pump *is* the event loop.
+//!   *rotation* of the event loop (see [`Transport::poll`]) asks the
+//!   kernel which of them are ready, accepts and reads only those under
+//!   a per-connection byte budget, and flushes every outbound ring that
+//!   holds bytes. No threads are spawned; the caller's pump *is* the
+//!   event loop.
+//! * **Kernel readiness, one park** — every endpoint keeps its listener
+//!   and inbound streams in a level-triggered `epoll` set, so an idle
+//!   rotation is one system call and no failed `accept` or `read`. The
+//!   hub keeps a set of its endpoints' sets, and a blocking
+//!   [`poll`](Transport::poll) parks on *that*: it returns when the
+//!   timeout passes or when **any endpoint of the hub** has work — which
+//!   is what a single thread pumping many endpoints ([`WireNet`]) needs,
+//!   and exactly the endpoint's own descriptors when it is alone in its
+//!   process. A blocking poll may therefore return early and not
+//!   readable; whoever owns several endpoints of one hub services them
+//!   all before parking again.
 //! * **Write batching / pipelining** — frames queued by
 //!   [`Transport::send_batch`] append to a per-peer byte ring and go to
 //!   the kernel in large writes (up to
 //!   [`RuntimeConfig::max_batch_bytes`] per syscall), so a burst of
-//!   small protocol frames costs one syscall, not one each.
+//!   small protocol frames costs one syscall, not one each. A ring the
+//!   kernel refused is watched for writability until it drains.
 //! * **Bounded queues with backpressure** — the inbound frame queue is
 //!   capped at [`RuntimeConfig::inbound_depth`] frames (when full the
 //!   loop stops reading and TCP flow control pushes back on senders);
@@ -29,25 +42,28 @@
 //! * **Self-healing links** — a failed outbound connection is evicted
 //!   and re-dialled under the same capped exponential backoff as the
 //!   threaded hub.
+//! * **Counted** — [`RtTransport::stats`] reports parks, rotations and
+//!   every system call the endpoint made, with how many came back
+//!   `WouldBlock`.
 //!
-//! Rotation-based readiness: `std` exposes no `epoll`/`select`, so a
-//! blocking [`poll`](Transport::poll) alternates non-blocking rotations
-//! with short parks ([`RuntimeConfig::flush_interval`]). Under load the
-//! loop never parks; idle it costs a few wakeups per millisecond —
-//! `exp_net` measures the trade directly against the threaded baseline.
+//! Linux only (`epoll_pwait2`, kernel 5.11 or later): there is no
+//! fallback path for other systems.
+//!
+//! [`WireNet`]: crate::WireNet
 //!
 //! detlint::allow-file(DET-CLOCK, the runtime is the real-time I/O layer — wall-clock batching, parking and reconnect backoff never feed back into simulator logic)
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use simnet::NodeId;
 
 use crate::frame::BytesAssembler;
+use crate::sys::{Epoll, Interest};
 use crate::transport::{Backoff, Readiness, Transport, TransportError};
 
 /// Tuning knobs for the runtime (and queue/backoff behaviour of the
@@ -60,7 +76,7 @@ use crate::transport::{Backoff, Readiness, Transport, TransportError};
 /// let cfg = RuntimeConfig::new()
 ///     .inbound_depth(8192)
 ///     .max_batch_bytes(32 * 1024)
-///     .flush_interval(Duration::from_micros(100));
+///     .reconnect_backoff_base(Duration::from_millis(5));
 /// assert_eq!(cfg.inbound_depth, 8192);
 /// ```
 #[derive(Clone, Debug)]
@@ -77,16 +93,13 @@ pub struct RuntimeConfig {
     /// at least this many bytes are pending (and always once per
     /// rotation). Default **64 KiB**.
     pub max_batch_bytes: usize,
-    /// How long an idle blocking [`Transport::poll`] parks between
-    /// rotations — the latency floor for a queued frame waiting on its
-    /// batch, and the idle wakeup cadence. Default **200 µs**.
-    pub flush_interval: Duration,
     /// Per-connection read budget, in bytes, per rotation. Caps how much
     /// one chatty peer can consume before the loop services the next
     /// socket. Default **64 KiB**.
     pub read_budget: usize,
     /// First reconnect-backoff delay after a link failure; doubles per
-    /// consecutive failure. Default **10 ms**.
+    /// consecutive failure. Also how long a listener whose `accept`
+    /// failed (descriptor exhaustion) is left alone. Default **10 ms**.
     pub reconnect_backoff_base: Duration,
     /// Reconnect-backoff ceiling. Default **2 s**.
     pub reconnect_backoff_max: Duration,
@@ -98,7 +111,6 @@ impl Default for RuntimeConfig {
             inbound_depth: 4096,
             outbound_bytes: 256 * 1024,
             max_batch_bytes: 64 * 1024,
-            flush_interval: Duration::from_micros(200),
             read_budget: 64 * 1024,
             reconnect_backoff_base: Duration::from_millis(10),
             reconnect_backoff_max: Duration::from_secs(2),
@@ -130,12 +142,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set [`RuntimeConfig::flush_interval`].
-    pub fn flush_interval(mut self, d: Duration) -> Self {
-        self.flush_interval = d;
-        self
-    }
-
     /// Set [`RuntimeConfig::read_budget`].
     pub fn read_budget(mut self, bytes: usize) -> Self {
         self.read_budget = bytes.max(1);
@@ -158,11 +164,18 @@ impl RuntimeConfig {
 type RtRegistry = Arc<Mutex<HashMap<NodeId, SocketAddr>>>;
 
 /// Hub for the event-loop runtime: the shared `NodeId -> SocketAddr`
-/// name service, plus the [`RuntimeConfig`] every endpoint inherits.
+/// name service, the [`RuntimeConfig`] every endpoint inherits, the
+/// readiness set a blocking [`Transport::poll`] parks on, and the client
+/// path's connections.
 #[derive(Clone, Default)]
 pub struct RtHub {
     registry: RtRegistry,
     cfg: RuntimeConfig,
+    /// The set of the endpoints' sets, made with the first endpoint.
+    wake: Arc<OnceLock<Arc<Epoll>>>,
+    /// Client-path streams ([`RtHub::send`]), one per destination, each
+    /// with the address it was dialled at.
+    clients: Arc<Mutex<HashMap<NodeId, (SocketAddr, TcpStream)>>>,
 }
 
 impl RtHub {
@@ -174,9 +187,22 @@ impl RtHub {
     /// Fresh hub with explicit configuration.
     pub fn with_config(cfg: RuntimeConfig) -> Self {
         RtHub {
-            registry: RtRegistry::default(),
             cfg,
+            ..Self::default()
         }
+    }
+
+    fn wake_set(&self) -> std::io::Result<Arc<Epoll>> {
+        if let Some(set) = self.wake.get() {
+            return Ok(set.clone());
+        }
+        let fresh = Arc::new(Epoll::new()?);
+        Ok(self.wake.get_or_init(|| fresh).clone())
+    }
+
+    fn addr_of(&self, to: NodeId) -> Result<SocketAddr, TransportError> {
+        let reg = self.registry.lock().expect("rt registry");
+        reg.get(&to).copied().ok_or(TransportError::UnknownPeer(to))
     }
 
     /// Bind a non-blocking listener for `me` on `127.0.0.1:0`, register
@@ -187,40 +213,143 @@ impl RtHub {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let set = Epoll::new()?;
+        set.add(&listener, LISTENER, Interest::Read)?;
+        let wake = self.wake_set()?;
+        wake.add(&set, u64::from(me.0), Interest::Read)?;
         self.registry.lock().expect("rt registry").insert(me, addr);
         Ok(RtTransport {
-            registry: self.registry.clone(),
-            cfg: self.cfg.clone(),
+            hub: self.clone(),
+            wake,
+            set,
+            ready: Vec::new(),
             listener,
-            readers: Vec::new(),
+            accept_retry_at: None,
+            readers: HashMap::new(),
+            next_reader: 0,
             writers: HashMap::new(),
             backoffs: HashMap::new(),
             inbound: VecDeque::new(),
             read_buf: vec![0u8; self.cfg.read_budget.clamp(4096, 64 * 1024)],
+            stats: RtStats::default(),
         })
     }
 
-    /// One-shot client send (external injection): opens a connection,
-    /// writes the frame, closes. The receiving event loop accepts it on
-    /// its next rotation.
+    /// Client send (external injection) over one cached blocking
+    /// connection per destination: dialled on first use, re-dialled when
+    /// the destination has re-registered at another address, and evicted
+    /// and re-dialled once when a write fails.
     pub fn send(&self, to: NodeId, frame: &[u8]) -> Result<(), TransportError> {
-        let addr = {
-            let reg = self.registry.lock().expect("rt registry");
-            *reg.get(&to).ok_or(TransportError::UnknownPeer(to))?
-        };
-        let mut stream = TcpStream::connect(addr).map_err(|e| TransportError::Io(e.to_string()))?;
-        stream
-            .write_all(frame)
-            .map_err(|e| TransportError::Io(e.to_string()))
+        let addr = self.addr_of(to)?;
+        let mut clients = self.clients.lock().expect("rt clients");
+        if let Some((dialled, stream)) = clients.get_mut(&to) {
+            if *dialled == addr && stream.write_all(frame).is_ok() {
+                return Ok(());
+            }
+            clients.remove(&to);
+        }
+        let io = |e: std::io::Error| TransportError::Io(e.to_string());
+        let mut stream = TcpStream::connect(addr).map_err(io)?;
+        stream.set_nodelay(true).map_err(io)?;
+        stream.write_all(frame).map_err(io)?;
+        clients.insert(to, (addr, stream));
+        Ok(())
     }
 }
+
+/// What one endpoint did, counted where it happens: plain counters since
+/// the endpoint was made, read with [`RtTransport::stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RtStats {
+    /// Blocking [`Transport::poll`] calls that parked in the kernel.
+    pub parks: u64,
+    /// Parks that ended because their timeout passed, not on readiness.
+    pub park_timeouts: u64,
+    /// I/O rotations (one readiness query each).
+    pub rotations: u64,
+    /// `read` calls on inbound connections.
+    pub reads: u64,
+    /// `read` calls that returned `WouldBlock`.
+    pub reads_would_block: u64,
+    /// `accept` calls on the listener.
+    pub accepts: u64,
+    /// `accept` calls that returned `WouldBlock` (one ends each burst).
+    pub accepts_would_block: u64,
+    /// `write` calls on outbound connections.
+    pub writes: u64,
+    /// `write` calls that returned `WouldBlock`.
+    pub writes_would_block: u64,
+    /// Frames accepted by [`Transport::send_batch`].
+    pub frames_sent: u64,
+    /// Bytes the kernel took from the outbound rings.
+    pub bytes_written: u64,
+    /// Most bytes ever pending in one outbound ring.
+    pub ring_high_water: u64,
+    /// Most frames ever queued inbound.
+    pub inbound_high_water: u64,
+    /// Outbound links dialled again after a failure.
+    pub reconnects: u64,
+}
+
+/// Readiness token of the listener; inbound connections count up from 0.
+const LISTENER: u64 = u64::MAX;
+/// Readiness token of every outbound stream watched for writability (the
+/// report only has to end a park: each rotation flushes every ring).
+const WRITER: u64 = u64::MAX - 1;
 
 /// One inbound connection: a non-blocking stream feeding a zero-copy
 /// [`BytesAssembler`].
 struct ReadConn {
     stream: TcpStream,
     asm: BytesAssembler,
-    dead: bool,
+}
+
+impl ReadConn {
+    /// Read what the connection has, up to the per-rotation budget and
+    /// the inbound cap. `false` = the connection is finished (end of
+    /// stream, error, or a hostile length prefix).
+    fn read_ready(
+        &mut self,
+        inbound: &mut VecDeque<Bytes>,
+        buf: &mut [u8],
+        cfg: &RuntimeConfig,
+        stats: &mut RtStats,
+    ) -> bool {
+        let mut budget = cfg.read_budget;
+        while budget > 0 && inbound.len() < cfg.inbound_depth {
+            let want = budget.min(buf.len());
+            stats.reads += 1;
+            match self.stream.read(&mut buf[..want]) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    budget -= n;
+                    // One owned chunk per read; complete frames then
+                    // come back as zero-copy slices of it.
+                    self.asm.push(Bytes::from(buf[..n].to_vec()));
+                    loop {
+                        match self.asm.next_frame() {
+                            Ok(Some(frame)) => inbound.push_back(frame),
+                            Ok(None) => break,
+                            Err(_) => return false,
+                        }
+                    }
+                    if n < want {
+                        // A short read drained the socket: asking again
+                        // would only fetch a `WouldBlock`, and whatever
+                        // arrives later is reported ready again.
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    stats.reads_would_block += 1;
+                    break;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        true
+    }
 }
 
 /// One live outbound link: a non-blocking stream plus its byte ring of
@@ -230,6 +359,8 @@ struct WriteConn {
     stream: TcpStream,
     buf: Vec<u8>,
     start: usize,
+    /// The stream is in the endpoint's set, watched for writability.
+    watched: bool,
 }
 
 impl WriteConn {
@@ -239,12 +370,19 @@ impl WriteConn {
 
     /// Write as much of the ring as the kernel will take right now.
     /// `Ok(true)` = ring fully drained.
-    fn flush(&mut self) -> std::io::Result<bool> {
+    fn flush(&mut self, stats: &mut RtStats) -> std::io::Result<bool> {
         while self.start < self.buf.len() {
+            stats.writes += 1;
             match self.stream.write(&self.buf[self.start..]) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => self.start += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Ok(n) => {
+                    self.start += n;
+                    stats.bytes_written += n as u64;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    stats.writes_would_block += 1;
+                    break;
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
@@ -262,12 +400,21 @@ impl WriteConn {
 }
 
 /// Event-loop endpoint of the runtime. See the [module docs](crate::runtime)
-/// for the threading and backpressure model.
+/// for the threading, parking and backpressure model.
 pub struct RtTransport {
-    registry: RtRegistry,
-    cfg: RuntimeConfig,
+    hub: RtHub,
+    /// The hub's set of sets: what a blocking poll parks on.
+    wake: Arc<Epoll>,
+    /// This endpoint's descriptors: the listener, every inbound stream,
+    /// and the outbound streams whose ring the kernel refused.
+    set: Epoll,
+    /// Ready tokens, reused every rotation.
+    ready: Vec<u64>,
     listener: TcpListener,
-    readers: Vec<ReadConn>,
+    /// Set while the listener is out of `set` after a failed `accept`.
+    accept_retry_at: Option<Instant>,
+    readers: HashMap<u64, ReadConn>,
+    next_reader: u64,
     writers: HashMap<NodeId, WriteConn>,
     /// Reconnect throttles for peers whose link failed.
     backoffs: HashMap<NodeId, Backoff>,
@@ -275,9 +422,15 @@ pub struct RtTransport {
     inbound: VecDeque<Bytes>,
     /// Read scratch, reused every rotation.
     read_buf: Vec<u8>,
+    stats: RtStats,
 }
 
 impl RtTransport {
+    /// The endpoint's counters so far.
+    pub fn stats(&self) -> RtStats {
+        self.stats
+    }
+
     /// Dial `to` (non-blocking after connect) or fail into backoff.
     fn ensure_writer(&mut self, to: NodeId, now: Instant) -> Result<(), TransportError> {
         if self.writers.contains_key(&to) {
@@ -286,23 +439,23 @@ impl RtTransport {
         if self.backoffs.get(&to).is_some_and(|b| b.blocked(now)) {
             return Err(TransportError::Disconnected(to));
         }
-        let addr = {
-            let reg = self.registry.lock().expect("rt registry");
-            *reg.get(&to).ok_or(TransportError::UnknownPeer(to))?
-        };
+        let addr = self.hub.addr_of(to)?;
         match TcpStream::connect(addr).and_then(|s| {
             s.set_nodelay(true)?;
             s.set_nonblocking(true)?;
             Ok(s)
         }) {
             Ok(stream) => {
-                self.backoffs.remove(&to);
+                if self.backoffs.remove(&to).is_some() {
+                    self.stats.reconnects += 1;
+                }
                 self.writers.insert(
                     to,
                     WriteConn {
                         stream,
                         buf: Vec::new(),
                         start: 0,
+                        watched: false,
                     },
                 );
                 Ok(())
@@ -311,7 +464,7 @@ impl RtTransport {
                 self.backoffs
                     .entry(to)
                     .or_default()
-                    .record_failure(now, &self.cfg);
+                    .record_failure(now, &self.hub.cfg);
                 Err(TransportError::Disconnected(to))
             }
         }
@@ -325,94 +478,107 @@ impl RtTransport {
         self.backoffs
             .entry(to)
             .or_default()
-            .record_failure(now, &self.cfg);
+            .record_failure(now, &self.hub.cfg);
     }
 
-    /// One non-blocking rotation: accept, flush, read. Returns true when
-    /// any I/O progressed.
-    fn rotate(&mut self) -> bool {
-        let mut progressed = false;
-        // Accept every pending inbound connection.
+    /// Accept every pending inbound connection.
+    fn accept_ready(&mut self) {
         loop {
+            self.stats.accepts += 1;
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    self.readers.push(ReadConn {
-                        stream,
-                        asm: BytesAssembler::new(),
-                        dead: false,
-                    });
-                    progressed = true;
+                    let token = self.next_reader;
+                    if stream.set_nonblocking(true).is_ok()
+                        && self.set.add(&stream, token, Interest::Read).is_ok()
+                    {
+                        self.next_reader += 1;
+                        let asm = BytesAssembler::new();
+                        self.readers.insert(token, ReadConn { stream, asm });
+                    }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.stats.accepts_would_block += 1;
+                    break;
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => {
+                    // Out of descriptors or memory: the connection stays
+                    // queued and the listener ready, so a park would
+                    // spin. Stop watching it for one backoff step.
+                    let _ = self.set.del(&self.listener);
+                    self.accept_retry_at =
+                        Some(Instant::now() + self.hub.cfg.reconnect_backoff_base);
+                    break;
+                }
             }
         }
-        // Flush every outbound ring.
-        let now = Instant::now();
+    }
+
+    /// One non-blocking rotation: ask the kernel what is ready, accept
+    /// and read exactly that, then flush every ring that holds bytes.
+    fn rotate(&mut self) {
+        self.stats.rotations += 1;
+        if self.accept_retry_at.is_some_and(|at| Instant::now() >= at)
+            && self
+                .set
+                .add(&self.listener, LISTENER, Interest::Read)
+                .is_ok()
+        {
+            self.accept_retry_at = None;
+        }
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        self.set.ready(&mut ready);
+        for &token in &ready {
+            if token == LISTENER {
+                self.accept_ready();
+            } else if let Some(conn) = self.readers.get_mut(&token) {
+                // Budgeted per connection, halted by a full inbound
+                // queue (TCP then backpressures the senders).
+                let alive = conn.read_ready(
+                    &mut self.inbound,
+                    &mut self.read_buf,
+                    &self.hub.cfg,
+                    &mut self.stats,
+                );
+                if !alive {
+                    // Closing the stream takes it out of the set.
+                    self.readers.remove(&token);
+                }
+            }
+        }
+        self.ready = ready;
+        self.stats.inbound_high_water =
+            self.stats.inbound_high_water.max(self.inbound.len() as u64);
         let mut failed: Vec<NodeId> = Vec::new();
         for (&to, w) in self.writers.iter_mut() {
-            if w.pending() == 0 {
+            if w.pending() > 0 && w.flush(&mut self.stats).is_err() {
+                failed.push(to);
                 continue;
             }
-            let before = w.start;
-            match w.flush() {
-                Ok(_) => progressed |= w.start != before,
-                Err(_) => failed.push(to),
+            // A ring the kernel refused is watched until it can move
+            // again, so a park ends then; a drained one must not be
+            // (a writable stream is always ready — the park would spin).
+            let refused = w.pending() > 0;
+            if refused != w.watched {
+                let changed = if refused {
+                    self.set.add(&w.stream, WRITER, Interest::Write)
+                } else {
+                    self.set.del(&w.stream)
+                };
+                if changed.is_ok() {
+                    w.watched = refused;
+                }
             }
         }
         for to in failed {
-            self.evict_writer(to, now);
+            self.evict_writer(to, Instant::now());
         }
-        // Read rotation, budgeted per connection, halted by a full
-        // inbound queue (TCP then backpressures the senders).
-        for i in 0..self.readers.len() {
-            if self.inbound.len() >= self.cfg.inbound_depth {
-                break;
-            }
-            let conn = &mut self.readers[i];
-            let mut budget = self.cfg.read_budget;
-            while budget > 0 && self.inbound.len() < self.cfg.inbound_depth {
-                let want = budget.min(self.read_buf.len());
-                match conn.stream.read(&mut self.read_buf[..want]) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        progressed = true;
-                        budget -= n;
-                        // One owned chunk per read; complete frames then
-                        // come back as zero-copy slices of it.
-                        conn.asm.push(Bytes::from(self.read_buf[..n].to_vec()));
-                        loop {
-                            match conn.asm.next_frame() {
-                                Ok(Some(frame)) => self.inbound.push_back(frame),
-                                Ok(None) => break,
-                                Err(_) => {
-                                    // Poisoned stream (hostile length
-                                    // prefix): drop the connection.
-                                    conn.dead = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if conn.dead {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        self.readers.retain(|c| !c.dead);
-        progressed
     }
 }
 
@@ -432,10 +598,10 @@ impl Transport for RtTransport {
                     };
                 }
             };
-            if w.pending() + frame.len() > self.cfg.outbound_bytes {
+            if w.pending() + frame.len() > self.hub.cfg.outbound_bytes {
                 // Ring full: try to hand bytes to the kernel, then
                 // re-check once.
-                match w.flush() {
+                match w.flush(&mut self.stats) {
                     Ok(_) => {}
                     Err(_) => {
                         self.evict_writer(to, now);
@@ -446,7 +612,7 @@ impl Transport for RtTransport {
                         };
                     }
                 }
-                if w.pending() + frame.len() > self.cfg.outbound_bytes {
+                if w.pending() + frame.len() > self.hub.cfg.outbound_bytes {
                     return if accepted == 0 {
                         Err(TransportError::Backpressure)
                     } else {
@@ -456,8 +622,10 @@ impl Transport for RtTransport {
             }
             w.buf.extend_from_slice(frame);
             accepted += 1;
-            if w.pending() >= self.cfg.max_batch_bytes {
-                if w.flush().is_err() {
+            self.stats.frames_sent += 1;
+            self.stats.ring_high_water = self.stats.ring_high_water.max(w.pending() as u64);
+            if w.pending() >= self.hub.cfg.max_batch_bytes {
+                if w.flush(&mut self.stats).is_err() {
                     self.evict_writer(to, now);
                     return Ok(accepted); // accepted >= 1 here
                 }
@@ -468,44 +636,38 @@ impl Transport for RtTransport {
 
     fn recv_batch(&mut self, out: &mut Vec<Bytes>, max: usize) -> usize {
         let n = max.min(self.inbound.len());
-        for _ in 0..n {
-            match self.inbound.pop_front() {
-                Some(f) => out.push(f),
-                None => break,
-            }
-        }
+        out.extend(self.inbound.drain(..n));
         n
     }
 
     fn poll(&mut self, timeout: Duration) -> Readiness {
-        let start = Instant::now();
-        loop {
-            self.rotate();
-            if !self.inbound.is_empty() {
-                break;
+        self.rotate();
+        if self.inbound.is_empty() && !timeout.is_zero() {
+            // One park, on the hub's set: it ends when the timeout does
+            // or when any endpoint of the hub — this one or a sibling the
+            // caller pumps next — has something ready.
+            let wait = match self.accept_retry_at {
+                Some(at) => timeout.min(at.saturating_duration_since(Instant::now())),
+                None => timeout,
+            };
+            self.stats.parks += 1;
+            self.ready.clear();
+            if self.wake.wait(&mut self.ready, wait) == 0 {
+                self.stats.park_timeouts += 1;
+            } else {
+                self.rotate();
             }
-            let elapsed = start.elapsed();
-            if elapsed >= timeout {
-                break;
-            }
-            // No selectable readiness in std: park briefly, then rotate
-            // again. Under load rotate() always progresses and we never
-            // reach this sleep.
-            let park = self
-                .cfg
-                .flush_interval
-                .max(Duration::from_micros(50))
-                .min(timeout - elapsed);
-            std::thread::sleep(park);
         }
-        let now = Instant::now();
         Readiness {
             readable: !self.inbound.is_empty(),
             writable: self
                 .writers
                 .values()
-                .all(|w| w.pending() < self.cfg.outbound_bytes)
-                && (self.backoffs.is_empty() || self.backoffs.values().any(|b| !b.blocked(now))),
+                .all(|w| w.pending() < self.hub.cfg.outbound_bytes)
+                && (self.backoffs.is_empty() || {
+                    let now = Instant::now();
+                    self.backoffs.values().any(|b| !b.blocked(now))
+                }),
         }
     }
 }
@@ -596,6 +758,42 @@ mod tests {
         assert_eq!(v, 9);
     }
 
+    /// Poll `t` until `want` frames arrived, decoding each as a `u64`.
+    fn recv_u64s(t: &mut RtTransport, want: usize) -> Vec<u64> {
+        let mut got = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got.len() < want && Instant::now() < deadline {
+            t.poll(Duration::from_millis(5));
+            t.recv_batch(&mut got, usize::MAX);
+        }
+        got.iter()
+            .map(|f| decode_frame::<u64>(f).expect("frame intact").1)
+            .collect()
+    }
+
+    #[test]
+    fn client_path_keeps_one_connection_and_redials_a_restarted_receiver() {
+        let hub = RtHub::new();
+        let mut b = hub.endpoint(NodeId(1)).unwrap();
+        for i in 0..2_000u64 {
+            hub.send(NodeId(1), &encode_frame(NodeId(1), &i)).unwrap();
+        }
+        assert_eq!(recv_u64s(&mut b, 2_000), (0..2_000).collect::<Vec<u64>>());
+        let stats = b.stats();
+        assert_eq!(
+            stats.accepts - stats.accepts_would_block,
+            1,
+            "2 000 injections, one connection: {stats:?}"
+        );
+        // The receiver restarts: same name, new listener. The cached
+        // stream points at the old address and is dialled again.
+        drop(b);
+        let mut b = hub.endpoint(NodeId(1)).unwrap();
+        hub.send(NodeId(1), &encode_frame(NodeId(1), &7u64))
+            .unwrap();
+        assert_eq!(recv_u64s(&mut b, 1), [7]);
+    }
+
     #[test]
     fn runtime_outbound_ring_backpressures() {
         // Tiny ring: the kernel socket buffer plus our ring fill up when
@@ -619,6 +817,67 @@ mod tests {
             }
         }
         assert!(hit_backpressure, "bounded ring must eventually push back");
+    }
+
+    #[test]
+    fn refused_ring_is_watched_for_writability_not_spun_on() {
+        let hub = RtHub::with_config(RuntimeConfig::new().outbound_bytes(64 * 1024));
+        let mut a = hub.endpoint(NodeId(0)).unwrap();
+        // The peer is a bare socket outside the hub, so nothing but the
+        // endpoint's own descriptors can end its parks.
+        let sink = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = sink.local_addr().unwrap();
+        hub.registry.lock().unwrap().insert(NodeId(1), addr);
+        let big = Bytes::from(encode_frame(NodeId(0), &Bytes::from(vec![0u8; 16 * 1024])));
+        // It accepts and does not read: the kernel's buffers fill, then
+        // the ring does.
+        let mut refused = false;
+        for _ in 0..100_000 {
+            let sent = a.send_batch(NodeId(1), &[big.clone()]);
+            a.poll(Duration::ZERO);
+            refused = sent == Err(TransportError::Backpressure) && a.stats().writes_would_block > 0;
+            if refused {
+                break;
+            }
+        }
+        assert!(refused, "the kernel refused part of the ring");
+        let (mut peer, _) = sink.accept().unwrap();
+
+        // Nothing can move: each park sits out its timeout.
+        let before = a.stats();
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(40) {
+            a.poll(Duration::from_millis(10));
+        }
+        let stuck = a.stats();
+        assert!(stuck.parks - before.parks <= 6, "{stuck:?}");
+        assert_eq!(
+            stuck.parks - before.parks,
+            stuck.park_timeouts - before.park_timeouts
+        );
+
+        // The peer drains. What a park would wait on — the hub's set —
+        // now reports the endpoint ready, and stays so until the ring is
+        // flushed (the wait is made here, not through `poll`, which would
+        // flush first and have nothing left to wait for).
+        assert!(a.writers[&NodeId(1)].watched);
+        peer.set_nonblocking(true).unwrap();
+        let mut woken = Vec::new();
+        let start = Instant::now();
+        while woken.is_empty() && start.elapsed() < Duration::from_secs(10) {
+            while peer.read(&mut [0u8; 64 * 1024]).is_ok_and(|n| n > 0) {}
+            a.wake.wait(&mut woken, Duration::from_millis(50));
+        }
+        assert_eq!(woken, [0], "endpoint 0 reported ready for its writer");
+        // Flushed and drained, the stream is no longer watched (a
+        // writable socket is always ready): the next park waits again.
+        while peer.read(&mut [0u8; 64 * 1024]).is_ok_and(|n| n > 0) {}
+        a.poll(Duration::ZERO);
+        assert_eq!(a.writers[&NodeId(1)].pending(), 0, "ring drained");
+        assert!(!a.writers[&NodeId(1)].watched);
+        let before = a.stats().park_timeouts;
+        a.poll(Duration::from_millis(10));
+        assert_eq!(a.stats().park_timeouts, before + 1);
     }
 
     #[test]

@@ -15,17 +15,18 @@
 //!   are encoded and re-decoded; only the medium is a channel instead of
 //!   a socket, and a full peer queue reports backpressure exactly like a
 //!   full socket buffer.
+//! * [`RtHub`](crate::RtHub) / [`RtTransport`](crate::RtTransport) — the
+//!   non-blocking, zero-extra-thread event-loop runtime
+//!   ([`runtime`](crate::runtime)): kernel readiness (`epoll`),
+//!   connection multiplexing, write batching, bounded rings. The serving
+//!   path, and the socket transport [`WireNet`](crate::WireNet) runs on.
 //! * [`TcpHub`] / [`TcpTransport`] — the **threaded loopback TCP**
 //!   baseline: every endpoint owns a listener on `127.0.0.1`, an
 //!   acceptor thread, and one reader thread per inbound connection;
 //!   outbound connections are cached per peer, evicted on error, and
 //!   re-dialled under a capped exponential backoff. One blocking write
-//!   syscall per frame — kept as the reference point the event-loop
-//!   runtime ([`RtHub`](crate::RtHub)) is measured against (`exp_net`).
-//! * [`RtHub`](crate::RtHub) / [`RtTransport`](crate::RtTransport) — the
-//!   non-blocking, zero-extra-thread event-loop runtime
-//!   ([`runtime`](crate::runtime)): connection multiplexing, write
-//!   batching, bounded rings. The serving path.
+//!   syscall per frame — no runner uses it; it is kept only as the
+//!   reference point `exp_net` measures the runtime against.
 //!
 //! (The fourth "transport" is the simulator itself, which moves typed
 //! messages directly but — with a wire meter installed — charges latency
@@ -126,6 +127,9 @@ pub struct Readiness {
 /// * [`poll`](Transport::poll) is the only call that may wait, and it is
 ///   also what drives I/O forward on single-threaded transports — a
 ///   runner must pump it even with `timeout == 0`.
+/// * A blocking poll may return **early and not readable** when a
+///   sibling endpoint of the same hub has work: whoever owns several
+///   endpoints of one hub services them all before waiting again.
 pub trait Transport {
     /// Queue encoded frames (header included) for delivery to `to`.
     ///
@@ -143,8 +147,9 @@ pub trait Transport {
     fn recv_batch(&mut self, out: &mut Vec<Bytes>, max: usize) -> usize;
 
     /// Drive the transport's I/O (accept, read, flush) and wait up to
-    /// `timeout` for readiness. `Duration::ZERO` performs one
-    /// non-blocking rotation and returns immediately.
+    /// `timeout` for readiness — this endpoint's, or (see the contract
+    /// above) a sibling's. `Duration::ZERO` performs one non-blocking
+    /// rotation and returns immediately.
     fn poll(&mut self, timeout: Duration) -> Readiness;
 }
 

@@ -17,6 +17,7 @@
 //! Everything is seeded and replayable.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod churn;
 pub mod driver;
