@@ -264,7 +264,7 @@ fn bench_sync_round(c: &mut Criterion) {
         Bytes::from(v)
     };
     let mut g = c.benchmark_group("sync_round");
-    for (label, n) in [("1k", 1_000u64), ("10k", 10_000)] {
+    for (label, n) in [("1k", 1_000u64), ("10k", 10_000), ("100k", 100_000)] {
         let mut store = Storage::new();
         for i in 0..n {
             store.put_primary(key_in(from, i), value(0));

@@ -13,7 +13,7 @@ use crate::events::{Action, ChordEvent, ChordTimer};
 use crate::id::Id;
 use crate::msg::{ChordMsg, NodeRef, OpId, PutMode};
 use crate::node::ChordNode;
-use simnet::{CounterId, Ctx, Duration, Metrics, NodeId, Process, Time};
+use simnet::{CounterId, Ctx, Duration, HistogramId, Metrics, NodeId, Process, Time};
 
 /// Timer tag for a deferred ring join (outside the `ChordTimer` space).
 const START_TAG: u64 = 5;
@@ -51,8 +51,9 @@ pub struct Completion {
     pub event: ChordEvent,
 }
 
-/// Pre-registered handles for the per-completion counters — resolved once
-/// at `on_start` so the completion path never does a by-name lookup.
+/// Pre-registered handles for the per-completion counters and the hop
+/// histogram — resolved once at `on_start` so the completion path never
+/// does a by-name lookup.
 #[derive(Clone, Copy)]
 struct DriverCounters {
     lookups_ok: CounterId,
@@ -61,6 +62,7 @@ struct DriverCounters {
     puts_failed: CounterId,
     gets_ok: CounterId,
     gets_failed: CounterId,
+    lookup_hops: HistogramId,
 }
 
 impl DriverCounters {
@@ -72,6 +74,7 @@ impl DriverCounters {
             puts_failed: m.register_counter("chord.puts_failed"),
             gets_ok: m.register_counter("chord.gets_ok"),
             gets_failed: m.register_counter("chord.gets_failed"),
+            lookup_hops: m.register_histogram("chord.lookup_hops"),
         }
     }
 }
@@ -134,7 +137,7 @@ impl ChordDriver {
                     match &ev {
                         ChordEvent::LookupDone { op, hops, .. } => {
                             ctx.metrics().incr_id(counters.lookups_ok);
-                            ctx.metrics().record("chord.lookup_hops", *hops as f64);
+                            ctx.metrics().record_id(counters.lookup_hops, *hops as f64);
                             self.completions.push(Completion {
                                 op: *op,
                                 at: now,

@@ -1,6 +1,8 @@
 //! Generic domain-separated SHA-1 Merkle-tree hashing, shared by the log
 //! store's tamper-evidence layer (`store::merkle`) and the anti-entropy
-//! replication digests ([`crate::sync`]).
+//! replication digests ([`crate::sync`]): both use [`leaf`], [`combine`]
+//! and [`root`] as they are — the store over a segment's entries, sync
+//! over one sub-bucket's entries.
 //!
 //! The construction follows the Merkle/KDF log-notarization design of
 //! Barontini (arXiv:2110.02103): leaf and interior domains are separated
@@ -26,11 +28,20 @@ pub fn leaf(digest: &Digest) -> Digest {
 
 /// Hash two child digests into their parent.
 pub fn combine(a: &Digest, b: &Digest) -> Digest {
+    #[cfg(test)]
+    COMBINES.with(|n| n.set(n.get() + 1));
     let mut h = Sha1::new();
     h.update(&[NODE_PREFIX]);
     h.update(a);
     h.update(b);
     h.finalize()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`combine`] computations on this thread — the operation count the
+    /// storage tests gate the summary fold with.
+    pub(crate) static COMBINES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Merkle root over `leaves` (already leaf-hashed). An empty tree has the

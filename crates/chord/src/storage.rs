@@ -121,12 +121,23 @@ impl Record {
     }
 }
 
-/// Cached bucket roots of one [`SyncView`]: the root over a bucket's
-/// whole key span, and roots of buckets an arc covers only partly, keyed
-/// by that arc. Any mutation in a bucket drops every root of the bucket.
+/// Cached roots of one bucket in one [`SyncView`], all over whole key
+/// spans: the bucket root, and the root of sub-bucket `n` (`None` when it
+/// is empty) while bit `n` of `known` is set.
+#[derive(Clone, Default)]
+struct BucketRoots {
+    root: Option<Digest>,
+    known: u16,
+    subs: [Option<Digest>; sync::SUBS],
+}
+
+/// Cached roots of one [`SyncView`]: per bucket its [`BucketRoots`], and
+/// roots of buckets an arc covers only partly, keyed by that arc. A
+/// mutation clears its sub-bucket's root, its bucket's root and every
+/// edge root of its bucket.
 #[derive(Clone, Default)]
 struct RootCache {
-    whole: BTreeMap<u32, Digest>,
+    buckets: BTreeMap<u32, BucketRoots>,
     edges: Vec<(u32, Id, Id, Digest)>,
 }
 
@@ -136,8 +147,12 @@ impl RootCache {
     /// go when their bucket is next written or the cache fills.
     const MAX_EDGES: usize = 32;
 
-    fn invalidate(&mut self, bucket: u32) {
-        self.whole.remove(&bucket);
+    fn invalidate(&mut self, key: Id) {
+        let bucket = sync::bucket_of(key);
+        if let Some(b) = self.buckets.get_mut(&bucket) {
+            b.root = None;
+            b.known &= !(1 << sync::sub_of(key));
+        }
         self.edges.retain(|e| e.0 != bucket);
     }
 
@@ -145,7 +160,7 @@ impl RootCache {
     /// partly, `None` for the root over the bucket's whole span.
     fn get(&self, bucket: u32, edge: Option<(Id, Id)>) -> Option<Digest> {
         match edge {
-            None => self.whole.get(&bucket).copied(),
+            None => self.buckets.get(&bucket).and_then(|b| b.root),
             Some((from, to)) => self
                 .edges
                 .iter()
@@ -154,25 +169,18 @@ impl RootCache {
         }
     }
 
-    fn insert(&mut self, bucket: u32, edge: Option<(Id, Id)>, root: Digest) {
-        match edge {
-            None => {
-                self.whole.insert(bucket, root);
-            }
-            Some((from, to)) => {
-                if self.edges.len() >= Self::MAX_EDGES {
-                    self.edges.clear();
-                }
-                self.edges.push((bucket, from, to, root));
-            }
+    fn insert_edge(&mut self, bucket: u32, from: Id, to: Id, root: Digest) {
+        if self.edges.len() >= Self::MAX_EDGES {
+            self.edges.clear();
         }
+        self.edges.push((bucket, from, to, root));
     }
 }
 
 impl std::fmt::Debug for RootCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (whole, edges) = (self.whole.len(), self.edges.len());
-        write!(f, "RootCache({whole} whole, {edges} edge roots)")
+        let (buckets, edges) = (self.buckets.len(), self.edges.len());
+        write!(f, "RootCache({buckets} buckets, {edges} edge roots)")
     }
 }
 
@@ -263,19 +271,17 @@ impl Storage {
         }
     }
 
-    /// Primary-bucket mutation: drops the cached roots of the key's
-    /// bucket in both sync views (the union view reads through the
-    /// primary).
+    /// Primary-bucket mutation: drops the cached roots over the key in
+    /// both sync views (the union view reads through the primary).
     #[inline]
     fn touch_primary(&mut self, key: Id) {
-        let b = sync::bucket_of(key);
-        self.roots.iter_mut().for_each(|r| r.invalidate(b));
+        self.roots.iter_mut().for_each(|r| r.invalidate(key));
     }
 
     /// Replica-bucket mutation: dirties the union view only.
     #[inline]
     fn touch_replica(&mut self, key: Id) {
-        self.roots[SyncView::Union as usize].invalidate(sync::bucket_of(key));
+        self.roots[SyncView::Union as usize].invalidate(key);
     }
 
     /// Store as primary (unconditional overwrite).
@@ -560,50 +566,128 @@ impl Storage {
     // ----- Merkle sync summaries ------------------------------------------
     //
     // Cost model: a summary read is O(occupied buckets of the arc) ordered
-    // probes and cached roots, plus, for each bucket written since its
-    // root was last folded, one pass over the bucket's cached leaf
-    // digests. A value is SHA-1'd once, when a read first reaches it.
+    // probes and cached roots, plus, for each sub-bucket written since its
+    // root was last folded, one pass over the sub-bucket's cached leaf
+    // digests, and one interior hash per bucket written. A value is
+    // SHA-1'd once, when a read first reaches it.
 
-    /// The view's records of leaf bucket `bucket` restricted to the arc
-    /// `(from, to]`, ascending by key, with their digests (computed here
-    /// for records no read has reached yet). A replica record shadowed by
+    /// Visit the view's records with keys in the span `[lo, hi]` that lie
+    /// in the arc `(from, to]`, ascending by key, with their digests
+    /// (computed here for records no read has reached yet). Only the part
+    /// of the span inside the arc is walked. A replica record shadowed by
     /// a primary one is skipped, as in [`Storage::get`].
-    fn bucket_leaves(
+    fn visit_leaves(
+        &mut self,
+        view: SyncView,
+        (lo, hi): (u64, u64),
+        from: Id,
+        to: Id,
+        mut f: impl FnMut(Id, LeafDigests),
+    ) {
+        for (a, z) in arc_spans(from, to) {
+            let (lo, hi) = (Id(a.max(lo)), Id(z.min(hi)));
+            if lo > hi {
+                continue;
+            }
+            let mut primary = self.primary.range_mut(lo..=hi).peekable();
+            let mut replica = (view == SyncView::Union)
+                .then(|| self.replica.range_mut(lo..=hi))
+                .into_iter()
+                .flatten()
+                .peekable();
+            loop {
+                let next_primary = primary.peek().map(|(k, _)| **k);
+                let next_replica = replica.peek().map(|(k, _)| **k);
+                let next = match (next_primary, next_replica) {
+                    (Some(p), Some(r)) if p <= r => {
+                        if p == r {
+                            replica.next();
+                        }
+                        primary.next()
+                    }
+                    (Some(_), None) => primary.next(),
+                    (_, Some(_)) => replica.next(),
+                    (None, None) => break,
+                };
+                let (key, rec) = next.expect("peeked");
+                f(*key, rec.digests(*key));
+            }
+        }
+    }
+
+    /// Fold the roots of the sub-buckets of `bucket` in the mask `need`
+    /// over their keys in the arc `(from, to]` into `roots` (`None` for
+    /// one with no such key). Each run of adjacent sub-buckets is one
+    /// ordered walk, grouped by nibble.
+    fn fold_subs(
         &mut self,
         view: SyncView,
         bucket: u32,
-        from: Id,
-        to: Id,
-    ) -> Vec<(Id, LeafDigests)> {
-        let lo = Id((bucket as u64) << sync::BUCKET_SHIFT);
-        let hi = Id(lo.0 | sync::BUCKET_SPAN_MASK);
-        let mut primary = self.primary.range_mut(lo..=hi).peekable();
-        let mut replica = (view == SyncView::Union)
-            .then(|| self.replica.range_mut(lo..=hi))
-            .into_iter()
-            .flatten()
-            .peekable();
-        let mut out = Vec::new();
-        loop {
-            let next_primary = primary.peek().map(|(k, _)| **k);
-            let next_replica = replica.peek().map(|(k, _)| **k);
-            let next = match (next_primary, next_replica) {
-                (Some(p), Some(r)) if p <= r => {
-                    if p == r {
-                        replica.next();
-                    }
-                    primary.next()
-                }
-                (Some(_), None) => primary.next(),
-                (_, Some(_)) => replica.next(),
-                (None, None) => break,
-            };
-            let (key, rec) = next.expect("peeked");
-            if key.in_half_open(from, to) {
-                out.push((*key, rec.digests(*key)));
+        need: u16,
+        (from, to): (Id, Id),
+        roots: &mut [Option<Digest>; sync::SUBS],
+    ) {
+        let base = (bucket as u64) << sync::BUCKET_SHIFT;
+        let mut leaves: Vec<(u8, Digest)> = Vec::new();
+        let mut n = 0;
+        while n < sync::SUBS {
+            if need & (1 << n) == 0 {
+                n += 1;
+                continue;
+            }
+            let first = n;
+            while n < sync::SUBS && need & (1 << n) != 0 {
+                roots[n] = None;
+                n += 1;
+            }
+            let span = (
+                base | (first as u64) << sync::SUB_SHIFT,
+                base | (((n as u64) << sync::SUB_SHIFT) - 1),
+            );
+            leaves.clear();
+            self.visit_leaves(view, span, from, to, |key, d| {
+                leaves.push((sync::sub_of(key), d.leaf))
+            });
+            for run in leaves.chunk_by(|a, b| a.0 == b.0) {
+                let run_leaves: Vec<Digest> = run.iter().map(|l| l.1).collect();
+                roots[run[0].0 as usize] = Some(merkle::root(&run_leaves));
             }
         }
-        out
+    }
+
+    /// The view's digest of `bucket` over its keys in `(from, to]`: the
+    /// cached root, or one composed from sub-roots — the cached ones of
+    /// the sub-buckets the arc covers whole, folded for the rest — and
+    /// then cached, with the sub-roots it folded over whole sub-spans.
+    fn bucket_root(&mut self, view: SyncView, bucket: u32, from: Id, to: Id) -> Digest {
+        let edge = (!sync::bucket_covered(bucket, from, to)).then_some((from, to));
+        let cache = &self.roots[view as usize];
+        if let Some(root) = cache.get(bucket, edge) {
+            return root;
+        }
+        let whole: u16 = (0..sync::SUBS as u8)
+            .filter(|&n| sync::sub_covered(bucket, n, from, to))
+            .fold(0, |mask, n| mask | 1 << n);
+        let (known, mut roots) = cache
+            .buckets
+            .get(&bucket)
+            .map_or((0, [None; sync::SUBS]), |b| (b.known & whole, b.subs));
+        self.fold_subs(view, bucket, !known, (from, to), &mut roots);
+        let subs: Vec<(u8, Digest)> = (0..sync::SUBS as u8)
+            .filter_map(|n| roots[n as usize].map(|d| (n, d)))
+            .collect();
+        let root = sync::bucket_root(bucket, &subs);
+        let cache = &mut self.roots[view as usize];
+        let cached = cache.buckets.entry(bucket).or_default();
+        for n in (0..sync::SUBS).filter(|n| whole & (1 << n) != 0) {
+            cached.subs[n] = roots[n];
+        }
+        cached.known |= whole;
+        match edge {
+            None => cached.root = Some(root),
+            Some((from, to)) => cache.insert_edge(bucket, from, to, root),
+        }
+        root
     }
 
     /// The non-empty leaf buckets of the view's keys in `(from, to]`,
@@ -652,41 +736,27 @@ impl Storage {
         from: Id,
         to: Id,
     ) -> Vec<(Id, Digest)> {
-        self.bucket_leaves(view, bucket, from, to)
-            .into_iter()
-            .map(|(k, d)| (k, d.entry))
-            .collect()
+        let lo = (bucket as u64) << sync::BUCKET_SHIFT;
+        let mut out = Vec::new();
+        self.visit_leaves(view, (lo, lo | sync::BUCKET_SPAN_MASK), from, to, |k, d| {
+            out.push((k, d.entry))
+        });
+        out
     }
 
     /// The non-empty leaf buckets of the view's keys in `(from, to]`,
     /// each with its bucket digest, ascending by bucket number — the flat
     /// summary [`sync::range_root`] and [`sync::children_of`] consume.
-    /// Roots come from the per-view cache; a bucket written since its
-    /// root was cached is folded again from its records' cached leaf
-    /// digests.
+    /// Roots come from the per-view cache; in a bucket written since its
+    /// root was cached, only the written sub-buckets are folded again
+    /// from their records' cached leaf digests.
     pub fn sync_bucket_digests(&mut self, view: SyncView, from: Id, to: Id) -> Vec<(u32, Digest)> {
         #[cfg(test)]
         DIGEST_READS.with(|n| n.set(n.get() + 1));
-        let buckets = self.occupied_buckets(view, from, to);
-        let mut out = Vec::with_capacity(buckets.len());
-        for b in buckets {
-            let edge = (!sync::bucket_covered(b, from, to)).then_some((from, to));
-            let root = match self.roots[view as usize].get(b, edge) {
-                Some(root) => root,
-                None => {
-                    let leaves: Vec<Digest> = self
-                        .bucket_leaves(view, b, from, to)
-                        .iter()
-                        .map(|(_, d)| d.leaf)
-                        .collect();
-                    let root = merkle::root(&leaves);
-                    self.roots[view as usize].insert(b, edge, root);
-                    root
-                }
-            };
-            out.push((b, root));
-        }
-        out
+        self.occupied_buckets(view, from, to)
+            .into_iter()
+            .map(|b| (b, self.bucket_root(view, b, from, to)))
+            .collect()
     }
 }
 
@@ -1075,7 +1145,7 @@ mod tests {
     fn fresh_digests(s: &Storage, view: SyncView, from: Id, to: Id) -> Vec<(u32, Digest)> {
         fresh_leaves(s, view, from, to)
             .iter()
-            .map(|(b, leaf)| (*b, sync::bucket_digest(leaf)))
+            .map(|(b, leaf)| (*b, sync::bucket_digest(*b, leaf)))
             .collect()
     }
 
@@ -1166,20 +1236,36 @@ mod tests {
         // endpoints come from small pools so that overwrites (with equal
         // and with different bytes), shadowed replicas, removals that hit,
         // repeated arcs (cache hits) and arcs sharing an edge bucket are
-        // all common.
+        // all common. Low bits on and next to sub-bucket boundaries, and
+        // inside sub-buckets other than the first and last, make arcs that
+        // end at a boundary and arcs that split a sub-bucket of an edge
+        // bucket common too.
         const BUCKET_POOL: [u64; 8] = [0, 1, 2, 3, 127, 128, 254, 255];
-        const LOW_POOL: [u64; 8] = [
+        const SUB: u64 = 1 << sync::SUB_SHIFT;
+        const LOW_POOL: [u64; 16] = [
             0,
             1,
-            2,
             5,
             1 << 40,
+            SUB - 1,
+            SUB,
+            7 * SUB - 1,
+            7 * SUB,
+            7 * SUB + 1,
+            7 * SUB + 5,
+            8 * SUB - 1,
+            8 * SUB,
+            15 * SUB - 1,
+            15 * SUB,
             sync::BUCKET_SPAN_MASK - 1,
-            sync::BUCKET_SPAN_MASK - 2,
             sync::BUCKET_SPAN_MASK,
         ];
+        fn low(rng: &mut simnet::Rng64) -> u64 {
+            LOW_POOL[rng.index(LOW_POOL.len())]
+        }
         fn key(rng: &mut simnet::Rng64) -> Id {
-            Id((BUCKET_POOL[rng.index(8)] << 56) | LOW_POOL[rng.index(8)])
+            let bucket = BUCKET_POOL[rng.index(8)];
+            Id((bucket << 56) | low(rng))
         }
         fn value(rng: &mut simnet::Rng64) -> Bytes {
             match rng.index(6) {
@@ -1195,7 +1281,7 @@ mod tests {
         /// nearly the whole ring) when `from`'s low bits exceed `to`'s.
         fn arc_in_bucket(rng: &mut simnet::Rng64) -> (Id, Id) {
             let bucket = BUCKET_POOL[rng.index(8)];
-            let (a, b) = (LOW_POOL[rng.index(8)], LOW_POOL[rng.index(8)]);
+            let (a, b) = (low(rng), low(rng));
             (Id((bucket << 56) | a), Id((bucket << 56) | b))
         }
         let mut rng = simnet::Rng64::new(0x5359_4e43);
@@ -1273,6 +1359,59 @@ mod tests {
         let third = s.sync_bucket_digests(SyncView::Primary, arc.0, arc.1);
         assert_eq!(first[0], third[0]);
         assert_ne!(first[1], third[1]);
+        // Within a bucket, a hooked write drops the root of its own
+        // sub-bucket only: bucket 10 is composed again from the new
+        // record's sub-bucket and the cached root of sub-bucket 0, which
+        // still does not see the raw record.
+        let far = key(10, 9 << sync::SUB_SHIFT);
+        s.put_primary(far, b("far"));
+        let fourth = s.sync_bucket_digests(SyncView::Primary, arc.0, arc.1);
+        let listing =
+            [(key(10, 5), b("x")), (far, b("far"))].map(|(k, v)| (k, sync::entry_digest(k, &v)));
+        assert_eq!(fourth[0], (10, sync::bucket_digest(10, &listing)));
+    }
+
+    /// Merkle combines and interior hashes of one primary-view summary
+    /// read of `(from, to]`.
+    fn read_cost(s: &mut Storage, from: Id, to: Id) -> (u64, u64) {
+        let count = || {
+            let combines = merkle::COMBINES.with(|n| n.get());
+            (combines, sync::INTERIOR_DIGESTS.with(|n| n.get()))
+        };
+        let before = count();
+        s.sync_bucket_digests(SyncView::Primary, from, to);
+        let after = count();
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    #[test]
+    fn a_write_refolds_one_sub_bucket() {
+        // The operation-count gate on the fold: after one put, a read
+        // costs the written sub-bucket's fold plus one interior hash,
+        // whatever the size of the bucket around it, and a repeated read
+        // costs nothing. Both buckets hold four records in the written
+        // sub-bucket; the rest of the 64 and of the 4 096 are spread over
+        // the other fifteen.
+        let mut s = Storage::new();
+        let key = |b: u64, sub: u64, low: u64| Id((b << 56) | (sub << sync::SUB_SHIFT) | low);
+        for (bucket, n) in [(40u64, 64u64), (41, 4_096)] {
+            for i in 0..n {
+                let sub = if i < 4 { 0 } else { 1 + i % 15 };
+                s.put_primary(key(bucket, sub, i), b("v"));
+            }
+        }
+        let (from, to) = (key(39, 0, 0), key(42, 0, 0));
+        read_cost(&mut s, from, to);
+        let mut costs = Vec::new();
+        for bucket in [40, 41] {
+            s.put_primary(key(bucket, 0, 1_000_000), b("new"));
+            costs.push(read_cost(&mut s, from, to));
+            let again = read_cost(&mut s, from, to);
+            assert_eq!(again, (0, 0), "repeated read, bucket {bucket}");
+        }
+        assert_eq!(costs[0], costs[1], "a bucket of 64 and one of 4 096");
+        // Five leaves: four combines, then the bucket's interior hash.
+        assert_eq!(costs[0], (4, 1));
     }
 
     /// `entry_digest` computations during `f` on this thread.

@@ -15,14 +15,19 @@
 //! The 2^64 key ring is cut into [`BUCKETS`] = 256 leaf buckets by the top
 //! byte of the key ([`bucket_of`]), grouped 16-per-node into one interior
 //! level, with a single root above — a fixed-shape radix-16 tree of depth
-//! 2. Empty buckets are omitted everywhere, so the digests cover exactly
-//! the keys present:
+//! 2. Each bucket's digest is itself composed over [`SUBS`] = 16
+//! sub-buckets, cut by the next four key bits ([`sub_of`]); that level is
+//! never shipped — descent still ends at a bucket's leaf listing — it only
+//! bounds what a write costs to summarize. Empty buckets and sub-buckets
+//! are omitted everywhere, so the digests cover exactly the keys present:
 //!
 //! * entry: `SHA-1(0x02 ‖ key-LE ‖ value)` ([`entry_digest`]);
-//! * leaf bucket: the store's Merkle root over its entry digests in
-//!   ascending key order ([`bucket_digest`], reusing [`crate::merkle`] —
-//!   the same domain-separated tree the durable log store checkpoints
-//!   with);
+//! * sub-bucket: the store's Merkle root over its entry digests in
+//!   ascending key order (reusing [`crate::merkle`] — the same
+//!   domain-separated tree the durable log store checkpoints with);
+//! * leaf bucket: the interior digest at `(LEAF_DEPTH, bucket)` over its
+//!   non-empty `(nibble, sub-root)` pairs ([`bucket_root`];
+//!   [`bucket_digest`] computes it from a leaf listing);
 //! * interior/root: `SHA-1(0x03 ‖ depth ‖ prefix-LE ‖ (child-index ‖
 //!   digest)*)` over the non-empty children ([`interior_digest`]);
 //! * an empty range has the fixed root `SHA-1("p2p-ltr/sync-empty")`.
@@ -30,27 +35,37 @@
 //! ## What a summary costs
 //!
 //! [`crate::storage::Storage`] answers a summary read in O(occupied
-//! buckets of the arc + records of the buckets written since the last
+//! buckets of the arc + records of the sub-buckets written since the last
 //! read), and never hashes a value twice:
 //!
 //! * every stored record carries its entry digest and that digest
 //!   leaf-hashed (40 bytes), computed the first time a summary read
 //!   reaches the record and kept while its bytes stay — also when it moves
 //!   between the primary and the replica bucket;
-//! * each view caches one root per bucket for the bucket's whole key span,
-//!   and roots of the (at most two) buckets an arc covers only partly,
-//!   keyed by `(bucket, from, to)`; a put or delete drops the roots of its
-//!   one bucket, and the next read folds that bucket again from its
-//!   records' cached leaf digests — `n − 1` one-block hashes for `n`
-//!   records, no value touched;
+//! * each view caches, per bucket, the root over the bucket's whole key
+//!   span and the 16 sub-roots under it, each valid while its bit in a
+//!   16-bit mask is set; plus roots of the (at most two) buckets an arc
+//!   covers only partly, keyed by `(bucket, from, to)`;
+//! * a put or delete clears its one sub-bucket's bit, the bucket root and
+//!   the bucket's edge roots. The next read folds only the sub-buckets
+//!   whose bit is clear, from their records' cached leaf digests — about
+//!   `n / 16 − 1` one-block hashes for `n` records in the bucket — and
+//!   then one interior hash over the sub-roots. An edge bucket reuses the
+//!   cached sub-roots of the sub-buckets its arc covers whole. A bucket
+//!   with no valid sub-root, and the rest of an edge bucket, is folded in
+//!   one ordered walk grouped by nibble, so small buckets pay no probe
+//!   per sub-bucket;
 //! * occupied buckets are found by one ordered `range` probe per bucket,
 //!   not by visiting the keys;
 //! * an owner whose successors have all acknowledged the current
 //!   `store_version` reads no summary at all.
 //!
-//! The digest *definitions* above are frozen: the storage tests compare
-//! every cached summary and leaf listing with a from-scratch recompute
-//! over random mutation sequences, and count [`entry_digest`] calls.
+//! The entry, sub-bucket and interior *definitions* above are frozen, and
+//! a bucket digest is exactly their composition: the storage tests
+//! compare every cached summary and leaf listing with a from-scratch
+//! recompute over random mutation sequences ([`bucket_digest`] is that
+//! oracle), and count [`entry_digest`] calls, Merkle combines and interior
+//! hashes.
 //!
 //! ## Protocol
 //!
@@ -101,6 +116,12 @@ pub const BUCKET_SHIFT: u32 = 56;
 pub const BUCKET_SPAN_MASK: u64 = (1u64 << BUCKET_SHIFT) - 1;
 /// Tree depth of a leaf-bucket coordinate in `SyncDiff::wants`.
 pub const LEAF_DEPTH: u8 = 2;
+/// Number of sub-buckets under each leaf bucket (the next key nibble).
+pub const SUBS: usize = 16;
+/// Bits below the sub-bucket number.
+pub const SUB_SHIFT: u32 = BUCKET_SHIFT - 4;
+/// Mask of the in-sub-bucket key bits.
+const SUB_SPAN_MASK: u64 = (1u64 << SUB_SHIFT) - 1;
 
 /// Domain prefixes for the sync digests, disjoint from the generic tree's
 /// leaf/node prefixes (0x00/0x01 in [`crate::merkle`]).
@@ -113,19 +134,39 @@ pub fn bucket_of(key: Id) -> u32 {
     (key.0 >> BUCKET_SHIFT) as u32
 }
 
+/// Sub-bucket (nibble) of `key` within its leaf bucket.
+#[inline]
+pub fn sub_of(key: Id) -> u8 {
+    ((key.0 >> SUB_SHIFT) & 0xF) as u8
+}
+
+/// Is the key span `[lo, hi]` (contiguous, never wrapping) contained in
+/// the arc `(from, to]`? Both endpoints inside the arc, and the arc's
+/// excluded point `from` not inside the span: these three checks are
+/// exact. Conservative for the degenerate whole-ring arc (`from == to`):
+/// the span holding `from` fails the third clause.
+fn span_covered(lo: u64, hi: u64, from: Id, to: Id) -> bool {
+    Id(lo).in_half_open(from, to) && Id(hi).in_half_open(from, to) && !(lo..=hi).contains(&from.0)
+}
+
 /// Is bucket `b`'s entire key span contained in the arc `(from, to]`?
 /// Only then may a cached whole-bucket digest stand in for the
 /// range-filtered one. Conservative: a misclassification as "partial"
 /// merely costs a recompute, never correctness — so the degenerate
-/// whole-ring arc (`from == to`) intentionally fails the third clause
-/// for `from`'s own bucket.
+/// whole-ring arc (`from == to`) is never "covered" for `from`'s own
+/// bucket.
 pub fn bucket_covered(bucket: u32, from: Id, to: Id) -> bool {
-    let lo = Id((bucket as u64) << BUCKET_SHIFT);
-    let hi = Id(lo.0 | BUCKET_SPAN_MASK);
-    // Both endpoints inside the arc, and the arc's excluded point `from`
-    // not inside the bucket span (the span is contiguous and never wraps,
-    // so these three checks are exact).
-    lo.in_half_open(from, to) && hi.in_half_open(from, to) && bucket_of(from) != bucket
+    let lo = (bucket as u64) << BUCKET_SHIFT;
+    span_covered(lo, lo | BUCKET_SPAN_MASK, from, to)
+}
+
+/// Is sub-bucket `nibble` of bucket `bucket` wholly inside the arc
+/// `(from, to]`? Then its cached root over the whole sub-span stands in
+/// for the range-filtered one — conservative exactly as
+/// [`bucket_covered`].
+pub fn sub_covered(bucket: u32, nibble: u8, from: Id, to: Id) -> bool {
+    let lo = ((bucket as u64) << BUCKET_SHIFT) | ((nibble as u64) << SUB_SHIFT);
+    span_covered(lo, lo | SUB_SPAN_MASK, from, to)
 }
 
 /// Digest of an empty range.
@@ -149,19 +190,37 @@ thread_local! {
     /// [`entry_digest`] computations on this thread — the deterministic
     /// operation count the storage tests gate the summary cache with.
     pub(crate) static ENTRY_DIGESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// [`interior_digest`] computations on this thread (bucket roots
+    /// included).
+    pub(crate) static INTERIOR_DIGESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Digest of one leaf bucket: the generic Merkle root over its entry
-/// digests (which must be in ascending key order, as
-/// [`crate::storage::Storage::sync_leaf`] returns them).
-pub fn bucket_digest(entries: &[(Id, Digest)]) -> Digest {
-    let ds: Vec<Digest> = entries.iter().map(|(_, d)| *d).collect();
-    merkle::root_of_entry_hashes(&ds)
+/// Digest of leaf bucket `bucket` from its non-empty `(nibble, sub-root)`
+/// pairs, ascending by nibble, a sub-root being the generic Merkle root
+/// over the sub-bucket's entry digests in key order. No other interior
+/// uses `(LEAF_DEPTH, bucket)`.
+pub fn bucket_root(bucket: u32, subs: &[(u8, Digest)]) -> Digest {
+    interior_digest(LEAF_DEPTH, bucket, subs)
+}
+
+/// Digest of leaf bucket `bucket` straight from its leaf listing (entry
+/// digests in ascending key order, as
+/// [`crate::storage::Storage::sync_leaf`] returns them): the definition
+/// the storage's cached summaries are checked against.
+pub fn bucket_digest(bucket: u32, entries: &[(Id, Digest)]) -> Digest {
+    let mut subs = Vec::new();
+    for run in entries.chunk_by(|a, b| sub_of(a.0) == sub_of(b.0)) {
+        let ds: Vec<Digest> = run.iter().map(|(_, d)| *d).collect();
+        subs.push((sub_of(run[0].0), merkle::root_of_entry_hashes(&ds)));
+    }
+    bucket_root(bucket, &subs)
 }
 
 /// Digest of an interior node (or the root, at depth 0) from its
 /// non-empty children.
 pub fn interior_digest(depth: u8, prefix: u32, children: &[(u8, Digest)]) -> Digest {
+    #[cfg(test)]
+    INTERIOR_DIGESTS.with(|n| n.set(n.get() + 1));
     let mut h = Sha1::new();
     h.update(&[INTERIOR_PREFIX, depth]);
     h.update(&prefix.to_le_bytes());
@@ -562,12 +621,30 @@ mod tests {
                         );
                     }
                 }
+                for n in 0..SUBS as u8 {
+                    let lo = lo | (n as u64) << SUB_SHIFT;
+                    let probes = [lo, lo | (SUB_SPAN_MASK / 2), lo | SUB_SPAN_MASK];
+                    if sub_covered(b, n, from, to) {
+                        for p in probes {
+                            assert!(
+                                Id(p).in_half_open(from, to),
+                                "sub-bucket {b}.{n} claimed covered but {p:#x} outside"
+                            );
+                        }
+                    }
+                }
             }
         }
         // And it is not vacuous: interior buckets of a wide arc do get
-        // the cache path.
+        // the cache path, and so do the sub-buckets of an edge bucket
+        // that the arc covers whole — but never the one holding `from`
+        // of a whole-ring arc.
         assert!(bucket_covered(5, Id(3u64 << 56), Id(7u64 << 56)));
         assert!(!bucket_covered(3, Id(3u64 << 56), Id(7u64 << 56)));
+        assert!(sub_covered(3, 1, Id(3u64 << 56), Id(7u64 << 56)));
+        assert!(!sub_covered(3, 0, Id(3u64 << 56), Id(7u64 << 56)));
+        assert!(sub_covered(0, 1, Id(42), Id(42)));
+        assert!(!sub_covered(0, 0, Id(42), Id(42)));
     }
 
     #[test]

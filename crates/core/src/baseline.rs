@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 use bytes::Bytes;
 
 use ot::Document;
-use simnet::{CounterId, Ctx, Duration, Metrics, NodeId, Process, Time};
+use simnet::{CounterId, Ctx, Duration, HistogramId, Metrics, NodeId, Process, Time};
 
 /// Messages of the centralized system.
 #[derive(Clone, Debug)]
@@ -124,6 +124,8 @@ pub struct Coordinator {
     service_time: Duration,
     /// Pre-registered grant counter (filled on first use).
     grants: Option<CounterId>,
+    /// Pre-registered queue-depth histogram (filled on first use).
+    queue_depth: Option<HistogramId>,
     /// Per-document logs: `log[doc][i]` holds the patch with ts `i+1`.
     logs: BTreeMap<String, Vec<Bytes>>,
     queue: VecDeque<BaseMsg>,
@@ -136,6 +138,7 @@ impl Coordinator {
         Coordinator {
             service_time,
             grants: None,
+            queue_depth: None,
             logs: BTreeMap::new(),
             queue: VecDeque::new(),
             busy: false,
@@ -213,8 +216,11 @@ impl Process<BaseMsg> for Coordinator {
         match msg {
             BaseMsg::Validate { .. } | BaseMsg::FetchRange { .. } | BaseMsg::LastTs { .. } => {
                 self.queue.push_back(msg);
+                let queue_depth = *self
+                    .queue_depth
+                    .get_or_insert_with(|| ctx.metrics().register_histogram("base.queue_depth"));
                 ctx.metrics()
-                    .record("base.queue_depth", self.queue.len() as f64);
+                    .record_id(queue_depth, self.queue.len() as f64);
                 self.pump(ctx);
             }
             _ => {}
@@ -249,8 +255,9 @@ struct BaseDoc {
     cycle_started: Option<Time>,
 }
 
-/// Pre-registered counter handles of the baseline user (same metrics
-/// discipline as `LtrNode`: no by-name lookups on the message path).
+/// Pre-registered counter and histogram handles of the baseline user
+/// (same metrics discipline as `LtrNode`: no by-name lookups on the
+/// message path).
 #[derive(Clone, Copy)]
 struct BaseCounters {
     validate_sent: CounterId,
@@ -258,6 +265,7 @@ struct BaseCounters {
     publish_ok: CounterId,
     integrated: CounterId,
     validate_timeout: CounterId,
+    publish_latency_ms: HistogramId,
 }
 
 impl BaseCounters {
@@ -268,6 +276,7 @@ impl BaseCounters {
             publish_ok: m.register_counter("base.publish_ok"),
             integrated: m.register_counter("base.integrated"),
             validate_timeout: m.register_counter("base.validate_timeout"),
+            publish_latency_ms: m.register_histogram("base.publish_latency_ms"),
         }
     }
 }
@@ -481,7 +490,7 @@ impl Process<BaseMsg> for BaselineUser {
                 self.published += 1;
                 if let Some(t0) = state.cycle_started.take() {
                     ctx.metrics()
-                        .record("base.publish_latency_ms", now.since(t0).as_millis_f64());
+                        .record_id(c.publish_latency_ms, now.since(t0).as_millis_f64());
                 }
                 ctx.metrics().incr_id(c.publish_ok);
                 self.resume(ctx, &doc);

@@ -10,8 +10,8 @@
 //! The lexer is a hand-rolled state machine over bytes. It understands:
 //!
 //! * line comments (`//`, `///`, `//!`) and nested block comments;
-//! * string literals with escapes (delimiting quotes are *kept* so rules
-//!   like "string-keyed counter call" can still see `("`);
+//! * string literals with escapes (delimiting quotes are *kept* so a rule
+//!   can still see that an argument is a literal, `("`);
 //! * raw strings `r"…"`, `r#"…"#` (any hash depth), byte/raw-byte strings;
 //! * char literals vs lifetimes (`'a'` vs `<'a>`), including escaped and
 //!   multi-byte chars;

@@ -1,7 +1,7 @@
 //! detlint — the workspace determinism & protocol-safety linter.
 //!
 //! A self-contained, dependency-free static-analysis pass over the
-//! workspace sources (`crates/*/src` and `examples/`). Four rule
+//! workspace sources (`crates/*/src` and `examples/`). Three rule
 //! families protect the invariants the whole reproduction rests on:
 //!
 //! | family      | rules                          | invariant |
@@ -9,7 +9,6 @@
 //! | determinism | `DET-HASH` `DET-CLOCK` `DET-RNG` | same seed ⇒ byte-identical run |
 //! | totality    | `TOT-PANIC`                    | hostile bytes / odd messages ⇒ `Err`, never a crash |
 //! | wire freeze | `WIRE-TAGS`                    | codec tags append-only vs `crates/wire/TAGS.lock` |
-//! | metrics     | `MET-STRKEY`                   | hot paths use pre-registered counter handles |
 //!
 //! The scanner is comment/string/raw-string aware and skips
 //! `#[cfg(test)]` items, so it never false-positives on docs or tests

@@ -106,19 +106,6 @@ the manifest with `cargo run -p detlint -- --write-tags` and commit it
 alongside the codec change (the frozen_encodings tests must still pass).",
     },
     Rule {
-        id: "MET-STRKEY",
-        summary: "string-keyed counter call outside the metrics compat layer",
-        explain: "\
-PR 2/3 migrated hot-path metrics to pre-registered integer CounterId
-handles; the string-keyed incr/incr_by API survives only as a compat
-layer inside crates/simnet/src/metrics.rs. A string-keyed call anywhere
-else re-introduces a per-event name lookup (and an allocation on first
-use) on paths we measured and fixed.
-
-Fix: register_counter(\"name\") once at construction, store the
-CounterId, and call incr_id/incr_id_by on the hot path.",
-    },
-    Rule {
         id: "ALLOW-SYNTAX",
         summary: "malformed detlint::allow annotation",
         explain: "\
@@ -209,7 +196,6 @@ pub fn scan_file(rel: &str, src: &str) -> Vec<Finding> {
 
     let in_det_crate = crate_of(rel).is_some_and(|c| DET_CRATES.contains(&c));
     let in_bench = crate_of(rel) == Some("bench");
-    let is_metrics_compat = rel == "crates/simnet/src/metrics.rs";
     let wire_decode_file = matches!(
         rel,
         "crates/wire/src/varint.rs"
@@ -317,22 +303,6 @@ pub fn scan_file(rel: &str, src: &str) -> Vec<Finding> {
                          use get()/first_chunk()/take()"
                     ),
                 });
-            }
-        }
-
-        // MET-STRKEY ----------------------------------------------------
-        if !is_metrics_compat {
-            for pat in [".incr(\"", ".incr_by(\""] {
-                if line.contains(pat) {
-                    out.push(Finding {
-                        file: rel.to_string(),
-                        line: lineno,
-                        rule: "MET-STRKEY",
-                        msg: "string-keyed counter call outside the compat layer: \
-                              pre-register a CounterId and use incr_id/incr_id_by"
-                            .to_string(),
-                    });
-                }
             }
         }
     }

@@ -79,16 +79,6 @@ fn tot_panic_in_handlers_and_wire_files() {
     assert_eq!(count(&hits, "TOT-PANIC"), 3, "{hits:#?}");
 }
 
-#[test]
-fn met_strkey_outside_compat_layer_only() {
-    let src = fixture("met_strkey_pos.rs");
-    let hits = detlint::rules::scan_file("crates/core/src/bad.rs", &src);
-    assert_eq!(count(&hits, "MET-STRKEY"), 2, "{hits:#?}");
-
-    let hits = detlint::rules::scan_file("crates/simnet/src/metrics.rs", &src);
-    assert_eq!(count(&hits, "MET-STRKEY"), 0, "{hits:#?}");
-}
-
 // ---------------------------------------------------------------------------
 // Suppression: inline allows and the baseline
 // ---------------------------------------------------------------------------

@@ -2,30 +2,20 @@
 //!
 //! Experiments run at modest scale (thousands–millions of samples), so
 //! histograms keep raw `f64` samples and compute exact quantiles on demand
-//! (amortized through a sorted cache). Counters come in two flavours:
+//! (amortized through a sorted cache).
 //!
-//! * **pre-registered handles** ([`CounterId`]): the name is resolved to a
-//!   dense array slot once at setup; each increment is a single indexed
-//!   add. The simulator's per-event counters use these — they fire on
-//!   every message send, delivery and timer, so a by-name map lookup per
-//!   event is a measurable tax.
-//! * **string-keyed** ([`Metrics::incr`]): a thin compatibility layer over
-//!   the same slots, kept for dimensioned experiment metrics like
-//!   `"validate.rtt.n=64"` that are built dynamically and fire rarely.
-//!
-//! Both flavours share one namespace: `incr("x")` and
-//! `incr_id(register_counter("x"))` hit the same slot, and reporting
-//! iterates names in deterministic (sorted) order either way.
-//!
-//! Histograms follow the same scheme: [`HistogramId`] handles for the
-//! per-operation samples of the protocol hot path, [`Metrics::record`] by
-//! name for everything else, one namespace.
+//! Counters and histograms are written only through pre-registered
+//! handles ([`CounterId`], [`HistogramId`]): the name is resolved to a
+//! dense array slot once at setup, and each increment or sample is a
+//! single indexed write. The simulator's per-event counters fire on every
+//! message send, delivery and timer, so a by-name map lookup per event
+//! would be a measurable tax. Reads by name ([`Metrics::counter`],
+//! [`Metrics::histogram`]) see the same slots, and reporting iterates
+//! names in deterministic (sorted) order.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-
-use crate::time::Duration;
 
 /// Pre-registered handle to a named counter: increments through it are a
 /// single array-indexed add, no name lookup. Obtain via
@@ -217,18 +207,6 @@ impl Metrics {
         self.counter_vals[id.0 as usize]
     }
 
-    /// Add `delta` to the named counter (creating it at zero).
-    pub fn incr_by(&mut self, name: &str, delta: u64) {
-        let id = self.register_counter(name);
-        self.counter_vals[id.0 as usize] += delta;
-    }
-
-    /// Increment the named counter by one.
-    #[inline]
-    pub fn incr(&mut self, name: &str) {
-        self.incr_by(name, 1);
-    }
-
     /// Read a counter (0 if never written).
     pub fn counter(&self, name: &str) -> u64 {
         self.counter_ids
@@ -254,19 +232,6 @@ impl Metrics {
     #[inline]
     pub fn record_id(&mut self, id: HistogramId, v: f64) {
         self.histogram_vals[id.0 as usize].record(v);
-    }
-
-    /// Record a raw sample into the named histogram.
-    pub fn record(&mut self, name: &str, v: f64) {
-        let id = self.register_histogram(name);
-        self.record_id(id, v);
-    }
-
-    /// Record a duration in **milliseconds** into the named histogram,
-    /// the convention used by all latency metrics in this workspace.
-    #[inline]
-    pub fn record_latency(&mut self, name: &str, d: Duration) {
-        self.record(name, d.as_millis_f64());
     }
 
     /// Borrow a histogram if present (registered or recorded into).
@@ -300,7 +265,8 @@ impl Metrics {
     /// Merge another registry into this one (used to aggregate runs).
     pub fn merge(&mut self, other: &Metrics) {
         for (k, v) in other.counters() {
-            self.incr_by(k, v);
+            let id = self.register_counter(k);
+            self.incr_id_by(id, v);
         }
         for (k, h) in other.histograms() {
             let id = self.register_histogram(k);
@@ -318,8 +284,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = Metrics::new();
-        m.incr("msgs");
-        m.incr_by("msgs", 4);
+        let id = m.register_counter("msgs");
+        m.incr_id(id);
+        m.incr_id_by(id, 4);
         assert_eq!(m.counter("msgs"), 5);
         assert_eq!(m.counter("absent"), 0);
     }
@@ -329,12 +296,12 @@ mod tests {
         let mut m = Metrics::new();
         let id = m.register_counter("msgs");
         m.incr_id(id);
-        m.incr("msgs");
-        m.incr_id_by(id, 3);
+        // Re-registration returns the same handle.
+        let again = m.register_counter("msgs");
+        assert_eq!(again, id);
+        m.incr_id_by(again, 4);
         assert_eq!(m.counter("msgs"), 5);
         assert_eq!(m.counter_by_id(id), 5);
-        // Re-registration returns the same handle.
-        assert_eq!(m.register_counter("msgs"), id);
     }
 
     #[test]
@@ -352,8 +319,9 @@ mod tests {
         let id = m.register_histogram("lat");
         assert_eq!(m.histogram("lat").map(Histogram::count), Some(0));
         m.record_id(id, 2.0);
-        m.record("lat", 4.0);
-        assert_eq!(m.register_histogram("lat"), id);
+        let again = m.register_histogram("lat");
+        assert_eq!(again, id);
+        m.record_id(again, 4.0);
         assert_eq!(m.summary("lat").count, 2);
         assert!((m.summary("lat").mean - 3.0).abs() < 1e-9);
         assert!(m.histogram("absent").is_none());
@@ -399,19 +367,15 @@ mod tests {
     }
 
     #[test]
-    fn latency_recorded_in_millis() {
-        let mut m = Metrics::new();
-        m.record_latency("rtt", Duration::from_micros(2_500));
-        assert!((m.summary("rtt").mean - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn merge_combines() {
         let mut a = Metrics::new();
         let mut b = Metrics::new();
-        a.incr("x");
-        b.incr_by("x", 2);
-        b.record("h", 1.0);
+        let x = a.register_counter("x");
+        a.incr_id(x);
+        let x = b.register_counter("x");
+        b.incr_id_by(x, 2);
+        let h = b.register_histogram("h");
+        b.record_id(h, 1.0);
         a.merge(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.summary("h").count, 1);
@@ -420,8 +384,8 @@ mod tests {
     #[test]
     fn deterministic_iteration_order() {
         let mut m = Metrics::new();
-        m.incr("zeta");
-        m.incr("alpha");
+        m.register_counter("zeta");
+        m.register_counter("alpha");
         let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
     }

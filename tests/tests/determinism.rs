@@ -30,9 +30,8 @@ fn session(seed: u64) -> LtrNet {
     net
 }
 
-/// Serialize the complete metrics state: counters (both the pre-registered
-/// `CounterId` slots and the string-keyed compatibility layer land in the
-/// same name-ordered iteration), raw histogram samples (bit-exact via
+/// Serialize the complete metrics state: counters (every `CounterId` slot,
+/// in name order), raw histogram samples (bit-exact via
 /// `f64::to_bits`), the formatted `Summary` of each histogram, the event
 /// count, and per-node document state (exercising the interned `DocName`
 /// paths: open-doc listing, timestamps, grant records). Any nondeterminism
@@ -83,8 +82,8 @@ fn same_seed_produces_byte_identical_metrics() {
     let dump_a = metrics_dump(&a);
     let dump_b = metrics_dump(&b);
     assert!(!dump_a.is_empty(), "expected a populated metrics registry");
-    // The dump must cover both counter flavours (pre-registered sim.*
-    // handles and string-keyed protocol counters) and the DocName paths.
+    // The dump must cover the simulator's and the protocol's counters and
+    // the DocName paths.
     assert!(dump_a.contains("counter sim.msgs_delivered"));
     assert!(dump_a.contains("counter ltr.publish_ok"));
     assert!(dump_a.contains(&format!("doc {DOC}")));
