@@ -9,6 +9,12 @@
 //!   how many of its entries are covered, and the Merkle root over them;
 //! * the top `root` — the Merkle root over the segment roots.
 //!
+//! What a checkpoint costs the writer: the hashes of the entries appended
+//! since the last one, folded into the live segment's Merkle frontier,
+//! plus O(log n) combines for the live and top roots — not a rebuild of
+//! either tree. The file is still rewritten whole, so serializing the
+//! marks (≈ 25 bytes per segment) stays O(segments).
+//!
 //! Recovery recomputes the same tree from the replayed segment bytes and
 //! compares. The distinction this buys: a CRC-failing tail *after*
 //! `entry_count` is an ordinary torn write (tolerated, truncated), while
@@ -54,25 +60,18 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Build a checkpoint over per-segment entry-hash lists
-    /// `(segment_index, hashes_of_covered_entries)`.
+    /// `(segment_index, hashes_of_covered_entries)`, hashing every tree
+    /// from its leaves — what recovery verifies against.
     pub fn compute(per_segment: &[(u64, &[Digest])]) -> Checkpoint {
-        Checkpoint::from_marks(
-            per_segment
-                .iter()
-                .filter(|(_, hashes)| !hashes.is_empty())
-                .map(|(index, hashes)| SegmentMark {
-                    index: *index,
-                    entries: hashes.len() as u64,
-                    root: merkle::root_of_entry_hashes(hashes),
-                })
-                .collect(),
-        )
-    }
-
-    /// Build a checkpoint from already-computed segment marks (the writer
-    /// caches sealed-segment roots, so a checkpoint only rehashes the
-    /// live segment).
-    pub fn from_marks(segments: Vec<SegmentMark>) -> Checkpoint {
+        let segments: Vec<SegmentMark> = per_segment
+            .iter()
+            .filter(|(_, hashes)| !hashes.is_empty())
+            .map(|(index, hashes)| SegmentMark {
+                index: *index,
+                entries: hashes.len() as u64,
+                root: merkle::root_of_entry_hashes(hashes),
+            })
+            .collect();
         let seg_roots: Vec<Digest> = segments.iter().map(|m| merkle::leaf(&m.root)).collect();
         Checkpoint {
             entry_count: segments.iter().map(|m| m.entries).sum(),

@@ -22,7 +22,7 @@ use chord::sha1::{sha1, Digest};
 use wire::{Decode, Encode};
 
 use crate::checkpoint::{Checkpoint, SegmentMark};
-use crate::merkle;
+use crate::merkle::{self, Frontier};
 use crate::segment::{frame_size, scan_segment, write_frame};
 use crate::{Replay, ReplayStats, Store, StoreEntry, StoreError};
 
@@ -69,11 +69,19 @@ struct Inner {
     seg_index: u64,
     seg_bytes: u64,
     /// Sealed segments' Merkle marks — immutable once sealed, so each
-    /// root is computed exactly once; a checkpoint only rehashes the
-    /// live segment.
+    /// root is computed exactly once.
     sealed: Vec<SegmentMark>,
-    /// Entry hashes of the live segment (the only mutable tail).
-    live_hashes: Vec<Digest>,
+    /// The checkpoint's top tree over `leaf(mark.root)` of every sealed
+    /// segment; the live segment's root joins it as the last leaf.
+    sealed_top: Frontier,
+    /// The live segment's tree over its folded entries.
+    live: Frontier,
+    /// Entry hashes appended to the live segment since the last fold
+    /// into `live`, which happens at each checkpoint and each seal: an
+    /// append only hashes its payload. A checkpoint thus costs
+    /// O(entries since the last one + log n) in hashes, plus serializing
+    /// one 25-byte mark per segment.
+    unfolded: Vec<Digest>,
     entries: u64,
     since_checkpoint: u64,
 }
@@ -93,6 +101,8 @@ struct DirScan {
     /// `(segment index, good byte length)` of the final segment, when it
     /// had a torn tail the writer must truncate before appending.
     truncate: Option<(u64, u64)>,
+    /// The checkpoint, once verified against the replayed hashes.
+    checkpoint: Option<Checkpoint>,
 }
 
 /// Replay every segment in `dir`, CRC-validating frames and classifying
@@ -153,17 +163,19 @@ fn scan_dir(dir: &Path) -> Result<DirScan, StoreError> {
     // Checkpoint verification. An unreadable checkpoint is skipped cleanly
     // (stats.verified_entries stays None); a readable one must match the
     // replayed bytes exactly within its horizon.
-    if let Ok(bytes) = fs::read(dir.join(CHECKPOINT_FILE)) {
-        if let Ok(ck) = Checkpoint::from_file_bytes(&bytes) {
-            verify_checkpoint(&ck, &per_segment)?;
-            stats.verified_entries = Some(ck.entry_count);
-        }
+    let checkpoint = fs::read(dir.join(CHECKPOINT_FILE))
+        .ok()
+        .and_then(|bytes| Checkpoint::from_file_bytes(&bytes).ok());
+    if let Some(ck) = &checkpoint {
+        verify_checkpoint(ck, &per_segment)?;
+        stats.verified_entries = Some(ck.entry_count);
     }
     Ok(DirScan {
         entries,
         per_segment,
         stats,
         truncate,
+        checkpoint,
     })
 }
 
@@ -247,19 +259,29 @@ impl FileStore {
                 .unwrap_or(0)
         };
         let entries = scan.stats.entries;
-        // Split replayed hashes into immutable sealed marks (root computed
-        // once, here) and the live segment's mutable hash list.
-        let mut sealed = Vec::new();
-        let mut live_hashes = Vec::new();
-        if let Some((last, head)) = scan.per_segment.split_last() {
-            for s in head {
-                sealed.push(SegmentMark {
-                    index: s.index,
-                    entries: s.hashes.len() as u64,
-                    root: merkle::root_of_entry_hashes(&s.hashes),
-                });
-            }
-            live_hashes = last.hashes.clone();
+        // Split replayed hashes into immutable sealed marks and the live
+        // segment's hashes, which wait unfolded for the first checkpoint.
+        // A sealed segment the verified checkpoint covers whole takes the
+        // root verification just computed; only the rest is hashed here.
+        let verified = scan.checkpoint.map(|ck| ck.segments).unwrap_or_default();
+        let mut per_segment = scan.per_segment;
+        let unfolded = per_segment.pop().map(|s| s.hashes).unwrap_or_default();
+        let mut sealed = Vec::with_capacity(per_segment.len());
+        let mut sealed_top = Frontier::default();
+        for s in per_segment {
+            let entries = s.hashes.len() as u64;
+            let root = verified
+                .binary_search_by_key(&s.index, |m| m.index)
+                .ok()
+                .map(|i| &verified[i])
+                .filter(|m| m.entries == entries)
+                .map_or_else(|| merkle::root_of_entry_hashes(&s.hashes), |m| m.root);
+            sealed_top.push(merkle::leaf(&root));
+            sealed.push(SegmentMark {
+                index: s.index,
+                entries,
+                root,
+            });
         }
         let inner = Inner {
             dir,
@@ -268,7 +290,9 @@ impl FileStore {
             seg_index,
             seg_bytes,
             sealed,
-            live_hashes,
+            sealed_top,
+            live: Frontier::default(),
+            unfolded,
             entries,
             since_checkpoint: 0,
         };
@@ -308,19 +332,31 @@ impl Inner {
         if let Some(f) = &self.file {
             f.sync_all()?;
         }
-        let mut segments = self.sealed.clone();
-        if !self.live_hashes.is_empty() {
-            segments.push(SegmentMark {
-                index: self.seg_index,
-                entries: self.live_hashes.len() as u64,
-                root: merkle::root_of_entry_hashes(&self.live_hashes),
-            });
-        }
-        let ck = Checkpoint::from_marks(segments);
+        self.fold();
+        let live = (!self.live.is_empty()).then(|| SegmentMark {
+            index: self.seg_index,
+            entries: self.live.len(),
+            root: self.live.root_with(None),
+        });
+        let root = self
+            .sealed_top
+            .root_with(live.as_ref().map(|m| merkle::leaf(&m.root)));
+        // Serialize the sealed marks without copying them: move them into
+        // the checkpoint for the encoding and take them back after.
+        let sealed = self.sealed.len();
+        let mut ck = Checkpoint {
+            entry_count: self.entries,
+            segments: std::mem::take(&mut self.sealed),
+            root,
+        };
+        ck.segments.extend(live);
+        let bytes = ck.to_file_bytes();
+        self.sealed = ck.segments;
+        self.sealed.truncate(sealed);
         let tmp = self.dir.join(CHECKPOINT_TMP);
         let target = self.dir.join(CHECKPOINT_FILE);
         let mut f = File::create(&tmp)?;
-        f.write_all(&ck.to_file_bytes())?;
+        f.write_all(&bytes)?;
         f.sync_all()?;
         drop(f);
         fs::rename(&tmp, &target)?;
@@ -328,16 +364,25 @@ impl Inner {
         Ok(())
     }
 
+    fn fold(&mut self) {
+        for hash in self.unfolded.drain(..) {
+            self.live.push(merkle::leaf(&hash));
+        }
+    }
+
     fn seal_segment(&mut self) -> Result<(), StoreError> {
         // The finished segment's root is computed once and cached for
         // good (a sealed segment never changes again); the seal is then
         // pinned with a checkpoint, which also syncs the segment file.
+        self.fold();
+        let root = self.live.root_with(None);
         self.sealed.push(SegmentMark {
             index: self.seg_index,
-            entries: self.live_hashes.len() as u64,
-            root: merkle::root_of_entry_hashes(&self.live_hashes),
+            entries: self.live.len(),
+            root,
         });
-        self.live_hashes.clear();
+        self.sealed_top.push(merkle::leaf(&root));
+        self.live = Frontier::default();
         self.write_checkpoint()?;
         self.file = None;
         self.seg_index += 1;
@@ -357,7 +402,7 @@ impl Inner {
         self.seg_bytes += frame_len;
         self.entries += 1;
         self.since_checkpoint += 1;
-        self.live_hashes.push(sha1(&payload));
+        self.unfolded.push(sha1(&payload));
         if self.cfg.checkpoint_every > 0 && self.since_checkpoint >= self.cfg.checkpoint_every {
             self.write_checkpoint()?;
         }
@@ -453,6 +498,70 @@ mod tests {
         assert_eq!(replay.entries.len(), 10);
         assert_eq!(replay.entries[3], put(3));
         assert_eq!(replay.stats.torn_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `Checkpoint::compute` over the hashes replayed from `dir`, less the
+    /// last `uncovered` entries (appended after the checkpoint, all in the
+    /// live segment: a seal writes a checkpoint).
+    fn recompute(dir: &Path, uncovered: u64) -> Vec<u8> {
+        let scan = scan_dir(dir).unwrap();
+        let mut covered: Vec<(u64, &[Digest])> = scan
+            .per_segment
+            .iter()
+            .map(|s| (s.index, s.hashes.as_slice()))
+            .collect();
+        if let Some((_, live)) = covered.last_mut() {
+            *live = &live[..live.len() - uncovered as usize];
+        }
+        Checkpoint::compute(&covered).to_file_bytes()
+    }
+
+    #[test]
+    fn every_checkpoint_equals_a_recompute_over_the_replayed_hashes() {
+        let dir = tmp_dir("oracle");
+        let cfg = StoreConfig {
+            segment_max_bytes: 300, // a seal every few appends
+            checkpoint_every: 5,
+        };
+        let mut rng = simnet::Rng64::new(0xC4EC_2029);
+        let (mut s, _) = FileStore::open(&dir, cfg).unwrap();
+        let cursor = |s: &FileStore| {
+            let inner = s.inner.lock().unwrap();
+            (inner.since_checkpoint, inner.seg_index)
+        };
+        let mut want = None;
+        for step in 0..400u64 {
+            let (since, seg) = cursor(&s);
+            let wrote = match rng.gen_below(20) {
+                0 => {
+                    drop(s);
+                    s = FileStore::open(&dir, cfg).unwrap().0;
+                    false
+                }
+                1 => {
+                    s.checkpoint().unwrap();
+                    true
+                }
+                _ => {
+                    let len = rng.gen_below(64) as usize;
+                    s.append(&StoreEntry::PutPrimary {
+                        key: Id(step),
+                        value: Bytes::from(vec![step as u8; len]),
+                    })
+                    .unwrap();
+                    // A periodic checkpoint resets the count; a seal
+                    // writes one and moves to the next segment.
+                    cursor(&s) != (since + 1, seg)
+                }
+            };
+            if wrote {
+                want = Some(recompute(&dir, cursor(&s).0));
+            }
+            let got = fs::read(dir.join(CHECKPOINT_FILE)).ok();
+            assert!(got == want, "CHECKPOINT differs after step {step}");
+        }
+        assert!(s.inner.lock().unwrap().seg_index > 20, "seals are frequent");
         fs::remove_dir_all(&dir).unwrap();
     }
 

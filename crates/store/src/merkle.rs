@@ -14,9 +14,11 @@
 //! The generic tree hashing (leaf/combine/root with domain-separated
 //! prefixes) lives in [`chord::merkle`] so the anti-entropy replication
 //! digests (`chord::sync`) share the identical construction; this module
-//! re-exports it under the store's historical path.
+//! re-exports it under the store's historical path. The writer keeps its
+//! trees as [`Frontier`]s, so a checkpoint folds only what was appended
+//! since the last one.
 
-pub use chord::merkle::{combine, leaf, root, root_of_entry_hashes};
+pub use chord::merkle::{combine, leaf, root, root_of_entry_hashes, Frontier};
 
 #[cfg(test)]
 mod tests {

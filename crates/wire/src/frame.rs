@@ -91,12 +91,21 @@ fn decode_framed<M: Decode>(mut r: Reader<'_>, total: usize) -> Result<(NodeId, 
     Ok((from, msg))
 }
 
-/// Re-frames an arbitrary byte stream: push chunks as they arrive off a
-/// socket, pop complete frames. Detects oversized frames as soon as the
-/// length prefix is readable, so a poisoned stream fails fast.
+/// Re-frames an arbitrary byte stream: push each socket read as an owned
+/// [`Bytes`] chunk, pop complete frames. A frame lying entirely inside one
+/// chunk comes back as a **slice of it** — no copy, no per-frame
+/// allocation, the event-loop runtime's receive hot path — and only the
+/// rare frame spanning a chunk boundary is stitched together through one
+/// copy. Detects oversized frames as soon as the length prefix is
+/// readable, so a poisoned stream fails fast.
+///
+/// A returned frame keeps its whole backing chunk alive (the cost of
+/// sharing); consumers that retain frames long-term should copy them
+/// out.
 ///
 /// ```
-/// use wire::{encode_frame, decode_frame, FrameAssembler};
+/// use bytes::Bytes;
+/// use wire::{decode_frame_bytes, encode_frame, BytesAssembler};
 /// use simnet::NodeId;
 ///
 /// // Two frames, delivered to the reader in awkward chunks.
@@ -104,84 +113,16 @@ fn decode_framed<M: Decode>(mut r: Reader<'_>, total: usize) -> Result<(NodeId, 
 ///     .concat();
 /// let (a, b) = stream.split_at(5); // mid-header split
 ///
-/// let mut asm = FrameAssembler::new();
-/// asm.push(a);
+/// let mut asm = BytesAssembler::new();
+/// asm.push(Bytes::copy_from_slice(a));
 /// assert!(asm.next_frame().unwrap().is_none()); // not enough bytes yet
-/// asm.push(b);
+/// asm.push(Bytes::copy_from_slice(b));
 /// let first = asm.next_frame().unwrap().expect("one complete frame");
-/// assert_eq!(decode_frame::<u64>(&first).unwrap(), (NodeId(1), 7));
+/// assert_eq!(decode_frame_bytes::<u64>(&first).unwrap(), (NodeId(1), 7));
 /// let second = asm.next_frame().unwrap().expect("and the second");
-/// assert_eq!(decode_frame::<u64>(&second).unwrap(), (NodeId(2), 8));
+/// assert_eq!(decode_frame_bytes::<u64>(&second).unwrap(), (NodeId(2), 8));
 /// assert!(asm.next_frame().unwrap().is_none());
 /// ```
-#[derive(Debug, Default)]
-pub struct FrameAssembler {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted opportunistically).
-    start: usize,
-}
-
-impl FrameAssembler {
-    /// Fresh empty assembler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append bytes read from the stream.
-    pub fn push(&mut self, data: &[u8]) {
-        // Compact before growing: keeps the buffer bounded by one frame
-        // plus one read.
-        if self.start > 0 && (self.start >= self.buf.len() || self.start > 64 * 1024) {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Pop the next complete frame (header included), `Ok(None)` when more
-    /// bytes are needed, or an error for unrecoverable stream corruption
-    /// (an oversized length prefix).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        Ok(self.take_frame()?.map(|f| f.to_vec()))
-    }
-
-    /// [`FrameAssembler::next_frame`], yielding the frame as a [`Bytes`]
-    /// buffer ready for [`decode_frame_bytes`] (one copy out of the
-    /// stream buffer; payload decode then borrows it zero-copy).
-    pub fn next_frame_bytes(&mut self) -> Result<Option<Bytes>, WireError> {
-        Ok(self.take_frame()?.map(Bytes::copy_from_slice))
-    }
-
-    /// Locate the next complete frame in the buffer and consume it,
-    /// returning the borrowed frame bytes.
-    fn take_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        let avail = &self.buf[self.start..];
-        let Some(len_bytes) = avail.first_chunk::<4>() else {
-            return Ok(None);
-        };
-        let len = u32::from_le_bytes(*len_bytes) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge { len });
-        }
-        if avail.len() < 4 + len {
-            return Ok(None);
-        }
-        let at = self.start;
-        self.start += 4 + len;
-        Ok(Some(&self.buf[at..at + 4 + len]))
-    }
-}
-
-/// [`FrameAssembler`]'s zero-copy sibling for transports that read into
-/// owned buffers: push each socket read as an owned [`Bytes`] chunk; a
-/// frame lying entirely inside one chunk comes back as a **slice of
-/// it** — no copy, no per-frame allocation, the event-loop runtime's
-/// receive hot path — and only the rare frame spanning a chunk boundary
-/// is stitched together through one copy.
-///
-/// A returned frame keeps its whole backing chunk alive (the cost of
-/// sharing); consumers that retain frames long-term should copy them
-/// out.
 #[derive(Debug, Default)]
 pub struct BytesAssembler {
     /// Unconsumed chunks, in arrival order; the front one may already be
@@ -301,30 +242,6 @@ mod tests {
             decode_frame::<u64>(&frame),
             Err(WireError::FrameTooLarge { .. })
         ));
-        let mut asm = FrameAssembler::new();
-        asm.push(&frame);
-        assert!(matches!(
-            asm.next_frame(),
-            Err(WireError::FrameTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn assembler_reframes_byte_by_byte() {
-        let frames: Vec<Vec<u8>> = (0..20u64)
-            .map(|i| encode_frame(NodeId(i as u32), &(i * 1000)))
-            .collect();
-        let stream: Vec<u8> = frames.iter().flatten().copied().collect();
-        let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        for &b in &stream {
-            asm.push(&[b]);
-            while let Some(f) = asm.next_frame().unwrap() {
-                got.push(f);
-            }
-        }
-        assert_eq!(got, frames);
-        assert_eq!(asm.next_frame().unwrap(), None);
     }
 
     #[test]
@@ -339,19 +256,6 @@ mod tests {
             got.as_ref().as_ptr(),
             frame[frame.len() - payload.len()..].as_ptr()
         );
-    }
-
-    #[test]
-    fn assembler_bytes_path_matches_vec_path() {
-        let frames: Vec<Vec<u8>> = (0..8u64).map(|i| encode_frame(NodeId(1), &i)).collect();
-        let stream: Vec<u8> = frames.iter().flatten().copied().collect();
-        let mut asm = FrameAssembler::new();
-        asm.push(&stream);
-        for want in &frames {
-            let got = asm.next_frame_bytes().unwrap().expect("complete frame");
-            assert_eq!(got.as_ref(), want.as_slice());
-        }
-        assert_eq!(asm.next_frame_bytes().unwrap(), None);
     }
 
     #[test]
@@ -403,22 +307,5 @@ mod tests {
             asm.next_frame(),
             Err(WireError::FrameTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn assembler_handles_arbitrary_chunking() {
-        let frames: Vec<Vec<u8>> = (0..10u64).map(|i| encode_frame(NodeId(2), &i)).collect();
-        let stream: Vec<u8> = frames.iter().flatten().copied().collect();
-        for chunk in [1usize, 2, 3, 5, 7, 11, stream.len()] {
-            let mut asm = FrameAssembler::new();
-            let mut got = Vec::new();
-            for piece in stream.chunks(chunk) {
-                asm.push(piece);
-                while let Some(f) = asm.next_frame().unwrap() {
-                    got.push(f);
-                }
-            }
-            assert_eq!(got, frames, "chunk size {chunk}");
-        }
     }
 }

@@ -11,8 +11,8 @@
 //!   message: `ChordMsg`, `KtsMsg`, the P2P-Log record, and (in the
 //!   `p2p_ltr` crate) the `Payload` envelope that multiplexes them;
 //! * **length-prefixed frames** ([`frame`]) carrying a version byte and
-//!   the sender address, with a [`FrameAssembler`] that re-frames
-//!   arbitrary stream chunkings;
+//!   the sender address, with a zero-copy [`BytesAssembler`] that
+//!   re-frames arbitrary stream chunkings;
 //! * a batch- and readiness-oriented [`Transport`] trait with two
 //!   endpoints the [`WireNet`] runner drives unmodified
 //!   [`simnet::Process`] state machines over, in real time — in-process
@@ -50,8 +50,8 @@ pub mod varint;
 
 pub use codec::{Decode, Encode, Reader, WireError};
 pub use frame::{
-    decode_frame, decode_frame_bytes, encode_frame, frame_len, BytesAssembler, FrameAssembler,
-    FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_VERSION,
+    decode_frame, decode_frame_bytes, encode_frame, frame_len, BytesAssembler, FRAME_HEADER_LEN,
+    MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use proto::{chord_class, kts_class};
 pub use runner::WireNet;

@@ -19,7 +19,7 @@ use kts::{HandoffEntry, KtsMsg, ReqId, ValidateFailure};
 use p2plog::LogRecord;
 use proptest::prelude::*;
 use simnet::{NodeId, Rng64};
-use wire::{decode_frame, encode_frame, frame_len, Decode, Encode, FrameAssembler};
+use wire::{decode_frame, encode_frame, frame_len, BytesAssembler, Decode, Encode};
 
 // ---- structural generators ------------------------------------------------
 
@@ -331,15 +331,15 @@ proptest! {
             .map(|_| encode_frame(NodeId(1), &arb_chord_msg(&mut rng)))
             .collect();
         let stream: Vec<u8> = frames.iter().flatten().copied().collect();
-        let mut asm = FrameAssembler::new();
+        let mut asm = BytesAssembler::new();
         let mut got = Vec::new();
         let mut pos = 0;
         while pos < stream.len() {
             let chunk = 1 + rng.index(40.min(stream.len() - pos));
-            asm.push(&stream[pos..pos + chunk]);
+            asm.push(Bytes::copy_from_slice(&stream[pos..pos + chunk]));
             pos += chunk;
             while let Some(f) = asm.next_frame().unwrap() {
-                got.push(f);
+                got.push(f.to_vec());
             }
         }
         prop_assert_eq!(got, frames);

@@ -5,7 +5,7 @@
 //!
 //! * reads hand bytes to the receiver in arbitrary-size chunks (down to
 //!   one byte), so every frame crosses chunk boundaries at every offset —
-//!   [`FrameAssembler`] must re-frame all of it;
+//!   [`BytesAssembler`] must re-frame all of it;
 //! * sends randomly report [`TransportError::Backpressure`] (the batch
 //!   `WouldBlock`) or accept only a prefix of the batch, so callers must
 //!   exercise the partial-accept / retry protocol.
@@ -26,7 +26,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use simnet::{Ctx, NodeId, Rng64};
 use wire::{
-    decode_frame_bytes, encode_frame, Decode, Encode, FrameAssembler, Readiness, Transport,
+    decode_frame_bytes, encode_frame, BytesAssembler, Decode, Encode, Readiness, Transport,
     TransportError, WireNet,
 };
 
@@ -64,7 +64,7 @@ impl ChaosHub {
         ChaosTransport {
             streams: self.streams.clone(),
             inbound,
-            asm: FrameAssembler::new(),
+            asm: BytesAssembler::new(),
             ready: VecDeque::new(),
             rng: Rng64::new(seed ^ (me.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             chaos: self.chaos,
@@ -83,7 +83,7 @@ impl ChaosHub {
 struct ChaosTransport {
     streams: Streams,
     inbound: Arc<Mutex<VecDeque<u8>>>,
-    asm: FrameAssembler,
+    asm: BytesAssembler,
     ready: VecDeque<Bytes>,
     rng: Rng64,
     chaos: Chaos,
@@ -93,21 +93,17 @@ impl ChaosTransport {
     /// Pull inbound bytes through the assembler in random-size chunks.
     fn rotate(&mut self) {
         loop {
-            let chunk: Vec<u8> = {
+            let chunk: Bytes = {
                 let mut stream = self.inbound.lock().unwrap();
                 if stream.is_empty() {
                     break;
                 }
                 let take = 1 + self.rng.gen_below(self.chaos.max_chunk as u64) as usize;
                 let take = take.min(stream.len());
-                stream.drain(..take).collect()
+                stream.drain(..take).collect::<Vec<u8>>().into()
             };
-            self.asm.push(&chunk);
-            while let Some(f) = self
-                .asm
-                .next_frame_bytes()
-                .expect("streams are never corrupt")
-            {
+            self.asm.push(chunk);
+            while let Some(f) = self.asm.next_frame().expect("streams are never corrupt") {
                 self.ready.push_back(f);
             }
         }
