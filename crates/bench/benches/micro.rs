@@ -125,14 +125,11 @@ fn bench_master_stamping(c: &mut Criterion) {
     // stamp → derive the n log locations (the puts the embedding layer
     // would issue) → publish ack. Fencing is the default mode and each
     // slot's fence is consumed by its publish, so every stamp pays one
-    // fence round. 100 sequential stamps on one key, replication n=3.
+    // fence round; the key's first validate also pays its one birth
+    // probe. 100 sequential stamps on one key, replication n=3.
     use kts::{FenceOutcome, KtsConfig, KtsMaster, MasterAction, PublishOutcome, ReqId};
     use simnet::NodeId;
-    let cfg = KtsConfig {
-        probe_unknown_keys: false,
-        probe_on_promote: false,
-        ..KtsConfig::default()
-    };
+    let cfg = KtsConfig::default();
     let user = chord::NodeRef::new(NodeId(1), Id(1000));
     let patch = Bytes::from_static(b"a smallish encoded patch body");
     let doc = p2plog::DocName::new("wiki/Main");
@@ -149,6 +146,12 @@ fn bench_master_stamping(c: &mut Criterion) {
                 let key = Id(0x42);
                 for i in 0..100u64 {
                     let mut acts = m.on_validate(key, &doc, ReqId(i), i, patch.clone(), user, true);
+                    if let Some(pt) = acts.iter().find_map(|a| match a {
+                        MasterAction::BeginProbe { token, .. } => Some(*token),
+                        _ => None,
+                    }) {
+                        acts = m.probe_done(pt, 0, 0);
+                    }
                     if let Some(ft) = acts.iter().find_map(|a| match a {
                         MasterAction::BeginFence { token, .. } => Some(*token),
                         _ => None,

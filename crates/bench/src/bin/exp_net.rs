@@ -1,8 +1,9 @@
 //! **Network runtime harness — sustained open-loop load over real
 //! sockets.**
 //!
-//! Drives the two socket transports through the batch [`Transport`] API
-//! with an identical frame mix and reports, per transport:
+//! Drives the socket transport — the non-blocking event-loop runtime
+//! (`wire::RtHub`, one write syscall per *batch*) — through the batch
+//! [`Transport`] API with a fixed frame mix and reports:
 //!
 //! 1. **Rated phases** (open loop): arrivals follow a fixed schedule that
 //!    does *not* wait for the system — exactly how offered load behaves
@@ -14,11 +15,8 @@
 //! 2. **Saturation**: senders are kept permanently backlogged and we
 //!    measure the drain rate — the throughput ceiling.
 //!
-//! The comparison under test: the non-blocking event-loop runtime
-//! (`wire::RtHub`, one write syscall per *batch*) against the threaded
-//! `wire::TcpHub` baseline (one blocking write syscall per *frame*). CI
-//! gates on the runtime sustaining **≥ 2×** the baseline's saturation
-//! throughput and meeting the rated-phase SLOs.
+//! CI gates on the runtime meeting the rated-phase SLOs and sustaining a
+//! saturation throughput of at least [`SATURATION_FLOOR`] msgs/s.
 //!
 //! Results are merged into `BENCH_hotpath.json` under the `net` key
 //! (excluded from the determinism drift gate — it is wall-clock data).
@@ -36,8 +34,8 @@ use bytes::Bytes;
 use ltr_bench::{ok, print_table};
 use simnet::NodeId;
 use wire::{
-    decode_frame_bytes, encode_frame, Decode, Encode, Reader, RtHub, RuntimeConfig, TcpHub,
-    Transport, TransportError, WireError,
+    decode_frame_bytes, encode_frame, Decode, Encode, Reader, RtHub, RuntimeConfig, Transport,
+    TransportError, WireError,
 };
 
 /// Payload sizes cycled through the offered stream (small control
@@ -47,6 +45,10 @@ const PEERS: usize = 4;
 /// Frames handed to `send_batch` per call.
 const SEND_BATCH: usize = 64;
 const RECV_BATCH: usize = 256;
+/// The saturation gate, msgs/s: twice the 375 961 msgs/s the threaded
+/// one-write-per-frame TCP transport last committed, which the runtime
+/// replaced.
+const SATURATION_FLOOR: f64 = 750_000.0;
 
 /// The benchmark message: arrival timestamp (nanos since run start) and
 /// sequence number up front, padding to the mixed size behind.
@@ -283,7 +285,7 @@ fn run_transport(
     }
 }
 
-fn render_net_json(runs: &[TransportRun], speedup: f64, slo_ok: bool) -> String {
+fn render_net_json(runs: &[TransportRun], slo_ok: bool) -> String {
     let mut out = String::new();
     out.push_str("  \"net\": {\n");
     let _ = writeln!(
@@ -321,10 +323,7 @@ fn render_net_json(runs: &[TransportRun], speedup: f64, slo_ok: bool) -> String 
         let _ = writeln!(out, "      ]}}{comma}");
     }
     out.push_str("    ],\n");
-    let _ = writeln!(
-        out,
-        "    \"speedup_vs_tcphub\": {speedup:.2},\n    \"slo_ok\": {slo_ok}"
-    );
+    let _ = writeln!(out, "    \"slo_ok\": {slo_ok}");
     out.push_str("  }\n");
     out
 }
@@ -352,65 +351,53 @@ fn main() {
         &rates,
         sat_secs,
     );
-    let tcp_hub = TcpHub::new();
-    let tcp = run_transport(
-        "tcphub",
-        |me| Box::new(tcp_hub.endpoint(me).expect("bind baseline listener")),
-        &rates,
-        sat_secs,
+    print_table(
+        &format!(
+            "{}: open-loop phases ({} peers, frame mix {:?}B)",
+            rt.name, PEERS, FRAME_MIX
+        ),
+        &[
+            "offered/s",
+            "achieved/s",
+            "send p50 us",
+            "send p99 us",
+            "recv p50 us",
+            "recv p99 us",
+            "stalls",
+            "SLO",
+        ],
+        &rt.phases
+            .iter()
+            .map(|p| {
+                vec![
+                    p.offered_rate.to_string(),
+                    format!("{:.0}", p.achieved_rate),
+                    p.send_p50_us.to_string(),
+                    p.send_p99_us.to_string(),
+                    p.recv_p50_us.to_string(),
+                    p.recv_p99_us.to_string(),
+                    p.stalls.to_string(),
+                    ok(p.slo_ok),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
 
-    for run in [&rt, &tcp] {
-        print_table(
-            &format!(
-                "{}: open-loop phases ({} peers, frame mix {:?}B)",
-                run.name, PEERS, FRAME_MIX
-            ),
-            &[
-                "offered/s",
-                "achieved/s",
-                "send p50 us",
-                "send p99 us",
-                "recv p50 us",
-                "recv p99 us",
-                "stalls",
-                "SLO",
-            ],
-            &run.phases
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.offered_rate.to_string(),
-                        format!("{:.0}", p.achieved_rate),
-                        p.send_p50_us.to_string(),
-                        p.send_p99_us.to_string(),
-                        p.recv_p50_us.to_string(),
-                        p.recv_p99_us.to_string(),
-                        p.stalls.to_string(),
-                        ok(p.slo_ok),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        println!(
-            "{} saturation: {:.0} msgs/s",
-            run.name, run.saturation_msgs_per_sec
-        );
-    }
-
-    let speedup = rt.saturation_msgs_per_sec / tcp.saturation_msgs_per_sec.max(1.0);
+    let saturated = rt.saturation_msgs_per_sec >= SATURATION_FLOOR;
     let slo_ok = rt.phases.iter().all(|p| p.slo_ok);
     println!(
-        "\nruntime vs tcphub saturation speedup: {speedup:.2}x (gate: >= 2.0); runtime SLO: {}",
+        "\nruntime saturation {:.0} msgs/s (gate: >= {SATURATION_FLOOR:.0}): {}; runtime SLO: {}",
+        rt.saturation_msgs_per_sec,
+        ok(saturated),
         ok(slo_ok)
     );
 
-    let net = render_net_json(&[rt, tcp], speedup, slo_ok);
+    let net = render_net_json(&[rt], slo_ok);
     ltr_bench::merge_bench_section(&out_path, "net", &net);
     println!("merged net metrics into {}", out_path.display());
 
-    if speedup < 2.0 || !slo_ok {
-        eprintln!("WARNING: network runtime gate failed (speedup {speedup:.2}, slo {slo_ok})");
+    if !saturated || !slo_ok {
+        eprintln!("WARNING: network runtime gate failed (saturated {saturated}, slo {slo_ok})");
         std::process::exit(1);
     }
 }

@@ -182,18 +182,25 @@ pub fn mask_source(src: &str) -> String {
 /// so braces inside strings or comments cannot confuse the matcher.
 pub fn mask_cfg_test(masked: &str) -> String {
     let mut out = masked.as_bytes().to_vec();
-    let needle = b"#[cfg(test)]";
-    let mut search_from = 0usize;
-    loop {
-        let hit = match masked[search_from..].find("#[cfg(test)]") {
-            Some(o) => search_from + o,
-            None => break,
-        };
-        let item_end = gated_item_end(&out, hit + needle.len());
-        blank(&mut out, hit, item_end - hit);
-        search_from = item_end;
+    for (start, end) in cfg_test_spans(masked) {
+        blank(&mut out, start, end - start);
     }
     String::from_utf8(out).unwrap_or_default()
+}
+
+/// Byte ranges `[start, end)` of every `#[cfg(test)]` attribute plus the
+/// item it gates, in ascending order, found in already-masked text.
+pub fn cfg_test_spans(masked: &str) -> Vec<(usize, usize)> {
+    const NEEDLE: &str = "#[cfg(test)]";
+    let mut spans = Vec::new();
+    let mut search_from = 0usize;
+    while let Some(o) = masked[search_from..].find(NEEDLE) {
+        let hit = search_from + o;
+        let item_end = gated_item_end(masked.as_bytes(), hit + NEEDLE.len());
+        spans.push((hit, item_end));
+        search_from = item_end;
+    }
+    spans
 }
 
 /// From just past a `#[cfg(test)]` attribute, find the end (exclusive) of

@@ -96,6 +96,50 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The tracked size of the product code: per crate, the lines of
+/// `crates/<crate>/src/**/*.rs` that [`product_lines`] counts. Every crate
+/// is counted, the linter included.
+pub fn loc_by_crate(root: &Path) -> BTreeMap<String, usize> {
+    let mut out = BTreeMap::new();
+    let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
+        return out;
+    };
+    for dir in entries.flatten().map(|e| e.path()) {
+        let mut files = Vec::new();
+        collect_rs(&dir.join("src"), &mut files);
+        if files.is_empty() {
+            continue;
+        }
+        let lines = files
+            .iter()
+            .filter_map(|f| std::fs::read_to_string(f).ok())
+            .map(|src| product_lines(&src))
+            .sum();
+        let name = dir.file_name().map(|n| n.to_string_lossy().into_owned());
+        out.insert(name.unwrap_or_default(), lines);
+    }
+    out
+}
+
+/// Lines of product code in one file: the non-blank lines whose first
+/// non-blank byte lies outside every `#[cfg(test)]` item
+/// ([`lexer::cfg_test_spans`]). Comment lines count.
+pub fn product_lines(src: &str) -> usize {
+    let spans = lexer::cfg_test_spans(&lexer::mask_source(src));
+    let mut at = 0;
+    let mut lines = 0;
+    for line in src.split_inclusive('\n') {
+        if let Some(off) = line.find(|c: char| !c.is_whitespace()) {
+            let first = at + off;
+            if !spans.iter().any(|&(s, e)| (s..e).contains(&first)) {
+                lines += 1;
+            }
+        }
+        at += line.len();
+    }
+    lines
+}
+
 /// Root-relative path with `/` separators.
 fn rel_of(root: &Path, p: &Path) -> String {
     p.strip_prefix(root)

@@ -6,6 +6,7 @@
 //! cargo run -p detlint -- --explain DET-HASH
 //! cargo run -p detlint -- --write-tags  # regenerate crates/wire/TAGS.lock
 //! cargo run -p detlint -- --summary-md out.md   # append per-rule counts
+//! cargo run -p detlint -- --loc         # non-test lines per crate (markdown)
 //! ```
 
 use std::path::PathBuf;
@@ -17,7 +18,7 @@ fn usage() -> &'static str {
     "detlint — workspace determinism & protocol-safety linter
 
 USAGE: detlint [--root PATH] [--deny] [--explain RULE] [--list-rules]
-               [--write-tags] [--summary-md PATH]
+               [--write-tags] [--summary-md PATH] [--loc]
 
   --root PATH        workspace root to scan (default: nearest ancestor of
                      the current directory containing detlint.baseline or
@@ -28,6 +29,8 @@ USAGE: detlint [--root PATH] [--deny] [--explain RULE] [--list-rules]
   --list-rules       print the rule table and exit
   --write-tags       regenerate crates/wire/TAGS.lock from the code
   --summary-md PATH  append a per-rule markdown summary (GITHUB_STEP_SUMMARY)
+  --loc              print the non-blank lines outside #[cfg(test)] items
+                     of crates/*/src per crate, as a markdown table, and exit
 
 Findings print as `file:line: [RULE] message`. Exit is nonzero on any
 finding not covered by an inline `// detlint::allow(RULE, reason)`
@@ -56,6 +59,7 @@ fn main() -> ExitCode {
     let mut list_rules = false;
     let mut do_write_tags = false;
     let mut summary_md: Option<PathBuf> = None;
+    let mut loc = false;
 
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -65,6 +69,7 @@ fn main() -> ExitCode {
             "--list-rules" => list_rules = true,
             "--write-tags" => do_write_tags = true,
             "--summary-md" => summary_md = args.next().map(PathBuf::from),
+            "--loc" => loc = true,
             "-h" | "--help" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -99,6 +104,16 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(find_root);
+
+    if loc {
+        let per_crate = detlint::loc_by_crate(&root);
+        println!("| crate | non-test lines |\n|---|---:|");
+        for (name, lines) in &per_crate {
+            println!("| {name} | {lines} |");
+        }
+        println!("| **total** | **{}** |", per_crate.values().sum::<usize>());
+        return ExitCode::SUCCESS;
+    }
 
     if do_write_tags {
         return match write_tags(&root) {

@@ -227,6 +227,34 @@ fn wire_tags_roundtrip_then_renumber_fails() {
 }
 
 // ---------------------------------------------------------------------------
+// --loc: the tracked line count
+// ---------------------------------------------------------------------------
+
+#[test]
+fn loc_counts_product_code_after_a_test_only_counter() {
+    // A `#[cfg(test)] thread_local!` above the product code must hide only
+    // itself: the product function after it (doc and plain comment lines
+    // included) counts, the gated statement inside it and `mod tests` do
+    // not. Counting up to the first `#[cfg(test)]` line would give 1.
+    let src = fixture("loc_counter_then_code.rs");
+    assert_eq!(detlint::product_lines(&src), 6);
+
+    // Per crate, over every crate's src/ — the linter's own included.
+    let root = mini_workspace(
+        "detlint-loc",
+        &[
+            ("crates/kts/src/lib.rs", src.as_str()),
+            ("crates/kts/src/blank.rs", "\n\n"),
+            ("crates/detlint/src/lib.rs", "pub fn f() {}\n"),
+            ("crates/kts/tests/t.rs", "pub fn not_src() {}\n"),
+        ],
+    );
+    let per_crate = detlint::loc_by_crate(&root);
+    let expect: Vec<(String, usize)> = vec![("detlint".into(), 1), ("kts".into(), 6)];
+    assert_eq!(per_crate.into_iter().collect::<Vec<_>>(), expect);
+}
+
+// ---------------------------------------------------------------------------
 // The real tree
 // ---------------------------------------------------------------------------
 

@@ -1,15 +1,9 @@
 //! Tunables for the timestamp service.
 
-/// Configuration of the Master-key role.
+/// Configuration of the Master-key role, whose per-key state machine is
+/// the stage table in ARCHITECTURE.md, "Grant fencing and master epochs".
 #[derive(Clone, Debug)]
 pub struct KtsConfig {
-    /// Verify `last_ts` against the log before first serving a key this
-    /// node has no state for (guards against double failures; see
-    /// DESIGN.md §6).
-    pub probe_unknown_keys: bool,
-    /// Verify `last_ts` against the log when promoting a Master-Succ backup
-    /// (the backup may lag an in-flight grant).
-    pub probe_on_promote: bool,
     /// Bounded per-key validation queue; requests beyond this are shed with
     /// `Overloaded`.
     pub max_queue_per_key: usize,
@@ -24,8 +18,6 @@ pub struct KtsConfig {
 impl Default for KtsConfig {
     fn default() -> Self {
         KtsConfig {
-            probe_unknown_keys: true,
-            probe_on_promote: true,
             max_queue_per_key: 64,
             fencing: true,
         }
@@ -39,8 +31,6 @@ mod tests {
     #[test]
     fn defaults_enable_probing() {
         let c = KtsConfig::default();
-        assert!(c.probe_unknown_keys);
-        assert!(c.probe_on_promote);
         assert!(c.max_queue_per_key > 0);
         assert!(c.fencing, "grant fencing is on by default");
     }

@@ -13,9 +13,10 @@
 //! * **takeover**: authoritative table handoff on graceful leave and on
 //!   join-splits, with epoch bumps;
 //! * **log-probe recovery** (extension, DESIGN.md §6): before first serving
-//!   an unknown or freshly promoted key, the master verifies `last_ts`
-//!   against the P2P-Log — the log is the ground truth, and first-writer
-//!   conflicts there expose stale masters, which stand down.
+//!   a key — unknown, promoted, restored or handed over — the master
+//!   verifies `last_ts` against the P2P-Log. The log is the ground truth,
+//!   and first-writer conflicts there expose stale masters, which stand
+//!   down.
 //!
 //! The state machine ([`master::KtsMaster`]) is sans-IO: publishing and
 //! probing are delegated to the embedding layer (see the `p2p_ltr` crate).
@@ -28,5 +29,5 @@ pub mod master;
 pub mod msg;
 
 pub use config::KtsConfig;
-pub use master::{FenceOutcome, FenceState, KtsMaster, MasterAction, MasterEvent, PublishOutcome};
+pub use master::{FenceOutcome, KtsMaster, MasterAction, MasterEvent, PublishOutcome, Stage};
 pub use msg::{HandoffEntry, KtsMsg, ReqId, ValidateFailure};

@@ -16,6 +16,10 @@
 //! the embedding layer through [`MasterAction::BeginPublish`] /
 //! [`MasterAction::BeginProbe`], completed via [`KtsMaster::publish_done`] /
 //! [`KtsMaster::probe_done`].
+//!
+//! Each key's entry is in one [`Stage`], and one transition function
+//! moves it. Its stage × event table is the spec in ARCHITECTURE.md,
+//! "Grant fencing and master epochs".
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -160,17 +164,49 @@ pub enum FenceOutcome {
     Unreachable,
 }
 
-/// Per-key fence progress (fenced mode only; `NotNeeded` in legacy mode).
+/// Where an authoritative entry stands in its grant cycle. Every entry is
+/// born `Unverified`; legacy mode (`fencing = false`) never enters
+/// `Unfenced` or `Fencing`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FenceState {
-    /// Legacy mode: grants are served unfenced.
-    NotNeeded,
-    /// The next slot must be fenced before the next grant.
-    Pending,
+pub enum Stage {
+    /// `last_ts` is not verified against the log: the next pump probes.
+    Unverified,
+    /// A log probe is outstanding.
+    Probing,
+    /// Verified, but the next slot is not fenced yet.
+    Unfenced,
     /// A fence fan-out is outstanding.
-    InFlight,
-    /// The next slot is fenced under this entry's epoch.
-    Acked,
+    Fencing {
+        /// `last_ts` was shown stale meanwhile: re-probe once it ends.
+        stale: bool,
+    },
+    /// Verified and (in fenced mode) the next slot is fenced: the queue
+    /// head is served.
+    Fenced,
+    /// A grant's publish is outstanding.
+    Publishing {
+        /// `last_ts` was shown stale meanwhile: re-probe once it ends.
+        stale: bool,
+    },
+}
+
+/// What moves a [`Stage`].
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    /// The pump found the entry idle with work: start the stage's operation.
+    Serve,
+    /// A reader or a queued user is ahead of `last_ts`.
+    Ahead,
+    ProbeDone {
+        recovered: u64,
+        log_epoch: u64,
+    },
+    /// A live fence completion (`Superseded` demotes the entry instead).
+    FenceDone(FenceOutcome),
+    PublishDone {
+        ts: u64,
+        outcome: PublishOutcome,
+    },
 }
 
 #[derive(Clone, Debug)]
@@ -184,51 +220,129 @@ struct QueuedValidate {
     reprobed: bool,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    Ready,
-    Publishing,
-    Probing,
-    Fencing,
-}
-
 #[derive(Clone, Debug)]
 struct KeyEntry {
     key_name: DocName,
     last_ts: u64,
     epoch: u64,
-    phase: Phase,
-    /// Verified against the log at least once (or born fresh here).
-    probed: bool,
-    fence: FenceState,
+    stage: Stage,
     queue: VecDeque<QueuedValidate>,
 }
 
-#[derive(Clone, Debug)]
-struct Backup {
-    key_name: DocName,
-    last_ts: u64,
-    epoch: u64,
+impl KeyEntry {
+    /// A fresh, promoted, restored or handed-over entry. Its `last_ts` may
+    /// lag the log — an unknown key may be state lost to a double failure,
+    /// a backup can miss an in-flight grant, a journal a grant made during
+    /// the outage, a handoff a grant still replicating — so it is verified
+    /// before first use.
+    fn new(key_name: DocName, last_ts: u64, epoch: u64, queue: VecDeque<QueuedValidate>) -> Self {
+        KeyEntry {
+            key_name,
+            last_ts,
+            epoch,
+            stage: Stage::Unverified,
+            queue,
+        }
+    }
+
+    fn handoff(&self, key: Id) -> HandoffEntry {
+        HandoffEntry {
+            key,
+            key_name: self.key_name.clone(),
+            last_ts: self.last_ts,
+            epoch: self.epoch,
+        }
+    }
+
+    /// The stage × event table, and the `last_ts` / `epoch` effect of each
+    /// completion: the only place a stage changes after birth.
+    #[rustfmt::skip] // one row per line
+    fn apply(&mut self, ev: Event, fencing: bool) {
+        use Event::*;
+        use Stage::*;
+        // Where a verified, idle entry rests: fenced mode fences every
+        // slot anew, legacy mode grants straight away.
+        let verified = if fencing { Unfenced } else { Fenced };
+        let trusted = match self.stage {
+            Unfenced | Fenced => true,
+            Fencing { stale } | Publishing { stale } => !stale,
+            Unverified | Probing => false,
+        };
+        // Where a completion that leaves `last_ts` trusted lands.
+        let rest = if trusted { verified } else { Unverified };
+        self.stage = match (self.stage, ev) {
+            (Unverified, Serve) => Probing,
+            (Unfenced, Serve) => Fencing { stale: false },
+            (Fenced, Serve) => Publishing { stale: false },
+            (Unfenced | Fenced, Ahead) => Unverified,
+            (Fencing { .. }, Ahead) => Fencing { stale: true },
+            (Publishing { .. }, Ahead) => Publishing { stale: true },
+            // Applies to whichever entry holds the key. The probe may move
+            // `last_ts`, relocating the next slot, so any earlier fence no
+            // longer covers it. A logged epoch at or above ours proves a
+            // rival master granted under it: advance strictly past it.
+            (_, ProbeDone { recovered, log_epoch }) => {
+                self.last_ts = self.last_ts.max(recovered);
+                if fencing && log_epoch >= self.epoch {
+                    self.epoch = log_epoch + 1;
+                }
+                verified
+            }
+            (Fencing { stale: false }, FenceDone(FenceOutcome::Acked { occupied: false })) => Fenced,
+            // Retried on demand by the next pump; the fan-out's per-op
+            // timeouts pace the retries.
+            (Fencing { stale: false }, FenceDone(FenceOutcome::Unreachable)) => Unfenced,
+            // Stale, or an occupied slot: a grant landed there before the
+            // floor went up, so `last_ts` lags the log.
+            (Fencing { .. }, FenceDone(_)) => Unverified,
+            // Applies to whichever entry holds the key; `last_ts` is
+            // assigned, not max-merged. The fence that covered the slot is
+            // consumed by the grant.
+            (_, PublishDone { ts, outcome: PublishOutcome::Ok }) => {
+                self.last_ts = ts;
+                rest
+            }
+            // Fenced mode, Conflict or Unreachable: our puts may have
+            // landed at a minority of the slot's Log-Peers (or still be in
+            // flight), so the slot is suspect. Re-verify, and re-grant it
+            // only under a strictly higher epoch behind a fresh fence, so a
+            // straggler copy is outranked everywhere it can land.
+            (_, PublishDone { .. }) if fencing => {
+                self.epoch += 1;
+                Unverified
+            }
+            // A first-writer conflict: a newer master exists.
+            (_, PublishDone { outcome: PublishOutcome::Conflict, .. }) => Unverified,
+            // Legacy Unreachable: nothing was granted.
+            (_, PublishDone { .. }) => rest,
+            // Busy stages ignore `Serve`, unverified ones `Ahead`, and
+            // `fence_done` passes only completions for a `Fencing` entry.
+            (stage, _) => stage,
+        };
+    }
 }
 
+/// One outstanding delegated operation, keyed by its completion token.
 #[derive(Clone, Debug)]
-struct InflightPublish {
-    key: Id,
-    key_name: DocName,
-    ts: u64,
-    epoch: u64,
-    op: ReqId,
-    user: NodeRef,
-}
-
-/// Bookkeeping for one outstanding fence fan-out. The epoch pins the
-/// completion to the entry generation that issued it: a handoff or
-/// restore bumps the epoch, so a stale `fence_done` can never ack the
-/// successor entry's fence.
-#[derive(Clone, Copy, Debug)]
-struct InflightFence {
-    key: Id,
-    epoch: u64,
+enum Pending {
+    Probe {
+        key: Id,
+    },
+    /// The epoch pins the completion to the entry generation that issued
+    /// it: a handoff or restore bumps the epoch, so a stale `fence_done`
+    /// can never ack the successor entry's fence.
+    Fence {
+        key: Id,
+        epoch: u64,
+    },
+    Publish {
+        key: Id,
+        key_name: DocName,
+        ts: u64,
+        epoch: u64,
+        op: ReqId,
+        user: NodeRef,
+    },
 }
 
 /// The Master-key role state for one node (it may master many keys).
@@ -237,12 +351,8 @@ pub struct KtsMaster {
     // BTreeMap: export_range/export_all emit handoff + redirect messages in
     // iteration order, which must be deterministic for reproducible runs.
     entries: BTreeMap<Id, KeyEntry>,
-    backups: BTreeMap<Id, Backup>,
-    // BTreeMap: crash/handoff sweeps walk outstanding publishes and
-    // probes, so iteration order must be deterministic too.
-    inflight: BTreeMap<u64, InflightPublish>,
-    probing: BTreeMap<u64, Id>,
-    fencing: BTreeMap<u64, InflightFence>,
+    backups: BTreeMap<Id, HandoffEntry>,
+    outstanding: BTreeMap<u64, Pending>,
     token_seq: u64,
     acts: Vec<MasterAction>,
 }
@@ -254,9 +364,7 @@ impl KtsMaster {
             cfg,
             entries: BTreeMap::new(),
             backups: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            probing: BTreeMap::new(),
-            fencing: BTreeMap::new(),
+            outstanding: BTreeMap::new(),
             token_seq: 0,
             acts: Vec::new(),
         }
@@ -297,19 +405,30 @@ impl KtsMaster {
         self.entries.get(&key).map(|e| e.epoch)
     }
 
-    /// The fence state of an authoritative entry (test / model-checker
-    /// oracle).
-    pub fn fence_state(&self, key: Id) -> Option<FenceState> {
-        self.entries.get(&key).map(|e| e.fence)
+    /// The stage of an authoritative entry (test / model-checker oracle).
+    pub fn stage(&self, key: Id) -> Option<Stage> {
+        self.entries.get(&key).map(|e| e.stage)
     }
 
-    fn token(&mut self) -> u64 {
+    /// Record an outstanding operation under a fresh completion token.
+    fn begin(&mut self, op: Pending) -> u64 {
         self.token_seq += 1;
+        self.outstanding.insert(self.token_seq, op);
         self.token_seq
     }
 
     fn drain(&mut self) -> Vec<MasterAction> {
         std::mem::take(&mut self.acts)
+    }
+
+    /// Redirect requests queued for a key this node no longer masters.
+    fn redirect(&mut self, queue: VecDeque<QueuedValidate>) {
+        for q in queue {
+            self.acts.push(MasterAction::Send(
+                q.user.addr,
+                KtsMsg::Redirect { op: q.op },
+            ));
+        }
     }
 
     // ---- the validation procedure ---------------------------------------
@@ -359,15 +478,13 @@ impl KtsMaster {
     /// Handle a [`KtsMsg::LastTs`] read.
     ///
     /// The reply is best-effort: a restored or freshly promoted entry may
-    /// lag the log (a backup can miss an in-flight grant; a journal can
-    /// miss a grant made by the takeover master during the outage). Such
-    /// an entry is marked `probed = false`; reads trigger its
-    /// verification probe so the *next* anti-entropy round sees the
-    /// log's truth — otherwise idle replicas would trust a stale
-    /// `last_ts` forever and never pull the missing patches.
+    /// lag the log. Such an entry is `Unverified`, and a read starts its
+    /// verification probe so the *next* anti-entropy round sees the log's
+    /// truth — otherwise idle replicas would trust a stale `last_ts`
+    /// forever and never pull the missing patches.
     ///
     /// `known_ts` is the asker's own last integrated timestamp (0 in
-    /// legacy mode). A reader ahead of a *probed* entry proves the table
+    /// legacy mode). A reader ahead of a verified entry proves the table
     /// lags the log — some other master granted past us — so the entry is
     /// re-verified instead of being trusted forever (the residual
     /// "idle replica one patch stale" window of the churn matrix).
@@ -380,10 +497,10 @@ impl KtsMaster {
     ) -> Vec<MasterAction> {
         if known_ts > self.last_ts(key) {
             if let Some(e) = self.entries.get_mut(&key) {
-                e.probed = false;
+                e.apply(Event::Ahead, self.cfg.fencing);
             }
         }
-        if self.entries.get(&key).is_some_and(|e| !e.probed) {
+        if self.stage(key) == Some(Stage::Unverified) {
             self.pump(key);
         }
         let last_ts = self.last_ts(key);
@@ -394,126 +511,77 @@ impl KtsMaster {
         self.drain()
     }
 
-    /// The birth fence state of any new or re-keyed entry: fenced mode
-    /// starts every entry `Pending` — even a genuinely fresh document must
-    /// fence slot 1 before its first grant, or a partitioned rival could
-    /// serve it concurrently.
-    fn born_fence(&self) -> FenceState {
-        if self.cfg.fencing {
-            FenceState::Pending
-        } else {
-            FenceState::NotNeeded
-        }
-    }
-
     /// Create (or promote from backup) the entry for `key`.
     fn ensure_entry(&mut self, key: Id, key_name: &DocName) {
         if self.entries.contains_key(&key) {
             return;
         }
-        let fence = self.born_fence();
-        match self.backups.remove(&key) {
+        let entry = match self.backups.remove(&key) {
+            // Promotion after our predecessor (the old master) vanished.
             Some(b) => {
-                // Promotion after our predecessor (the old master) vanished.
-                // The backup may lag an in-flight grant, so verify against
-                // the log before first use (probed = false).
-                self.entries.insert(
-                    key,
-                    KeyEntry {
-                        key_name: b.key_name,
-                        last_ts: b.last_ts,
-                        epoch: b.epoch + 1,
-                        phase: Phase::Ready,
-                        probed: !self.cfg.probe_on_promote,
-                        fence,
-                        queue: VecDeque::new(),
-                    },
-                );
                 self.acts
                     .push(MasterAction::Event(MasterEvent::Promoted { count: 1 }));
+                KeyEntry::new(b.key_name, b.last_ts, b.epoch + 1, VecDeque::new())
             }
-            None => {
-                self.entries.insert(
-                    key,
-                    KeyEntry {
-                        key_name: key_name.clone(),
-                        last_ts: 0,
-                        epoch: 1,
-                        phase: Phase::Ready,
-                        // An unknown key might be genuinely new *or* state
-                        // lost to a double failure; the log is the ground
-                        // truth either way.
-                        probed: !self.cfg.probe_unknown_keys,
-                        fence,
-                        queue: VecDeque::new(),
-                    },
-                );
-            }
-        }
+            None => KeyEntry::new(key_name.clone(), 0, 1, VecDeque::new()),
+        };
+        self.entries.insert(key, entry);
     }
 
-    /// Serve the queue head for `key` if the entry is idle.
+    /// Start the next operation for `key` if its entry is idle and has
+    /// work.
     fn pump(&mut self, key: Id) {
+        let fencing = self.cfg.fencing;
         loop {
-            let entry = match self.entries.get_mut(&key) {
-                Some(e) => e,
-                None => return,
-            };
-            if entry.phase != Phase::Ready {
+            let Some(entry) = self.entries.get_mut(&key) else {
                 return;
-            }
-            if !entry.probed {
-                entry.phase = Phase::Probing;
-                let token = {
-                    let name = entry.key_name.clone();
-                    let base = entry.last_ts;
-                    let t = self.token();
-                    self.probing.insert(t, key);
+            };
+            match entry.stage {
+                Stage::Unverified => {
+                    entry.apply(Event::Serve, fencing);
+                    let (key_name, base) = (entry.key_name.clone(), entry.last_ts);
+                    let token = self.begin(Pending::Probe { key });
                     self.acts.push(MasterAction::BeginProbe {
-                        token: t,
+                        token,
                         key,
-                        key_name: name,
+                        key_name,
                         base,
                     });
-                    t
-                };
-                let _ = token;
-                return;
-            }
-            if self.cfg.fencing && entry.fence != FenceState::Acked && !entry.queue.is_empty() {
+                    return;
+                }
                 // Fence the next slot before serving anything. The probe
-                // above ran first, so `last_ts` is log-verified and the
-                // fence lands where the next grant will go. Demand-driven
-                // (queue non-empty): an idle key with unreachable log
-                // peers must not spin fence retries forever.
-                entry.phase = Phase::Fencing;
-                entry.fence = FenceState::InFlight;
-                let name = entry.key_name.clone();
-                let epoch = entry.epoch;
-                let last_ts = entry.last_ts;
-                let t = self.token();
-                self.fencing.insert(t, InflightFence { key, epoch });
-                self.acts.push(MasterAction::BeginFence {
-                    token: t,
-                    key,
-                    key_name: name,
-                    epoch,
-                    last_ts,
-                });
-                return;
+                // ran first, so `last_ts` is log-verified and the fence
+                // lands where the next grant will go. Demand-driven (queue
+                // non-empty): an idle key with unreachable log peers must
+                // not spin fence retries forever.
+                Stage::Unfenced if !entry.queue.is_empty() => {
+                    entry.apply(Event::Serve, fencing);
+                    let (key_name, epoch, last_ts) =
+                        (entry.key_name.clone(), entry.epoch, entry.last_ts);
+                    let token = self.begin(Pending::Fence { key, epoch });
+                    self.acts.push(MasterAction::BeginFence {
+                        token,
+                        key,
+                        key_name,
+                        epoch,
+                        last_ts,
+                    });
+                    return;
+                }
+                Stage::Fenced => {}
+                _ => return,
             }
-            let req = match entry.queue.pop_front() {
-                Some(r) => r,
-                None => return,
+            let Some(req) = entry.queue.pop_front() else {
+                return;
             };
             if entry.last_ts > req.proposed_ts {
                 // User is behind: it must retrieve and integrate first.
-                let last = entry.last_ts;
+                let last_ts = entry.last_ts;
                 self.acts.push(MasterAction::Send(
                     req.user.addr,
                     KtsMsg::Retry {
                         op: req.op,
-                        last_ts: last,
+                        last_ts,
                     },
                 ));
                 continue; // serve the next queued request
@@ -536,29 +604,26 @@ impl KtsMaster {
                 // The *user* knows more than we do — we lost state (e.g.
                 // promoted from a lagging backup). Re-verify from the log,
                 // keeping the request queued.
-                let mut req = req;
-                req.reprobed = true;
-                entry.queue.push_front(req);
-                entry.probed = false;
-                continue; // loop re-enters the probe branch
+                entry.queue.push_front(QueuedValidate {
+                    reprobed: true,
+                    ..req
+                });
+                entry.apply(Event::Ahead, fencing);
+                continue; // loop re-enters as Unverified
             }
             // last_ts == proposed_ts: grant ts+1, publish, then ack.
+            entry.apply(Event::Serve, fencing);
             let ts = entry.last_ts + 1;
-            entry.phase = Phase::Publishing;
             let key_name = entry.key_name.clone();
-            let epoch = if self.cfg.fencing { entry.epoch } else { 0 };
-            let token = self.token();
-            self.inflight.insert(
-                token,
-                InflightPublish {
-                    key,
-                    key_name: key_name.clone(),
-                    ts,
-                    epoch,
-                    op: req.op,
-                    user: req.user,
-                },
-            );
+            let epoch = if fencing { entry.epoch } else { 0 };
+            let token = self.begin(Pending::Publish {
+                key,
+                key_name: key_name.clone(),
+                ts,
+                epoch,
+                op: req.op,
+                user: req.user,
+            });
             self.acts.push(MasterAction::BeginPublish {
                 token,
                 key,
@@ -573,145 +638,52 @@ impl KtsMaster {
 
     /// The embedding layer finished the log replication for `token`.
     pub fn publish_done(&mut self, token: u64, outcome: PublishOutcome) -> Vec<MasterAction> {
-        let inflight = match self.inflight.remove(&token) {
-            Some(i) => i,
-            None => return self.drain(),
+        let Some(Pending::Publish {
+            key,
+            key_name,
+            ts,
+            epoch,
+            op,
+            user,
+        }) = self.outstanding.remove(&token)
+        else {
+            return self.drain();
         };
-        let key = inflight.key;
-        // The entry can be gone mid-publish: a handoff (join split or
-        // graceful leave) exported it while the log puts were in flight.
-        // The outcome is still authoritative — the log is the ground truth —
-        // so answer the user; the new master's probe-on-first-use (or a
-        // first-writer conflict) reconciles its possibly stale last_ts.
-        if !self.entries.contains_key(&key) {
+        // The log is the ground truth, so the outcome answers the user
+        // even when a handoff (join split or graceful leave) exported the
+        // entry while the puts were in flight; the new master's
+        // probe-on-first-use (or a first-writer conflict) reconciles its
+        // possibly stale last_ts.
+        let reply = match outcome {
+            PublishOutcome::Ok => KtsMsg::Granted { op, ts, epoch },
+            PublishOutcome::Conflict => KtsMsg::Redirect { op },
+            PublishOutcome::Unreachable => KtsMsg::Failed {
+                op,
+                reason: ValidateFailure::LogUnreachable,
+            },
+        };
+        self.acts.push(MasterAction::Send(user.addr, reply));
+        if let Some(entry) = self.entries.get_mut(&key) {
+            entry.apply(Event::PublishDone { ts, outcome }, self.cfg.fencing);
             match outcome {
                 PublishOutcome::Ok => {
-                    self.acts.push(MasterAction::Send(
-                        inflight.user.addr,
-                        KtsMsg::Granted {
-                            op: inflight.op,
-                            ts: inflight.ts,
-                            epoch: inflight.epoch,
-                        },
-                    ));
-                    // The grant is durable in the log: it must appear in the
-                    // continuity record even though we no longer master the
-                    // key.
-                    self.acts.push(MasterAction::Event(MasterEvent::Granted {
-                        key,
-                        doc: inflight.key_name.clone(),
-                        ts: inflight.ts,
-                    }));
+                    let entry = entry.handoff(key);
+                    self.acts.push(MasterAction::ReplicateToSucc { entry });
                 }
-                PublishOutcome::Conflict => {
-                    self.acts.push(MasterAction::Send(
-                        inflight.user.addr,
-                        KtsMsg::Redirect { op: inflight.op },
-                    ));
-                }
-                PublishOutcome::Unreachable => {
-                    self.acts.push(MasterAction::Send(
-                        inflight.user.addr,
-                        KtsMsg::Failed {
-                            op: inflight.op,
-                            reason: ValidateFailure::LogUnreachable,
-                        },
-                    ));
-                }
+                PublishOutcome::Conflict => self
+                    .acts
+                    .push(MasterAction::Event(MasterEvent::StaleDetected { key })),
+                PublishOutcome::Unreachable => {}
             }
-            return self.drain();
         }
-        match outcome {
-            PublishOutcome::Ok => {
-                let (entry_snapshot, granted_ts) = {
-                    let entry = self.entries.get_mut(&key).expect("checked above");
-                    entry.last_ts = inflight.ts;
-                    entry.phase = Phase::Ready;
-                    // The fence that covered this slot is consumed by the
-                    // grant; the *next* slot lives at different log
-                    // locations and must be fenced anew.
-                    if entry.fence == FenceState::Acked {
-                        entry.fence = FenceState::Pending;
-                    }
-                    (
-                        HandoffEntry {
-                            key,
-                            key_name: entry.key_name.clone(),
-                            last_ts: entry.last_ts,
-                            epoch: entry.epoch,
-                        },
-                        inflight.ts,
-                    )
-                };
-                self.acts.push(MasterAction::Send(
-                    inflight.user.addr,
-                    KtsMsg::Granted {
-                        op: inflight.op,
-                        ts: granted_ts,
-                        epoch: inflight.epoch,
-                    },
-                ));
-                let doc = entry_snapshot.key_name.clone();
-                self.acts.push(MasterAction::ReplicateToSucc {
-                    entry: entry_snapshot,
-                });
-                self.acts.push(MasterAction::Event(MasterEvent::Granted {
-                    key,
-                    doc,
-                    ts: granted_ts,
-                }));
-            }
-            PublishOutcome::Conflict => {
-                // The log already holds a different record at this (key, ts):
-                // a newer master exists. Stand down and make the user
-                // re-locate the master; verify our state from the log before
-                // serving anything else. In fenced mode our own puts may
-                // additionally have landed at a minority of the slot's
-                // Log-Peers before the conflict was detected, so the slot
-                // may only be re-granted under a strictly higher epoch —
-                // the superseding record then outranks (and displaces) any
-                // partial copy of this one.
-                if let Some(entry) = self.entries.get_mut(&key) {
-                    entry.phase = Phase::Ready;
-                    entry.probed = false;
-                    if entry.fence != FenceState::NotNeeded {
-                        entry.fence = FenceState::Pending;
-                        entry.epoch += 1;
-                    }
-                }
-                self.acts.push(MasterAction::Send(
-                    inflight.user.addr,
-                    KtsMsg::Redirect { op: inflight.op },
-                ));
-                self.acts
-                    .push(MasterAction::Event(MasterEvent::StaleDetected { key }));
-            }
-            PublishOutcome::Unreachable => {
-                // The fan-out died without a verdict — but individual puts
-                // may still have landed (or be in flight) at some of the
-                // slot's Log-Peers. In fenced mode the slot is now suspect:
-                // re-verify against the log and re-grant only under a
-                // strictly higher epoch behind a fresh fence, so a straggler
-                // write of this grant is outranked everywhere it can land.
-                // This is the takeover rule applied to our own partial write;
-                // without it the same slot could be re-granted at the same
-                // epoch and fork the log.
-                if let Some(entry) = self.entries.get_mut(&key) {
-                    entry.phase = Phase::Ready;
-                    if entry.fence != FenceState::NotNeeded {
-                        entry.probed = false;
-                        entry.fence = FenceState::Pending;
-                        entry.epoch += 1;
-                    }
-                }
-                self.acts.push(MasterAction::Send(
-                    inflight.user.addr,
-                    KtsMsg::Failed {
-                        op: inflight.op,
-                        reason: ValidateFailure::LogUnreachable,
-                    },
-                ));
-            }
+        if outcome == PublishOutcome::Ok {
+            // The grant is durable in the log: it belongs in the continuity
+            // record even when we no longer master the key.
+            self.acts.push(MasterAction::Event(MasterEvent::Granted {
+                key,
+                doc: key_name,
+                ts,
+            }));
         }
         self.pump(key);
         self.drain()
@@ -726,22 +698,15 @@ impl KtsMaster {
     /// master granted under it: we advance strictly past it so our fence
     /// floor and records outrank anything that master can still produce.
     pub fn probe_done(&mut self, token: u64, recovered: u64, log_epoch: u64) -> Vec<MasterAction> {
-        let key = match self.probing.remove(&token) {
-            Some(k) => k,
-            None => return self.drain(),
+        let Some(Pending::Probe { key }) = self.outstanding.remove(&token) else {
+            return self.drain();
         };
         if let Some(entry) = self.entries.get_mut(&key) {
-            entry.last_ts = entry.last_ts.max(recovered);
-            entry.probed = true;
-            entry.phase = Phase::Ready;
-            if self.cfg.fencing {
-                if log_epoch >= entry.epoch {
-                    entry.epoch = log_epoch + 1;
-                }
-                // The probe may have moved `last_ts`, relocating the next
-                // slot — any earlier fence no longer covers it.
-                entry.fence = FenceState::Pending;
-            }
+            let ev = Event::ProbeDone {
+                recovered,
+                log_epoch,
+            };
+            entry.apply(ev, self.cfg.fencing);
         }
         self.pump(key);
         self.drain()
@@ -749,68 +714,35 @@ impl KtsMaster {
 
     /// The embedding layer finished the fence fan-out for `token`.
     pub fn fence_done(&mut self, token: u64, outcome: FenceOutcome) -> Vec<MasterAction> {
-        let inflight = match self.fencing.remove(&token) {
-            Some(f) => f,
-            None => return self.drain(),
+        let Some(Pending::Fence { key, epoch }) = self.outstanding.remove(&token) else {
+            return self.drain();
         };
-        let key = inflight.key;
         // Stale completion: the entry was handed off / restored (epoch
         // bumped) or exported while the fan-out was in flight. Its current
         // incarnation runs its own fence; this verdict proves nothing.
         let live = self
             .entries
             .get(&key)
-            .is_some_and(|e| e.epoch == inflight.epoch && e.phase == Phase::Fencing);
+            .is_some_and(|e| e.epoch == epoch && matches!(e.stage, Stage::Fencing { .. }));
         if !live {
             return self.drain();
         }
-        match outcome {
-            FenceOutcome::Acked { occupied: false } => {
-                // Liveness-checked above: the entry exists.
-                if let Some(entry) = self.entries.get_mut(&key) {
-                    entry.phase = Phase::Ready;
-                    entry.fence = FenceState::Acked;
-                }
-            }
-            FenceOutcome::Acked { occupied: true } => {
-                // The slot we fenced already holds a record: a grant landed
-                // there before the floor went up. Our `last_ts` lags the
-                // log — re-probe, then fence the true next slot.
-                let entry = self.entries.get_mut(&key).expect("checked live");
-                entry.phase = Phase::Ready;
-                entry.fence = FenceState::Pending;
-                entry.probed = false;
-            }
-            FenceOutcome::Superseded { current } => {
-                // A newer master epoch holds the floor: stand down. The
-                // entry demotes to a backup carrying the winning epoch so
-                // a later re-promotion starts strictly above it.
-                let entry = self.entries.remove(&key).expect("checked live");
-                self.backups.insert(
-                    key,
-                    Backup {
-                        key_name: entry.key_name,
-                        last_ts: entry.last_ts,
-                        epoch: current.max(entry.epoch),
-                    },
-                );
-                for q in entry.queue {
-                    self.acts.push(MasterAction::Send(
-                        q.user.addr,
-                        KtsMsg::Redirect { op: q.op },
-                    ));
-                }
+        if let FenceOutcome::Superseded { current } = outcome {
+            // A newer master epoch holds the floor: stand down. The entry
+            // demotes to a backup carrying the winning epoch so a later
+            // re-promotion starts strictly above it.
+            if let Some(entry) = self.entries.remove(&key) {
+                let backup = HandoffEntry {
+                    epoch: current.max(entry.epoch),
+                    ..entry.handoff(key)
+                };
+                self.backups.insert(key, backup);
+                self.redirect(entry.queue);
                 self.acts
                     .push(MasterAction::Event(MasterEvent::StaleDetected { key }));
-                return self.drain();
             }
-            FenceOutcome::Unreachable => {
-                // Retry on the next pump; the per-op timeouts of the
-                // fan-out pace the retries.
-                let entry = self.entries.get_mut(&key).expect("checked live");
-                entry.phase = Phase::Ready;
-                entry.fence = FenceState::Pending;
-            }
+        } else if let Some(entry) = self.entries.get_mut(&key) {
+            entry.apply(Event::FenceDone(outcome), self.cfg.fencing);
         }
         self.pump(key);
         self.drain()
@@ -822,26 +754,15 @@ impl KtsMaster {
     /// own durable store (crash + local restart).
     ///
     /// Each entry re-enters with a bumped fencing epoch and — like a
-    /// promoted backup — is re-verified against the log before first use
-    /// when `probe_on_promote` is set: the disk may lag a grant that was
-    /// still replicating when the node died, and another master may have
-    /// granted further timestamps while it was down.
+    /// promoted backup — is re-verified against the log before first use:
+    /// the disk may lag a grant that was still replicating when the node
+    /// died, and another master may have granted further timestamps while
+    /// it was down.
     pub fn restore_entries(&mut self, entries: Vec<HandoffEntry>) {
-        let fence = self.born_fence();
         for e in entries {
             self.backups.remove(&e.key);
-            self.entries.insert(
-                e.key,
-                KeyEntry {
-                    key_name: e.key_name,
-                    last_ts: e.last_ts,
-                    epoch: e.epoch + 1,
-                    phase: Phase::Ready,
-                    probed: !self.cfg.probe_on_promote,
-                    fence,
-                    queue: VecDeque::new(),
-                },
-            );
+            let entry = KeyEntry::new(e.key_name, e.last_ts, e.epoch + 1, VecDeque::new());
+            self.entries.insert(e.key, entry);
         }
     }
 
@@ -860,10 +781,10 @@ impl KtsMaster {
     /// Store a backup entry pushed by the master we succeed.
     pub fn on_replicate_entry(&mut self, entry: HandoffEntry) {
         // Never regress: keep the max timestamp seen.
-        let slot = self.backups.entry(entry.key).or_insert(Backup {
-            key_name: entry.key_name.clone(),
+        let slot = self.backups.entry(entry.key).or_insert(HandoffEntry {
             last_ts: 0,
             epoch: 0,
+            ..entry.clone()
         });
         if entry.last_ts > slot.last_ts {
             slot.last_ts = entry.last_ts;
@@ -874,31 +795,21 @@ impl KtsMaster {
     /// Authoritative handoff received (graceful leave or join split).
     pub fn on_table_handoff(&mut self, entries: Vec<HandoffEntry>) -> Vec<MasterAction> {
         let count = entries.len();
-        let fence = self.born_fence();
         for e in entries {
-            let existing_ts = self.entries.get(&e.key).map(|x| x.last_ts).unwrap_or(0);
-            let existing_epoch = self.entries.get(&e.key).map(|x| x.epoch).unwrap_or(0);
-            let entry = KeyEntry {
-                key_name: e.key_name,
-                last_ts: e.last_ts.max(existing_ts),
-                // Bump past *both* the sender's epoch and anything this
-                // node already reached for the key — a handoff from a
-                // low-epoch sender must never regress a local entry's
-                // epoch (that would re-open the fence it sits behind).
-                epoch: e.epoch.max(existing_epoch) + 1,
-                phase: Phase::Ready,
-                // The old master may have exported while one of its grants
-                // was still replicating to the log, so the handed-over
-                // last_ts can lag by one. Verify against the log on first
-                // use (lazily, like promoted backups).
-                probed: !self.cfg.probe_on_promote,
-                fence,
-                queue: self
-                    .entries
-                    .remove(&e.key)
-                    .map(|old| old.queue)
-                    .unwrap_or_default(),
+            let (last_ts, epoch, queue) = match self.entries.remove(&e.key) {
+                Some(old) => (old.last_ts, old.epoch, old.queue),
+                None => (0, 0, VecDeque::new()),
             };
+            // Bump past *both* the sender's epoch and anything this node
+            // already reached for the key — a handoff from a low-epoch
+            // sender must never regress a local entry's epoch (that would
+            // re-open the fence it sits behind).
+            let entry = KeyEntry::new(
+                e.key_name,
+                e.last_ts.max(last_ts),
+                e.epoch.max(epoch) + 1,
+                queue,
+            );
             self.entries.insert(e.key, entry);
             self.backups.remove(&e.key);
             self.pump(e.key);
@@ -912,63 +823,33 @@ impl KtsMaster {
     /// called when a newly joined master takes over that range. The entries
     /// are kept locally as backups (we are the new master's successor).
     pub fn export_range(&mut self, from: Id, to: Id) -> (Vec<HandoffEntry>, Vec<MasterAction>) {
-        let keys: Vec<Id> = self
-            .entries
-            .keys()
-            .copied()
-            .filter(|k| k.in_half_open(from, to))
-            .collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for k in keys {
-            let e = self.entries.remove(&k).expect("listed");
-            self.backups.insert(
-                k,
-                Backup {
-                    key_name: e.key_name.clone(),
-                    last_ts: e.last_ts,
-                    epoch: e.epoch,
-                },
-            );
-            out.push(HandoffEntry {
-                key: k,
-                key_name: e.key_name,
-                last_ts: e.last_ts,
-                epoch: e.epoch,
-            });
-            // Queued requests for exported keys are redirected.
-            for q in e.queue {
-                self.acts.push(MasterAction::Send(
-                    q.user.addr,
-                    KtsMsg::Redirect { op: q.op },
-                ));
-            }
-        }
-        if !out.is_empty() {
-            self.acts.push(MasterAction::Event(MasterEvent::HandedOff {
-                count: out.len(),
-            }));
-        }
-        (out, self.drain())
+        self.export(|k| k.in_half_open(from, to), true)
     }
 
     /// Extract **all** authoritative entries (graceful leave).
     pub fn export_all(&mut self) -> (Vec<HandoffEntry>, Vec<MasterAction>) {
-        let keys: Vec<Id> = self.entries.keys().copied().collect();
+        self.export(|_| true, false)
+    }
+
+    /// Remove the entries whose keys `pick` selects, redirecting their
+    /// queued requests; `keep_backups` retains a backup copy of each.
+    fn export(
+        &mut self,
+        pick: impl Fn(&Id) -> bool,
+        keep_backups: bool,
+    ) -> (Vec<HandoffEntry>, Vec<MasterAction>) {
+        let keys: Vec<Id> = self.entries.keys().copied().filter(pick).collect();
         let mut out = Vec::with_capacity(keys.len());
-        for k in keys {
-            let e = self.entries.remove(&k).expect("listed");
-            out.push(HandoffEntry {
-                key: k,
-                key_name: e.key_name,
-                last_ts: e.last_ts,
-                epoch: e.epoch,
-            });
-            for q in e.queue {
-                self.acts.push(MasterAction::Send(
-                    q.user.addr,
-                    KtsMsg::Redirect { op: q.op },
-                ));
+        for key in keys {
+            let Some(e) = self.entries.remove(&key) else {
+                continue;
+            };
+            let handoff = e.handoff(key);
+            if keep_backups {
+                self.backups.insert(key, handoff.clone());
             }
+            self.redirect(e.queue);
+            out.push(handoff);
         }
         if !out.is_empty() {
             self.acts.push(MasterAction::Event(MasterEvent::HandedOff {
@@ -996,32 +877,43 @@ mod tests {
         Bytes::from_static(b"patch")
     }
 
-    fn cfg_no_probe() -> KtsConfig {
-        KtsConfig {
-            probe_unknown_keys: false,
-            probe_on_promote: false,
-            fencing: false,
-            ..KtsConfig::default()
-        }
-    }
-
-    /// Probing on, fencing off — the legacy default, which the pre-fencing
-    /// tests below exercise.
-    fn cfg_probe_no_fence() -> KtsConfig {
+    /// Fencing off: the legacy unfenced protocol.
+    fn cfg_legacy() -> KtsConfig {
         KtsConfig {
             fencing: false,
             ..KtsConfig::default()
         }
     }
 
-    /// Fencing on, probing off — isolates the fence stage.
-    fn cfg_fence_only() -> KtsConfig {
-        KtsConfig {
-            probe_unknown_keys: false,
-            probe_on_promote: false,
-            fencing: true,
-            ..KtsConfig::default()
-        }
+    /// User `u` validates `key()` as request `op`, claiming `proposed`.
+    fn validate(m: &mut KtsMaster, op: u64, proposed: u64, u: u32) -> Vec<MasterAction> {
+        m.on_validate(
+            key(),
+            &DocName::new("doc"),
+            ReqId(op),
+            proposed,
+            patch(),
+            user(u),
+            true,
+        )
+    }
+
+    fn probe_of(acts: &[MasterAction]) -> Option<u64> {
+        acts.iter().find_map(|a| match a {
+            MasterAction::BeginProbe { token, .. } => Some(*token),
+            _ => None,
+        })
+    }
+
+    /// Extract the single BeginProbe token from actions.
+    fn probe_token(acts: &[MasterAction]) -> u64 {
+        probe_of(acts).expect("no BeginProbe")
+    }
+
+    /// Complete the probe in `acts` against an empty log — the birth probe
+    /// every entry runs before its first grant.
+    fn probe_empty(m: &mut KtsMaster, acts: &[MasterAction]) -> Vec<MasterAction> {
+        m.probe_done(probe_token(acts), 0, 0)
     }
 
     /// Extract the single BeginFence (token, epoch, last_ts) from actions.
@@ -1051,18 +943,10 @@ mod tests {
 
     #[test]
     fn first_validate_grants_ts_1() {
-        let mut m = KtsMaster::new(cfg_no_probe());
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
-        let token = publish_token(&acts);
-        let acts = m.publish_done(token, PublishOutcome::Ok);
+        let mut m = KtsMaster::new(cfg_legacy());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Granted { ts: 1, .. }))));
@@ -1074,19 +958,13 @@ mod tests {
 
     #[test]
     fn continuous_timestamps_across_grants() {
-        let mut m = KtsMaster::new(cfg_no_probe());
+        let mut m = KtsMaster::new(cfg_legacy());
         for expect in 1..=5u64 {
-            let acts = m.on_validate(
-                key(),
-                &DocName::new("doc"),
-                ReqId(expect),
-                expect - 1,
-                patch(),
-                user(1),
-                true,
-            );
-            let token = publish_token(&acts);
-            let acts = m.publish_done(token, PublishOutcome::Ok);
+            let mut acts = validate(&mut m, expect, expect - 1, 1);
+            if let Some(t) = probe_of(&acts) {
+                acts = m.probe_done(t, expect - 1, 0);
+            }
+            let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
             let granted = acts
                 .iter()
                 .find_map(|a| match a {
@@ -1100,27 +978,12 @@ mod tests {
 
     #[test]
     fn behind_user_gets_retry() {
-        let mut m = KtsMaster::new(cfg_no_probe());
-        let t = publish_token(&m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        ));
-        m.publish_done(t, PublishOutcome::Ok);
+        let mut m = KtsMaster::new(cfg_legacy());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
+        m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         // Second user still at ts 0.
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(2),
-            0,
-            patch(),
-            user(2),
-            true,
-        );
+        let acts = validate(&mut m, 2, 0, 2);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Retry { last_ts: 1, .. }))));
@@ -1128,32 +991,19 @@ mod tests {
 
     #[test]
     fn concurrent_validates_serialized_per_key() {
-        let mut m = KtsMaster::new(cfg_no_probe());
+        let mut m = KtsMaster::new(cfg_legacy());
         // Two users race at proposed_ts=0; the first grant starts publishing,
         // the second stays queued.
-        let acts1 = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
-        let t1 = publish_token(&acts1);
-        let acts2 = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(2),
-            0,
-            patch(),
-            user(2),
-            true,
-        );
-        assert!(
-            !acts2
-                .iter()
-                .any(|a| matches!(a, MasterAction::BeginPublish { .. })),
+        let acts1 = validate(&mut m, 1, 0, 1);
+        let acts2 = validate(&mut m, 2, 0, 2);
+        let acts = probe_empty(&mut m, &acts1);
+        let t1 = publish_token(&acts);
+        assert_eq!(
+            acts.iter()
+                .chain(&acts2)
+                .filter(|a| matches!(a, MasterAction::BeginPublish { .. }))
+                .count(),
+            1,
             "second publish must wait for the first"
         );
         // First completes; the queued request is now behind (last_ts=1) and
@@ -1167,7 +1017,7 @@ mod tests {
 
     #[test]
     fn not_responsible_redirects() {
-        let mut m = KtsMaster::new(cfg_no_probe());
+        let mut m = KtsMaster::new(cfg_legacy());
         let acts = m.on_validate(
             key(),
             &DocName::new("doc"),
@@ -1185,17 +1035,10 @@ mod tests {
 
     #[test]
     fn conflict_marks_stale_and_redirects() {
-        let mut m = KtsMaster::new(cfg_no_probe());
-        let t = publish_token(&m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        ));
-        let acts = m.publish_done(t, PublishOutcome::Conflict);
+        let mut m = KtsMaster::new(cfg_legacy());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Conflict);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Redirect { .. }))));
@@ -1207,17 +1050,10 @@ mod tests {
 
     #[test]
     fn unreachable_log_fails_request_but_keeps_state() {
-        let mut m = KtsMaster::new(cfg_no_probe());
-        let t = publish_token(&m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        ));
-        let acts = m.publish_done(t, PublishOutcome::Unreachable);
+        let mut m = KtsMaster::new(cfg_legacy());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Unreachable);
         assert!(acts.iter().any(|a| matches!(
             a,
             MasterAction::Send(
@@ -1229,16 +1065,8 @@ mod tests {
             )
         )));
         assert_eq!(m.last_ts(key()), 0);
-        // A retry can now succeed.
-        let t = publish_token(&m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(2),
-            0,
-            patch(),
-            user(1),
-            true,
-        ));
+        // A retry can now succeed, without another probe.
+        let t = publish_token(&validate(&mut m, 2, 0, 1));
         let acts = m.publish_done(t, PublishOutcome::Ok);
         assert!(acts
             .iter()
@@ -1247,24 +1075,9 @@ mod tests {
 
     #[test]
     fn probe_unknown_key_before_first_grant() {
-        let cfg = cfg_probe_no_fence(); // probing on
-        let mut m = KtsMaster::new(cfg);
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
-        let probe_token = acts
-            .iter()
-            .find_map(|a| match a {
-                MasterAction::BeginProbe { token, .. } => Some(*token),
-                _ => None,
-            })
-            .expect("must probe unknown key");
+        let mut m = KtsMaster::new(cfg_legacy());
+        let acts = validate(&mut m, 1, 0, 1);
+        let probe_token = probe_of(&acts).expect("must probe unknown key");
         assert!(!acts
             .iter()
             .any(|a| matches!(a, MasterAction::BeginPublish { .. })));
@@ -1285,7 +1098,7 @@ mod tests {
         // must kick off the verification probe so the *next* read serves
         // the log's truth — otherwise idle replicas would never pull the
         // missing patches (the master-crash-storm convergence bug).
-        let mut m = KtsMaster::new(cfg_probe_no_fence()); // probing on
+        let mut m = KtsMaster::new(cfg_legacy());
         m.restore_entries(vec![HandoffEntry {
             key: key(),
             key_name: DocName::new("doc"),
@@ -1299,13 +1112,7 @@ mod tests {
             MasterAction::Send(_, KtsMsg::LastTsReply { last_ts: 4, .. })
         )));
         // …but the probe starts.
-        let probe_token = acts
-            .iter()
-            .find_map(|a| match a {
-                MasterAction::BeginProbe { token, .. } => Some(*token),
-                _ => None,
-            })
-            .expect("read of an unprobed entry must start the probe");
+        let probe_token = probe_of(&acts).expect("read of an unprobed entry must start the probe");
         // The log actually holds 5 grants; the next read is authoritative.
         m.probe_done(probe_token, 5, 0);
         let acts = m.on_last_ts(key(), ReqId(10), user(1), 0);
@@ -1314,36 +1121,22 @@ mod tests {
             MasterAction::Send(_, KtsMsg::LastTsReply { last_ts: 5, .. })
         )));
         // And no second probe fires for the now-verified entry.
-        assert!(!acts
-            .iter()
-            .any(|a| matches!(a, MasterAction::BeginProbe { .. })));
+        assert_eq!(probe_of(&acts), None);
     }
 
     #[test]
     fn user_ahead_triggers_reprobe() {
-        let mut m = KtsMaster::new(cfg_no_probe());
+        let mut m = KtsMaster::new(cfg_legacy());
         // Master thinks 0, user proposes 2 (it integrated 2 patches from the
         // log that we never saw — we are a recovered master with lost state).
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            2,
-            patch(),
-            user(1),
-            true,
-        );
-        let probe_token = acts
-            .iter()
-            .find_map(|a| match a {
-                MasterAction::BeginProbe { token, .. } => Some(*token),
-                _ => None,
-            })
-            .expect("user-ahead must trigger probe");
+        let acts = validate(&mut m, 1, 2, 1);
+        // The birth probe misses them (say the log peers lagged) …
+        let acts = probe_empty(&mut m, &acts);
+        // … so the user-ahead request sends the entry back to the log.
+        let probe_token = probe_of(&acts).expect("user-ahead must trigger probe");
         let acts = m.probe_done(probe_token, 2, 0);
         // Now last_ts == proposed: grant 3.
-        let t = publish_token(&acts);
-        let acts = m.publish_done(t, PublishOutcome::Ok);
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Granted { ts: 3, .. }))));
@@ -1351,7 +1144,7 @@ mod tests {
 
     #[test]
     fn backup_promotion_on_first_touch() {
-        let mut m = KtsMaster::new(cfg_no_probe());
+        let mut m = KtsMaster::new(cfg_legacy());
         m.on_replicate_entry(HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1360,21 +1153,13 @@ mod tests {
         });
         assert_eq!(m.backup_count(), 1);
         assert_eq!(m.last_ts(key()), 7);
-        // First validate after our predecessor died: promote, then serve.
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            7,
-            patch(),
-            user(1),
-            true,
-        );
+        // First validate after our predecessor died: promote, verify, serve.
+        let acts = validate(&mut m, 1, 7, 1);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Event(MasterEvent::Promoted { .. }))));
-        let t = publish_token(&acts);
-        let acts = m.publish_done(t, PublishOutcome::Ok);
+        let acts = m.probe_done(probe_token(&acts), 7, 0);
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Granted { ts: 8, .. }))));
@@ -1383,7 +1168,7 @@ mod tests {
 
     #[test]
     fn backup_never_regresses() {
-        let mut m = KtsMaster::new(cfg_no_probe());
+        let mut m = KtsMaster::new(cfg_legacy());
         m.on_replicate_entry(HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1401,35 +1186,21 @@ mod tests {
 
     #[test]
     fn handoff_roundtrip_preserves_state() {
-        let mut a = KtsMaster::new(cfg_no_probe());
-        let t = publish_token(&a.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        ));
-        a.publish_done(t, PublishOutcome::Ok);
+        let mut a = KtsMaster::new(cfg_legacy());
+        let acts = validate(&mut a, 1, 0, 1);
+        let acts = probe_empty(&mut a, &acts);
+        a.publish_done(publish_token(&acts), PublishOutcome::Ok);
         let (entries, _acts) = a.export_all();
         assert_eq!(entries.len(), 1);
         assert_eq!(a.mastered_count(), 0);
 
-        let mut b = KtsMaster::new(cfg_no_probe());
-        b.on_table_handoff(entries);
+        let mut b = KtsMaster::new(cfg_legacy());
+        let probe = probe_token(&b.on_table_handoff(entries));
         assert_eq!(b.last_ts(key()), 1);
         // Continuity across the handoff: next grant is 2.
-        let t = publish_token(&b.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(2),
-            1,
-            patch(),
-            user(2),
-            true,
-        ));
-        let acts = b.publish_done(t, PublishOutcome::Ok);
+        validate(&mut b, 2, 1, 2);
+        let acts = b.probe_done(probe, 1, 0);
+        let acts = b.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Granted { ts: 2, .. }))));
@@ -1437,20 +1208,13 @@ mod tests {
 
     #[test]
     fn export_range_keeps_backup_copies() {
-        let mut m = KtsMaster::new(cfg_no_probe());
+        let mut m = KtsMaster::new(cfg_legacy());
         let k1 = Id(10);
         let k2 = Id(1000);
         for (k, op) in [(k1, 1u64), (k2, 2)] {
-            let t = publish_token(&m.on_validate(
-                k,
-                &DocName::new("d"),
-                ReqId(op),
-                0,
-                patch(),
-                user(1),
-                true,
-            ));
-            m.publish_done(t, PublishOutcome::Ok);
+            let acts = m.on_validate(k, &DocName::new("d"), ReqId(op), 0, patch(), user(1), true);
+            let acts = probe_empty(&mut m, &acts);
+            m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         }
         let (exported, _) = m.export_range(Id(0), Id(100));
         assert_eq!(exported.len(), 1);
@@ -1465,7 +1229,7 @@ mod tests {
         // Crash recovery: disk said last_ts=3, but a grant for ts=4 was
         // in flight when we died. The restored entry must re-probe before
         // serving and then continue the sequence at 5.
-        let mut m = KtsMaster::new(cfg_probe_no_fence()); // probing on
+        let mut m = KtsMaster::new(cfg_legacy());
         m.restore_entries(vec![HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1474,25 +1238,10 @@ mod tests {
         }]);
         assert_eq!(m.last_ts(key()), 3);
         assert_eq!(m.mastered_count(), 1);
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            4,
-            patch(),
-            user(1),
-            true,
-        );
-        let probe_token = acts
-            .iter()
-            .find_map(|a| match a {
-                MasterAction::BeginProbe { token, .. } => Some(*token),
-                _ => None,
-            })
-            .expect("restored entry must probe before first grant");
+        let acts = validate(&mut m, 1, 4, 1);
+        let probe_token = probe_of(&acts).expect("restored entry must probe before first grant");
         let acts = m.probe_done(probe_token, 4, 0);
-        let t = publish_token(&acts);
-        let acts = m.publish_done(t, PublishOutcome::Ok);
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Granted { ts: 5, .. }))));
@@ -1500,7 +1249,7 @@ mod tests {
 
     #[test]
     fn restored_backups_do_not_shadow_authoritative_entries() {
-        let mut m = KtsMaster::new(cfg_no_probe());
+        let mut m = KtsMaster::new(cfg_legacy());
         m.restore_entries(vec![HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1530,49 +1279,16 @@ mod tests {
     #[test]
     fn queue_overflow_sheds_load() {
         let cfg = KtsConfig {
-            probe_unknown_keys: false,
-            probe_on_promote: false,
             max_queue_per_key: 2,
             ..KtsConfig::default()
         };
         let mut m = KtsMaster::new(cfg);
-        // First takes the publish slot; 2 queue; the 4th overflows.
-        let _ = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
-        let _ = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(2),
-            0,
-            patch(),
-            user(2),
-            true,
-        );
-        let _ = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(3),
-            0,
-            patch(),
-            user(3),
-            true,
-        );
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(4),
-            0,
-            patch(),
-            user(4),
-            true,
-        );
+        // The first two wait in the queue behind the birth probe; the 3rd
+        // and 4th overflow.
+        for (op, u) in [(1, 1), (2, 2), (3, 3)] {
+            validate(&mut m, op, 0, u);
+        }
+        let acts = validate(&mut m, 4, 0, 4);
         assert!(acts.iter().any(|a| matches!(
             a,
             MasterAction::Send(
@@ -1589,16 +1305,9 @@ mod tests {
 
     #[test]
     fn fenced_grant_waits_for_fence_ack() {
-        let mut m = KtsMaster::new(cfg_fence_only());
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
+        let mut m = KtsMaster::new(KtsConfig::default());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
         let (ft, epoch, last_ts) = fence_req(&acts);
         assert_eq!(
             (epoch, last_ts),
@@ -1612,8 +1321,7 @@ mod tests {
             "no publish before the fence is acked"
         );
         let acts = m.fence_done(ft, FenceOutcome::Acked { occupied: false });
-        let t = publish_token(&acts);
-        let acts = m.publish_done(t, PublishOutcome::Ok);
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts.iter().any(|a| matches!(
             a,
             MasterAction::Send(
@@ -1626,31 +1334,16 @@ mod tests {
             )
         )));
         // The consumed fence does not cover slot 2: the next grant re-fences.
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(2),
-            1,
-            patch(),
-            user(1),
-            true,
-        );
+        let acts = validate(&mut m, 2, 1, 1);
         let (_, epoch2, last2) = fence_req(&acts);
         assert_eq!((epoch2, last2), (1, 1));
     }
 
     #[test]
     fn superseded_fence_demotes_to_backup() {
-        let mut m = KtsMaster::new(cfg_fence_only());
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
+        let mut m = KtsMaster::new(KtsConfig::default());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
         let (ft, _, _) = fence_req(&acts);
         let acts = m.fence_done(ft, FenceOutcome::Superseded { current: 5 });
         assert!(acts
@@ -1662,41 +1355,21 @@ mod tests {
         assert_eq!(m.mastered_count(), 0, "demoted");
         assert_eq!(m.backup_count(), 1);
         // Re-promotion starts strictly above the winning floor.
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(2),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
+        let acts = validate(&mut m, 2, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
         let (_, epoch, _) = fence_req(&acts);
         assert_eq!(epoch, 6, "max(current 5, own 1) + 1");
     }
 
     #[test]
     fn occupied_fence_slot_forces_reprobe_and_epoch_advance() {
-        let mut m = KtsMaster::new(cfg_fence_only());
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
+        let mut m = KtsMaster::new(KtsConfig::default());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
         let (ft, _, _) = fence_req(&acts);
         // Slot 1 was already published before our floor went up.
         let acts = m.fence_done(ft, FenceOutcome::Acked { occupied: true });
-        let probe_token = acts
-            .iter()
-            .find_map(|a| match a {
-                MasterAction::BeginProbe { token, .. } => Some(*token),
-                _ => None,
-            })
-            .expect("occupied slot must trigger a re-probe");
+        let probe_token = probe_of(&acts).expect("occupied slot must trigger a re-probe");
         // The probe finds the rival's grant: ts 1 stamped under epoch 2.
         let acts = m.probe_done(probe_token, 1, 2);
         let (_, epoch, last_ts) = fence_req(&acts);
@@ -1707,16 +1380,9 @@ mod tests {
 
     #[test]
     fn unreachable_fence_retries_on_demand() {
-        let mut m = KtsMaster::new(cfg_fence_only());
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
+        let mut m = KtsMaster::new(KtsConfig::default());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
         let (ft, _, _) = fence_req(&acts);
         let acts = m.fence_done(ft, FenceOutcome::Unreachable);
         // The queued request still needs serving: a fresh fan-out fires.
@@ -1726,22 +1392,15 @@ mod tests {
 
     #[test]
     fn legacy_mode_never_fences() {
-        let mut m = KtsMaster::new(cfg_no_probe());
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
+        let mut m = KtsMaster::new(cfg_legacy());
+        let mut acts = validate(&mut m, 1, 0, 1);
+        assert_eq!(m.stage(key()), Some(Stage::Probing));
+        acts.extend(probe_empty(&mut m, &acts));
         assert!(!acts
             .iter()
             .any(|a| matches!(a, MasterAction::BeginFence { .. })));
-        assert_eq!(m.fence_state(key()), Some(FenceState::NotNeeded));
-        let t = publish_token(&acts);
-        let acts = m.publish_done(t, PublishOutcome::Ok);
+        assert_eq!(m.stage(key()), Some(Stage::Publishing { stale: false }));
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(
             acts.iter().any(|a| matches!(
                 a,
@@ -1756,6 +1415,7 @@ mod tests {
             )),
             "legacy grants carry epoch 0"
         );
+        assert_eq!(m.stage(key()), Some(Stage::Fenced));
     }
 
     #[test]
@@ -1763,28 +1423,15 @@ mod tests {
         // The churn-matrix residual: an idle replica that integrated ts 3
         // asks a master whose (probed but stale) table says 1. The read
         // must trigger re-verification, not serve 1 forever.
-        let mut m = KtsMaster::new(cfg_fence_only());
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
+        let mut m = KtsMaster::new(KtsConfig::default());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
         let (ft, _, _) = fence_req(&acts);
         let acts = m.fence_done(ft, FenceOutcome::Acked { occupied: false });
         m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert_eq!(m.last_ts(key()), 1);
         let acts = m.on_last_ts(key(), ReqId(9), user(2), 3);
-        let probe_token = acts
-            .iter()
-            .find_map(|a| match a {
-                MasterAction::BeginProbe { token, .. } => Some(*token),
-                _ => None,
-            })
-            .expect("reader ahead of a probed entry must re-probe");
+        let probe_token = probe_of(&acts).expect("reader ahead of a probed entry must re-probe");
         m.probe_done(probe_token, 3, 0);
         let acts = m.on_last_ts(key(), ReqId(10), user(2), 3);
         assert!(acts.iter().any(|a| matches!(
@@ -1795,7 +1442,7 @@ mod tests {
 
     #[test]
     fn handoff_epoch_never_regresses() {
-        let mut m = KtsMaster::new(cfg_fence_only());
+        let mut m = KtsMaster::new(KtsConfig::default());
         m.restore_entries(vec![HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1813,33 +1460,116 @@ mod tests {
         assert_eq!(m.entry_epoch(key()), Some(9), "max(2, 8) + 1");
     }
 
+    // ---- stale completions -----------------------------------------------
+    //
+    // A completion can outlive the entry incarnation that issued it. The
+    // three tests below pin today's rule for each kind. The publish and
+    // probe rows apply the completion to whichever entry holds the key now,
+    // so they drive an incarnation that did not issue them — candidate
+    // mechanisms for the 5 %-loss safety residue, for the flight recorder
+    // (ROADMAP 1(b)) to confirm or rule out.
+
     #[test]
     fn stale_fence_completion_cannot_ack_new_epoch() {
-        let mut m = KtsMaster::new(cfg_fence_only());
-        let acts = m.on_validate(
-            key(),
-            &DocName::new("doc"),
-            ReqId(1),
-            0,
-            patch(),
-            user(1),
-            true,
-        );
+        let mut m = KtsMaster::new(KtsConfig::default());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
         let (ft, _, _) = fence_req(&acts);
-        // A handoff bumps the epoch while the fan-out is in flight (and
-        // re-pumps, starting its own fence under the new epoch).
-        m.on_table_handoff(vec![HandoffEntry {
+        // A handoff bumps the epoch while the fan-out is in flight; the new
+        // incarnation probes, then runs its own fence under the new epoch.
+        let acts = m.on_table_handoff(vec![HandoffEntry {
             key: key(),
             key_name: "doc".into(),
             last_ts: 0,
             epoch: 4,
         }]);
         assert_eq!(m.entry_epoch(key()), Some(5));
-        let _ = m.fence_done(ft, FenceOutcome::Acked { occupied: false });
+        let acts = probe_empty(&mut m, &acts);
+        assert_eq!(fence_req(&acts).1, 5);
+        let acts = m.fence_done(ft, FenceOutcome::Acked { occupied: false });
+        assert!(acts.is_empty(), "{acts:?}");
         assert_eq!(
-            m.fence_state(key()),
-            Some(FenceState::InFlight),
+            m.stage(key()),
+            Some(Stage::Fencing { stale: false }),
             "the superseded completion must not ack the new entry's fence"
         );
+    }
+
+    #[test]
+    fn publish_ok_after_export_and_repromotion_drives_the_new_entry() {
+        let mut m = KtsMaster::new(KtsConfig::default());
+        let acts = validate(&mut m, 1, 0, 1);
+        let acts = probe_empty(&mut m, &acts);
+        let acts = m.fence_done(fence_req(&acts).0, FenceOutcome::Acked { occupied: false });
+        let publish = publish_token(&acts);
+        // A joiner takes the arc mid-publish; we keep a backup at ts 0 …
+        let (exported, _) = m.export_range(Id(0), Id(100));
+        assert_eq!(exported.len(), 1);
+        // … and promote it again at once (the joiner left): epoch 2, with
+        // its own probe in flight.
+        let acts = validate(&mut m, 2, 0, 2);
+        let first_probe = probe_token(&acts);
+        assert_eq!(m.entry_epoch(key()), Some(2));
+        // The old incarnation's publish lands on the new one: the user is
+        // granted ts 1 at epoch 1, the new entry's last_ts is *assigned*
+        // 1 and backed up at epoch 2, and because it was still probing it
+        // starts a second probe with the first outstanding.
+        let acts = m.publish_done(publish, PublishOutcome::Ok);
+        let doc = DocName::new("doc");
+        match acts.as_slice() {
+            [MasterAction::Send(
+                to,
+                KtsMsg::Granted {
+                    op,
+                    ts: 1,
+                    epoch: 1,
+                },
+            ), MasterAction::ReplicateToSucc { entry }, MasterAction::Event(MasterEvent::Granted { ts: 1, .. }), MasterAction::BeginProbe { token, base: 1, .. }] =>
+            {
+                assert_eq!((*to, *op), (NodeId(1), ReqId(1)));
+                let backed_up = HandoffEntry {
+                    key: key(),
+                    key_name: doc,
+                    last_ts: 1,
+                    epoch: 2,
+                };
+                assert_eq!(entry, &backed_up);
+                assert_ne!(*token, first_probe);
+            }
+            other => panic!("unexpected actions {other:?}"),
+        }
+        assert_eq!(m.stage(key()), Some(Stage::Probing));
+    }
+
+    #[test]
+    fn probe_done_after_handoff_drives_the_replacing_entry() {
+        let mut m = KtsMaster::new(KtsConfig::default());
+        let old_probe = probe_token(&validate(&mut m, 1, 0, 1));
+        // A handoff replaces the live, probing entry: the new incarnation
+        // (epoch 5) keeps the queue and starts its own probe.
+        let acts = m.on_table_handoff(vec![HandoffEntry {
+            key: key(),
+            key_name: "doc".into(),
+            last_ts: 0,
+            epoch: 4,
+        }]);
+        let new_probe = probe_token(&acts);
+        // The old probe's result verifies the new entry, which fences …
+        let acts = m.probe_done(old_probe, 0, 0);
+        let (first_fence, epoch, last_ts) = fence_req(&acts);
+        assert_eq!((epoch, last_ts), (5, 0));
+        assert_eq!(acts.len(), 1, "{acts:?}");
+        // … and its own probe, landing mid-fence, fences a second time.
+        let acts = m.probe_done(new_probe, 0, 0);
+        let (second_fence, epoch, _) = fence_req(&acts);
+        assert_eq!(epoch, 5);
+        // Same epoch, entry `Fencing`: the first fence's ack counts and the
+        // grant goes out while the second fence is still outstanding.
+        let acts = m.fence_done(first_fence, FenceOutcome::Acked { occupied: false });
+        publish_token(&acts);
+        assert_eq!(m.stage(key()), Some(Stage::Publishing { stale: false }));
+        // The second ack arrives while publishing and is dropped.
+        let acts = m.fence_done(second_fence, FenceOutcome::Acked { occupied: false });
+        assert!(acts.is_empty(), "{acts:?}");
     }
 }

@@ -116,14 +116,10 @@ proptest! {
     #[test]
     fn granted_sequence_is_continuous(
         script in prop::collection::vec(0u8..6, 1..120),
-        probe_cfg in prop::bool::ANY,
     ) {
         let cfg = KtsConfig {
-            probe_unknown_keys: probe_cfg,
-            probe_on_promote: probe_cfg,
             max_queue_per_key: 16,
             fencing: false,
-            ..KtsConfig::default()
         };
         let mut w = World::new(cfg);
         let key = Id(99);
@@ -175,8 +171,6 @@ proptest! {
         grants_after in 1u64..20,
     ) {
         let cfg = KtsConfig {
-            probe_unknown_keys: false,
-            probe_on_promote: false,
             fencing: false,
             ..KtsConfig::default()
         };
@@ -184,6 +178,7 @@ proptest! {
         let mut a = World::new(cfg.clone());
         for i in 0..grants_before {
             a.validate(key, i + 1, i, 1);
+            a.complete_probe(); // the unknown key's verification, first round only
             a.complete_publish(true);
         }
         prop_assert_eq!(a.master.last_ts(key), grants_before);
@@ -197,8 +192,8 @@ proptest! {
         for i in 0..grants_after {
             let proposed = grants_before + i;
             b.validate(key, 1000 + i, proposed, 2);
+            b.complete_probe(); // the handed-over entry's verification, first round only
             b.complete_publish(true);
-            b.complete_probe(); // no-op unless the config probed
         }
         let expect: Vec<u64> = (grants_before + 1..=grants_before + grants_after).collect();
         prop_assert_eq!(&b.granted, &expect, "continuation after handoff");
@@ -208,7 +203,7 @@ proptest! {
     /// a log probe (the backup may lag).
     #[test]
     fn crash_promotion_continues_sequence(grants_before in 1u64..15, lag in 0u64..2) {
-        // Probing ON — required for lagging backups; fencing off (legacy).
+        // Fencing off (legacy).
         let cfg = KtsConfig {
             fencing: false,
             ..KtsConfig::default()
@@ -217,7 +212,7 @@ proptest! {
         let mut a = World::new(cfg.clone());
         for i in 0..grants_before {
             a.validate(key, i + 1, i, 1);
-            a.complete_probe(); // unknown-key verification, when configured
+            a.complete_probe(); // the unknown key's verification, first round only
             a.complete_publish(true);
         }
         // The successor's backup may lag the last grant by `lag`.

@@ -19,8 +19,7 @@
 //!   bounded queues ([`MemHub`]) and the non-blocking **event-loop
 //!   runtime** ([`RtHub`], [`runtime`]: `epoll` readiness, connection
 //!   multiplexing, write batching, bounded backpressured queues; Linux
-//!   only) — plus the threaded loopback-TCP hub ([`TcpHub`]) kept as the
-//!   baseline `exp_net` measures the runtime against;
+//!   only);
 //! * total decoding: malformed input of any kind (truncation, corruption,
 //!   hostile length prefixes, unknown tags/versions) yields a
 //!   [`WireError`], never a panic and never an oversized allocation.
@@ -56,6 +55,4 @@ pub use frame::{
 pub use proto::{chord_class, kts_class};
 pub use runner::WireNet;
 pub use runtime::{RtHub, RtStats, RtTransport, RuntimeConfig};
-pub use transport::{
-    MemHub, MemTransport, Readiness, TcpHub, TcpTransport, Transport, TransportError,
-};
+pub use transport::{MemHub, MemTransport, Readiness, Transport, TransportError};

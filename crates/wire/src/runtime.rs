@@ -1,10 +1,8 @@
 //! The readiness-driven network runtime: a non-blocking, zero-extra-thread
 //! event-loop transport over `std::net` sockets and Linux `epoll`.
 //!
-//! [`TcpHub`](crate::TcpHub) proved the protocol runs over real sockets,
-//! but its thread-per-connection design (one blocking write syscall per
-//! frame, one reader thread per peer) cannot serve heavy traffic. This
-//! module is the serving path:
+//! The serving path for real sockets, built to carry heavy traffic from
+//! the caller's own thread:
 //!
 //! * **Connection multiplexing** — one endpoint owns a non-blocking
 //!   listener plus all of its inbound and outbound connections; a single
@@ -40,8 +38,7 @@
 //!   decode via [`decode_frame_bytes`](crate::decode_frame_bytes) slices
 //!   payload fields out of the frame buffer without copying.
 //! * **Self-healing links** — a failed outbound connection is evicted
-//!   and re-dialled under the same capped exponential backoff as the
-//!   threaded hub.
+//!   and re-dialled under a capped exponential backoff.
 //! * **Counted** — [`RtTransport::stats`] reports parks, rotations and
 //!   every system call the endpoint made, with how many came back
 //!   `WouldBlock`.
@@ -64,10 +61,10 @@ use simnet::NodeId;
 
 use crate::frame::BytesAssembler;
 use crate::sys::{Epoll, Interest};
-use crate::transport::{Backoff, Readiness, Transport, TransportError};
+use crate::transport::{Readiness, Transport, TransportError};
 
-/// Tuning knobs for the runtime (and queue/backoff behaviour of the
-/// other hubs), built fluently:
+/// Tuning knobs for the runtime (and the queue depth of
+/// [`MemHub`](crate::MemHub)), built fluently:
 ///
 /// ```
 /// use wire::RuntimeConfig;
@@ -349,6 +346,30 @@ impl ReadConn {
             }
         }
         true
+    }
+}
+
+/// Reconnect throttle for one peer: after a failure the link may not be
+/// re-dialled until `retry_at`, with the delay doubling per consecutive
+/// failure up to the configured cap.
+#[derive(Debug, Default)]
+struct Backoff {
+    fails: u32,
+    retry_at: Option<Instant>,
+}
+
+impl Backoff {
+    fn blocked(&self, now: Instant) -> bool {
+        self.retry_at.is_some_and(|at| now < at)
+    }
+
+    fn record_failure(&mut self, now: Instant, cfg: &RuntimeConfig) {
+        let delay = cfg
+            .reconnect_backoff_base
+            .saturating_mul(1u32 << self.fails.min(16))
+            .min(cfg.reconnect_backoff_max);
+        self.fails = self.fails.saturating_add(1);
+        self.retry_at = Some(now + delay);
     }
 }
 

@@ -20,31 +20,19 @@
 //!   ([`runtime`](crate::runtime)): kernel readiness (`epoll`),
 //!   connection multiplexing, write batching, bounded rings. The serving
 //!   path, and the socket transport [`WireNet`](crate::WireNet) runs on.
-//! * [`TcpHub`] / [`TcpTransport`] — the **threaded loopback TCP**
-//!   baseline: every endpoint owns a listener on `127.0.0.1`, an
-//!   acceptor thread, and one reader thread per inbound connection;
-//!   outbound connections are cached per peer, evicted on error, and
-//!   re-dialled under a capped exponential backoff. One blocking write
-//!   syscall per frame — no runner uses it; it is kept only as the
-//!   reference point `exp_net` measures the runtime against.
 //!
-//! (The fourth "transport" is the simulator itself, which moves typed
+//! (The third "transport" is the simulator itself, which moves typed
 //! messages directly but — with a wire meter installed — charges latency
 //! from the same encoded frame sizes; see `simnet::Sim::set_wire_meter`.)
-//!
-//! detlint::allow-file(DET-CLOCK, transports are the real-time I/O layer — wall-clock reconnect backoff and poll timeouts never feed back into simulator logic)
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use simnet::NodeId;
 
-use crate::frame::MAX_FRAME_LEN;
 use crate::runtime::RuntimeConfig;
 
 /// A transport-level failure (distinct from [`WireError`]: the bytes never
@@ -283,288 +271,11 @@ impl Transport for MemTransport {
     }
 }
 
-// ---- loopback TCP (threaded baseline) -------------------------------------
-
-type TcpRegistry = Arc<Mutex<HashMap<NodeId, SocketAddr>>>;
-
-/// Hub for the loopback-TCP transport: the `NodeId -> SocketAddr` name
-/// service all endpoints share (the real-deployment analogue would be a
-/// static peer table or a discovery service).
-#[derive(Clone, Default)]
-pub struct TcpHub {
-    registry: TcpRegistry,
-    cfg: RuntimeConfig,
-}
-
-impl TcpHub {
-    /// Fresh hub with no endpoints and default settings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fresh hub with explicit reconnect-backoff settings.
-    pub fn with_config(cfg: RuntimeConfig) -> Self {
-        TcpHub {
-            registry: TcpRegistry::default(),
-            cfg,
-        }
-    }
-
-    /// Bind a listener for `me` on `127.0.0.1:0`, register its address,
-    /// and spawn the acceptor thread.
-    pub fn endpoint(&self, me: NodeId) -> std::io::Result<TcpTransport> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        self.registry.lock().expect("tcp registry").insert(me, addr);
-        let (tx, rx) = sync_channel::<Vec<u8>>(self.cfg.inbound_depth);
-        std::thread::Builder::new()
-            .name(format!("wire-accept-{me}"))
-            .spawn(move || acceptor_loop(listener, tx))?;
-        Ok(TcpTransport {
-            registry: self.registry.clone(),
-            cfg: self.cfg.clone(),
-            rx,
-            stash: Vec::new(),
-            links: HashMap::new(),
-        })
-    }
-
-    /// One-shot client send (external injection): opens a connection,
-    /// writes the frame, closes.
-    pub fn send(&self, to: NodeId, frame: &[u8]) -> Result<(), TransportError> {
-        let addr = {
-            let reg = self.registry.lock().expect("tcp registry");
-            *reg.get(&to).ok_or(TransportError::UnknownPeer(to))?
-        };
-        let mut stream = TcpStream::connect(addr).map_err(|e| TransportError::Io(e.to_string()))?;
-        stream
-            .write_all(frame)
-            .map_err(|e| TransportError::Io(e.to_string()))
-    }
-}
-
-/// Accept inbound connections forever, spawning one reader per stream.
-/// The thread ends when the process does (or the listener errors); reader
-/// threads end at peer EOF.
-fn acceptor_loop(listener: TcpListener, tx: SyncSender<Vec<u8>>) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { return };
-        let tx = tx.clone();
-        let _ = std::thread::Builder::new()
-            .name("wire-read".into())
-            .spawn(move || reader_loop(stream, tx));
-    }
-}
-
-/// Read length-prefixed frames off one stream until EOF/error, pushing
-/// each complete frame (header included) to the endpoint's queue.
-fn reader_loop(mut stream: TcpStream, tx: SyncSender<Vec<u8>>) {
-    loop {
-        let mut len_buf = [0u8; 4];
-        if stream.read_exact(&mut len_buf).is_err() {
-            return; // EOF or reset: connection done.
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_FRAME_LEN {
-            return; // Poisoned stream: drop the connection.
-        }
-        let mut frame = vec![0u8; 4 + len];
-        frame[..4].copy_from_slice(&len_buf);
-        if stream.read_exact(&mut frame[4..]).is_err() {
-            return;
-        }
-        // A full endpoint queue blocks the reader thread — kernel socket
-        // buffers then backpressure the sender, as on a real deployment.
-        if tx.send(frame).is_err() {
-            return; // Endpoint dropped.
-        }
-    }
-}
-
-/// Reconnect throttle for one peer: after a failure the link may not be
-/// re-dialled until `retry_at`, with the delay doubling per consecutive
-/// failure up to the configured cap. Shared with the event-loop runtime.
-#[derive(Debug, Default)]
-pub(crate) struct Backoff {
-    fails: u32,
-    retry_at: Option<Instant>,
-}
-
-impl Backoff {
-    pub(crate) fn blocked(&self, now: Instant) -> bool {
-        self.retry_at.is_some_and(|at| now < at)
-    }
-
-    pub(crate) fn record_failure(&mut self, now: Instant, cfg: &RuntimeConfig) {
-        let delay = cfg
-            .reconnect_backoff_base
-            .saturating_mul(1u32 << self.fails.min(16))
-            .min(cfg.reconnect_backoff_max);
-        self.fails = self.fails.saturating_add(1);
-        self.retry_at = Some(now + delay);
-    }
-
-    pub(crate) fn reset(&mut self) {
-        self.fails = 0;
-        self.retry_at = None;
-    }
-}
-
-/// One cached outbound link of the threaded TCP transport.
-#[derive(Debug, Default)]
-struct TcpLink {
-    stream: Option<TcpStream>,
-    backoff: Backoff,
-}
-
-/// Loopback-TCP endpoint (threaded baseline). Outbound streams are
-/// cached per peer; a send failure **evicts** the cached stream and
-/// re-dials once immediately — if that also fails the peer enters a
-/// capped exponential backoff window during which sends fail fast with
-/// [`TransportError::Disconnected`] instead of paying a connect timeout
-/// per frame.
-pub struct TcpTransport {
-    registry: TcpRegistry,
-    cfg: RuntimeConfig,
-    rx: Receiver<Vec<u8>>,
-    stash: Vec<Bytes>,
-    links: HashMap<NodeId, TcpLink>,
-}
-
-impl TcpTransport {
-    fn connect(&self, to: NodeId) -> Result<TcpStream, TransportError> {
-        let addr = {
-            let reg = self.registry.lock().expect("tcp registry");
-            *reg.get(&to).ok_or(TransportError::UnknownPeer(to))?
-        };
-        let stream = TcpStream::connect(addr).map_err(|_| TransportError::Disconnected(to))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        Ok(stream)
-    }
-
-    /// Write one frame, handling eviction, reconnect and backoff.
-    fn write_frame(&mut self, to: NodeId, frame: &[u8]) -> Result<(), TransportError> {
-        let now = Instant::now();
-        if self.links.entry(to).or_default().backoff.blocked(now) {
-            return Err(TransportError::Disconnected(to));
-        }
-        if self.links.get(&to).is_none_or(|l| l.stream.is_none()) {
-            match self.connect(to) {
-                Ok(s) => {
-                    let link = self.links.entry(to).or_default();
-                    link.stream = Some(s);
-                    link.backoff.reset();
-                }
-                Err(e) => {
-                    if e.retryable() {
-                        self.links
-                            .entry(to)
-                            .or_default()
-                            .backoff
-                            .record_failure(now, &self.cfg);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let link = self.links.entry(to).or_default();
-        let Some(stream) = link.stream.as_mut() else {
-            return Err(TransportError::Disconnected(to));
-        };
-        if stream.write_all(frame).is_ok() {
-            link.backoff.reset();
-            return Ok(());
-        }
-        // Stale connection (peer restarted / kernel reset): evict the
-        // cached stream and reconnect once.
-        link.stream = None;
-        match self.connect(to) {
-            Ok(mut fresh) => match fresh.write_all(frame) {
-                Ok(()) => {
-                    let link = self.links.entry(to).or_default();
-                    link.stream = Some(fresh);
-                    link.backoff.reset();
-                    Ok(())
-                }
-                Err(_) => {
-                    self.links
-                        .entry(to)
-                        .or_default()
-                        .backoff
-                        .record_failure(now, &self.cfg);
-                    Err(TransportError::Disconnected(to))
-                }
-            },
-            Err(e) => {
-                if e.retryable() {
-                    self.links
-                        .entry(to)
-                        .or_default()
-                        .backoff
-                        .record_failure(now, &self.cfg);
-                }
-                Err(e)
-            }
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn send_batch(&mut self, to: NodeId, frames: &[Bytes]) -> Result<usize, TransportError> {
-        for (i, frame) in frames.iter().enumerate() {
-            if let Err(e) = self.write_frame(to, frame) {
-                return if i == 0 { Err(e) } else { Ok(i) };
-            }
-        }
-        Ok(frames.len())
-    }
-
-    fn recv_batch(&mut self, out: &mut Vec<Bytes>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            if let Some(f) = self.stash.pop() {
-                out.push(f);
-                n += 1;
-                continue;
-            }
-            match self.rx.try_recv() {
-                Ok(f) => {
-                    out.push(Bytes::from(f));
-                    n += 1;
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        n
-    }
-
-    fn poll(&mut self, timeout: Duration) -> Readiness {
-        if self.stash.is_empty() {
-            let got = if timeout.is_zero() {
-                self.rx.try_recv().ok()
-            } else {
-                self.rx.recv_timeout(timeout).ok()
-            };
-            if let Some(f) = got {
-                self.stash.push(Bytes::from(f));
-            }
-        }
-        let now = Instant::now();
-        Readiness {
-            readable: !self.stash.is_empty(),
-            // Writes block in the kernel; the only "not writable" state
-            // is every known link sitting inside a backoff window.
-            writable: self.links.is_empty() || self.links.values().any(|l| !l.backoff.blocked(now)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::{decode_frame, encode_frame};
+    use std::time::Instant;
 
     fn bframe<M: crate::Encode>(from: NodeId, msg: &M) -> Bytes {
         Bytes::from(encode_frame(from, msg))
@@ -623,97 +334,5 @@ mod tests {
             let (_, v): (NodeId, u64) = decode_frame(f).unwrap();
             assert_eq!(v, i as u64);
         }
-    }
-
-    #[test]
-    fn tcp_transport_delivers_frames_over_loopback() {
-        let hub = TcpHub::new();
-        let mut a = hub.endpoint(NodeId(0)).unwrap();
-        let mut b = hub.endpoint(NodeId(1)).unwrap();
-        // a -> b, then b -> a over the reverse path.
-        assert_eq!(a.send_batch(NodeId(1), &[bframe(NodeId(0), &41u64)]), Ok(1));
-        let (from, v): (NodeId, u64) = decode_frame(&wait_frame(&mut b, 2000).unwrap()).unwrap();
-        assert_eq!((from, v), (NodeId(0), 41));
-        assert_eq!(b.send_batch(NodeId(0), &[bframe(NodeId(1), &42u64)]), Ok(1));
-        let (from, v): (NodeId, u64) = decode_frame(&wait_frame(&mut a, 2000).unwrap()).unwrap();
-        assert_eq!((from, v), (NodeId(1), 42));
-        // Client-style injection.
-        hub.send(NodeId(1), &encode_frame(NodeId(1), &9u64))
-            .unwrap();
-        let (_, v): (NodeId, u64) = decode_frame(&wait_frame(&mut b, 2000).unwrap()).unwrap();
-        assert_eq!(v, 9);
-    }
-
-    #[test]
-    fn tcp_many_frames_keep_order_per_connection() {
-        let hub = TcpHub::new();
-        let mut a = hub.endpoint(NodeId(0)).unwrap();
-        let mut b = hub.endpoint(NodeId(1)).unwrap();
-        let frames: Vec<Bytes> = (0..200u64).map(|i| bframe(NodeId(0), &i)).collect();
-        let mut sent = 0;
-        while sent < frames.len() {
-            match a.send_batch(NodeId(1), &frames[sent..]) {
-                Ok(n) => sent += n,
-                Err(e) => panic!("send failed: {e}"),
-            }
-        }
-        for i in 0..200u64 {
-            let (_, v): (NodeId, u64) =
-                decode_frame(&wait_frame(&mut b, 2000).expect("frame arrives")).unwrap();
-            assert_eq!(v, i);
-        }
-    }
-
-    #[test]
-    fn tcp_dead_peer_fails_fast_under_backoff_and_recovers() {
-        let cfg = RuntimeConfig::new()
-            .reconnect_backoff_base(Duration::from_millis(30))
-            .reconnect_backoff_max(Duration::from_millis(30));
-        let hub = TcpHub::with_config(cfg);
-        let mut a = hub.endpoint(NodeId(0)).unwrap();
-        // Register peer 1 at an address nobody listens on: grab a port,
-        // then free it.
-        let dead = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = dead.local_addr().unwrap();
-        drop(dead);
-        hub.registry.lock().unwrap().insert(NodeId(1), addr);
-
-        let frame = bframe(NodeId(0), &1u64);
-        assert_eq!(
-            a.send_batch(NodeId(1), &[frame.clone()]),
-            Err(TransportError::Disconnected(NodeId(1)))
-        );
-        // Inside the backoff window the failure is immediate (no
-        // connect attempt): time a burst of sends.
-        let t0 = Instant::now();
-        for _ in 0..50 {
-            assert_eq!(
-                a.send_batch(NodeId(1), &[frame.clone()]),
-                Err(TransportError::Disconnected(NodeId(1)))
-            );
-        }
-        assert!(
-            t0.elapsed() < Duration::from_millis(25),
-            "backoff makes dead-peer sends fail fast: {:?}",
-            t0.elapsed()
-        );
-
-        // The peer comes back on the same address; after the backoff
-        // window expires the transport reconnects and delivers.
-        let revived = TcpListener::bind(addr).expect("rebind freed port");
-        let (tx, rx) = sync_channel::<Vec<u8>>(16);
-        std::thread::spawn(move || acceptor_loop(revived, tx));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match a.send_batch(NodeId(1), &[frame.clone()]) {
-                Ok(1) => break,
-                Ok(_) | Err(_) => {
-                    assert!(Instant::now() < deadline, "reconnect after backoff");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-        let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(got.as_slice(), frame.as_ref());
     }
 }

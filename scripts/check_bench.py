@@ -56,6 +56,11 @@ NET_PHASE_REQUIRED = [
     "recv_p50_us", "recv_p99_us", "backpressure_stalls", "slo_ok",
 ]
 
+# exp_net's saturation gate, msgs/s: twice the threaded one-write-per-frame
+# TCP transport's last committed figure (375 961), which the runtime
+# replaced.
+SATURATION_FLOOR = 750_000
+
 FAULT_REQUIRED = [
     "name", "peers", "sim_secs", "wall_ms", "edits", "grants", "msgs",
     "events", "crashes", "restarts", "faults_dropped",
@@ -168,9 +173,9 @@ def check_schema(data):
 
 
 def check_net(data, required):
-    """Validate the ``net`` section (exp_net) when present: both
-    transport rows exist, every phase carries its fields, the runtime met
-    its SLOs, and it sustained >= 2x the threaded baseline."""
+    """Validate the ``net`` section (exp_net) when present: the runtime
+    row exists, every phase carries its fields, the runtime met its SLOs,
+    and it sustained at least SATURATION_FLOOR msgs/s."""
     net = data.get("net")
     if net is None:
         if required:
@@ -181,30 +186,26 @@ def check_net(data, required):
         fail(f"net: implausible topology {net.get('peers')} peers, "
              f"mix {net.get('frame_mix_bytes')}")
     rows = {t.get("transport"): t for t in net.get("transports", [])}
-    for name in ("runtime", "tcphub"):
-        row = rows.get(name)
-        if row is None:
-            fail(f"net: missing transport row {name!r}")
-        if row.get("saturation_msgs_per_sec", 0) <= 0:
-            fail(f"net: {name} recorded no saturation throughput")
-        if not row.get("phases"):
-            fail(f"net: {name} has no rated phases")
-        for ph in row["phases"]:
-            for key in NET_PHASE_REQUIRED:
-                if key not in ph:
-                    fail(f"net: {name} phase missing {key}")
-    for ph in rows["runtime"]["phases"]:
+    row = rows.get("runtime")
+    if row is None:
+        fail("net: missing transport row 'runtime'")
+    if not row.get("phases"):
+        fail("net: runtime has no rated phases")
+    for ph in row["phases"]:
+        for key in NET_PHASE_REQUIRED:
+            if key not in ph:
+                fail(f"net: runtime phase missing {key}")
         if ph["slo_ok"] is not True:
             fail(f"net: runtime missed its SLO at "
                  f"{ph['offered_rate']} msgs/s: {ph}")
     if net.get("slo_ok") is not True:
         fail("net: runtime SLO verdict is not true")
-    speedup = net.get("speedup_vs_tcphub", 0)
-    if speedup < 2.0:
-        fail(f"net: runtime speedup {speedup} below the 2.0x gate")
-    print(f"net OK: runtime {rows['runtime']['saturation_msgs_per_sec']:.0f} "
-          f"msgs/s vs tcphub {rows['tcphub']['saturation_msgs_per_sec']:.0f} "
-          f"({speedup:.2f}x), SLOs met")
+    saturation = row.get("saturation_msgs_per_sec", 0)
+    if saturation < SATURATION_FLOOR:
+        fail(f"net: runtime saturation {saturation:.0f} msgs/s below the "
+             f"{SATURATION_FLOOR} floor")
+    print(f"net OK: runtime {saturation:.0f} msgs/s "
+          f"(floor {SATURATION_FLOOR}), SLOs met")
 
 
 def det_view(obj):
