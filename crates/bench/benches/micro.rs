@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the computational substrates: hashing,
-//! ring arithmetic, OT transformation, diffing, codecs.
+//! checksums, ring arithmetic, OT transformation, diffing, codecs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
@@ -22,6 +22,18 @@ fn bench_sha1(c: &mut Criterion) {
     g.bench_function("id_hash_docname", |b| {
         b.iter(|| sha1_u64(black_box(b"wiki/Main/Some/Long/Page/Name")))
     });
+    g.finish();
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crc32");
+    for (label, size) in [("64B", 64usize), ("1KiB", 1024), ("16KiB", 16384)] {
+        let data = vec![0xabu8; size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(label, |b| {
+            b.iter(|| store::segment::crc32(black_box(&data)))
+        });
+    }
     g.finish();
 }
 
@@ -291,6 +303,7 @@ fn bench_sync_round(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha1,
+    bench_crc32,
     bench_id_math,
     bench_ot,
     bench_codecs,

@@ -1,9 +1,9 @@
 //! Generic domain-separated SHA-1 Merkle-tree hashing, shared by the log
-//! store's tamper-evidence layer (`store::merkle`) and the anti-entropy
-//! replication digests ([`crate::sync`]): both use [`leaf`], [`combine`]
-//! and [`root`] as they are — the store over a segment's entries (kept as
-//! a [`Frontier`] while the segment grows), sync over one sub-bucket's
-//! entries.
+//! store's tamper-evidence layer (the `store` crate's segment roots and
+//! checkpoints) and the anti-entropy replication digests
+//! ([`crate::sync`]): both use [`leaf`], [`combine`] and [`root`] as they
+//! are — the store over a segment's entries (kept as a [`Frontier`] while
+//! the segment grows), sync over one sub-bucket's entries.
 //!
 //! The construction follows the Merkle/KDF log-notarization design of
 //! Barontini (arXiv:2110.02103): leaf and interior domains are separated

@@ -75,14 +75,11 @@ impl LogRecord {
     fn checksum(&self) -> u64 {
         // The epoch chunk participates only when present on the wire
         // (epoch > 0) so epoch-0 records keep their legacy checksums.
-        let ts_le = self.ts.to_le_bytes();
-        let author_le = self.author.to_le_bytes();
-        let epoch_le = self.epoch.to_le_bytes();
-        let mut chunks: Vec<&[u8]> = vec![self.doc.as_bytes(), &ts_le, &author_le, &self.patch];
-        if self.epoch > 0 {
-            chunks.push(&epoch_le);
-        }
-        fnv64(&chunks)
+        let ts = self.ts.to_le_bytes();
+        let author = self.author.to_le_bytes();
+        let epoch = self.epoch.to_le_bytes();
+        let chunks: [&[u8]; 5] = [self.doc.as_bytes(), &ts, &author, &self.patch, &epoch];
+        fnv64(&chunks[..if self.epoch > 0 { 5 } else { 4 }])
     }
 
     /// Serialize with a trailing checksum.

@@ -26,10 +26,10 @@
 //! checksum) is **skipped cleanly**: the log replays CRC-validated but
 //! unverified, exactly as if no checkpoint had been written yet.
 
+use chord::merkle;
 use chord::sha1::{Digest, DIGEST_LEN};
 use wire::{Encode, Reader, WireError};
 
-use crate::merkle;
 use crate::segment::crc32;
 
 /// File magic: identifies a checkpoint and pins its format version.

@@ -14,7 +14,7 @@
 //! corruption-evident as a frame on the wire.
 
 use bytes::Bytes;
-use chord::{sha1, DocName, Id};
+use chord::{DocName, Id};
 use kts::HandoffEntry;
 use wire::{Decode, Encode, Reader, WireError};
 
@@ -204,13 +204,6 @@ impl Decode for StoreEntry {
     }
 }
 
-impl StoreEntry {
-    /// The entry's Merkle leaf: SHA-1 of its canonical encoding.
-    pub fn leaf_hash(&self) -> sha1::Digest {
-        sha1::sha1(&self.to_wire())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,15 +264,5 @@ mod tests {
             StoreEntry::from_wire(&[0xEE]),
             Err(WireError::BadTag { .. })
         ));
-    }
-
-    #[test]
-    fn leaf_hash_distinguishes_entries() {
-        let hashes: Vec<_> = samples().iter().map(StoreEntry::leaf_hash).collect();
-        for (i, a) in hashes.iter().enumerate() {
-            for b in &hashes[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
     }
 }

@@ -18,11 +18,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use chord::merkle::{self, Frontier};
 use chord::sha1::{sha1, Digest};
 use wire::{Decode, Encode};
 
 use crate::checkpoint::{Checkpoint, SegmentMark};
-use crate::merkle::{self, Frontier};
 use crate::segment::{frame_size, scan_segment, write_frame};
 use crate::{Replay, ReplayStats, Store, StoreEntry, StoreError};
 
@@ -391,18 +391,17 @@ impl Inner {
     }
 
     fn append(&mut self, entry: &StoreEntry) -> Result<(), StoreError> {
-        let payload = entry.to_wire();
-        let frame_len = frame_size(payload.len()) as u64;
+        let mut frame = Vec::with_capacity(frame_size(entry.encoded_len()));
+        let hash = sha1(write_frame(&mut frame, |out| entry.encode(out)));
+        let frame_len = frame.len() as u64;
         if self.seg_bytes > 0 && self.seg_bytes + frame_len > self.cfg.segment_max_bytes {
             self.seal_segment()?;
         }
-        let mut frame = Vec::with_capacity(frame_len as usize);
-        write_frame(&mut frame, &payload);
         self.ensure_file()?.write_all(&frame)?;
         self.seg_bytes += frame_len;
         self.entries += 1;
         self.since_checkpoint += 1;
-        self.unfolded.push(sha1(&payload));
+        self.unfolded.push(hash);
         if self.cfg.checkpoint_every > 0 && self.since_checkpoint >= self.cfg.checkpoint_every {
             self.write_checkpoint()?;
         }
@@ -565,6 +564,81 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every segment file and CHECKPOINT a fixed append sequence leaves
+    /// behind, as `(file name, SHA-1 of its bytes)`. Payload lengths cover
+    /// every residue mod 8, so each CRC-32 tail length is on disk. The
+    /// constants were written by the bytewise CRC-32 and the rolled SHA-1
+    /// compression that the kernel oracles keep.
+    const GOLDEN: [(&str, &str); 10] = [
+        ("CHECKPOINT", "ef33500068a150abd4efbd271c05da6292e30ae0"),
+        ("seg-000000.log", "a97faf73adf77464c63eac684ff4e60eb422732e"),
+        ("seg-000001.log", "2b03fe38c4d961473d1d9dffa6608de875a5ad93"),
+        ("seg-000002.log", "96cabf4b29f3a974101b0116ace6e6f6ef18a72a"),
+        ("seg-000003.log", "db23d0a5b26316ac5f5cb35725ec337a19a20cc8"),
+        ("seg-000004.log", "c63a3f1ae16144afe02e5ea6ddecb70596c185e0"),
+        ("seg-000005.log", "2030c29e1babfd86e910c3166aa7e2793ec59fa9"),
+        ("seg-000006.log", "cd604dcdb9266afa26ed42f9587cce5847f99d74"),
+        ("seg-000007.log", "5521ecffa380523e9d23ae14e10c61637172f970"),
+        ("seg-000008.log", "294317bd045a87cffd53e3c476a8a76531e8140b"),
+    ];
+
+    #[test]
+    fn a_fixed_append_sequence_leaves_golden_bytes() {
+        let dir = tmp_dir("golden");
+        let cfg = StoreConfig {
+            segment_max_bytes: 256,
+            checkpoint_every: 5,
+        };
+        let (mut s, _) = FileStore::open(&dir, cfg).unwrap();
+        for i in 0..64u64 {
+            let key = Id(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            s.append(&match i % 4 {
+                0 => StoreEntry::PutPrimary {
+                    key,
+                    value: Bytes::from(vec![i as u8; (i * 13 % 41) as usize]),
+                },
+                1 => StoreEntry::KtsAuth {
+                    entry: kts::HandoffEntry {
+                        key,
+                        key_name: chord::DocName::new(format!("wiki/page-{i}")),
+                        last_ts: i * 3,
+                        epoch: i / 7,
+                    },
+                },
+                2 => StoreEntry::FenceFloor {
+                    key,
+                    floor: i,
+                    origin: !i,
+                },
+                _ => StoreEntry::DocOpen {
+                    doc: chord::DocName::new(format!("notes/{i}")),
+                    initial: "line\n".repeat((i % 9) as usize),
+                },
+            })
+            .unwrap();
+        }
+        drop(s);
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let got: Vec<(String, String)> = names
+            .into_iter()
+            .map(|name| {
+                let digest = sha1(&fs::read(dir.join(&name)).unwrap());
+                let hex = digest.iter().map(|b| format!("{b:02x}")).collect();
+                (name, hex)
+            })
+            .collect();
+        let want: Vec<(String, String)> = GOLDEN
+            .iter()
+            .map(|(n, h)| (n.to_string(), h.to_string()))
+            .collect();
+        assert_eq!(got, want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn segments_roll_and_checkpoints_verify() {
         let dir = tmp_dir("roll");
@@ -672,9 +746,8 @@ mod tests {
         // Append a perfectly well-formed, CRC-valid frame to the *first*
         // (sealed) segment: the writer never does this, so Merkle
         // verification must reject it even though every CRC passes.
-        let forged_payload = put(999).to_wire();
         let mut frame = Vec::new();
-        crate::segment::write_frame(&mut frame, &forged_payload);
+        write_frame(&mut frame, |out| put(999).encode(out));
         let seg0 = dir.join(segment_name(0));
         let mut bytes = fs::read(&seg0).unwrap();
         bytes.extend_from_slice(&frame);

@@ -53,7 +53,6 @@ pub mod checkpoint;
 pub mod entry;
 pub mod file;
 pub mod mem;
-pub mod merkle;
 pub mod recover;
 pub mod segment;
 

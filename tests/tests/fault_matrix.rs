@@ -171,3 +171,76 @@ fn repro_lossy_links_loss_residue() {
     }
     assert!(red.is_empty(), "still red:\n{}", red.join("\n"));
 }
+
+/// Several writers per document at 1 % loss, sized after
+/// `ltrbench/README.md` defect 1: 16 peers, 32 documents each held and
+/// edited by the same 4 peers, 40 saves/s in all (one per 100 ms per
+/// editor, documents picked by Zipf), 30 s of 1 % loss plus 1–10 ms
+/// jitter on every link (full-size `lossy_links` otherwise).
+fn multi_writer_lossy() -> Scenario {
+    let mut sc = named_scenarios(false)
+        .into_iter()
+        .find(|s| s.name == "lossy_links")
+        .expect("lossy_links is in the matrix");
+    sc.name = "multi_writer_lossy";
+    sc.summary = "4 writers on each of 32 documents, 1% loss + 1-10 ms jitter on every link";
+    sc.docs = 32;
+    sc.mean_think_ms = 100;
+    sc.drive_secs = 30;
+    sc.base_faults.drop = 0.01;
+    sc
+}
+
+/// Run `seed`; `None` when every oracle held, else what went wrong.
+fn red_verdict(sc: &Scenario, seed: u64) -> Option<String> {
+    let run = std::panic::catch_unwind(|| run_scenario(sc, seed));
+    match run {
+        Ok(out) if out.ok() => None,
+        Ok(out) => Some(out.detail),
+        Err(panic) => Some(format!(
+            "panicked: {}",
+            panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("?")
+        )),
+    }
+}
+
+/// The multi-writer divergence panic (ROADMAP Known issues): on this seed
+/// two replicas of one document integrate different records at the same
+/// timestamp and `integrate_record` panics with `replica divergence`.
+/// Pinned red so the fix (ROADMAP item 1) has something to turn green;
+/// which seeds are red moves with every change to the message pattern.
+#[test]
+#[ignore = "open defect: red until the multi-writer divergence is fixed"]
+fn repro_multi_writer_divergence_panic() {
+    let seed = MULTI_WRITER_RED_SEED;
+    if let Some(why) = red_verdict(&multi_writer_lossy(), seed) {
+        panic!("multi_writer_lossy seed {seed:#x} is red: {why}");
+    }
+}
+
+/// First seed of the multi-writer sweep block, and the block's first
+/// divergence panic (`fault/doc-30` ts 5).
+const MULTI_WRITER_BASE: u64 = 0x3A_0000;
+const MULTI_WRITER_RED_SEED: u64 = MULTI_WRITER_BASE + 5;
+
+/// ROADMAP item 1's gate for this defect: 100 consecutive seeds of
+/// `multi_writer_lossy`, every oracle green and no panic. Prints one
+/// line per red seed and the red count: 17 of 100 when pinned (12
+/// divergence panics, 5 runs unconverged at quiescence).
+#[test]
+#[ignore = "open defect: about one seed in six is red"]
+fn multi_writer_sweep_is_green() {
+    let sc = multi_writer_lossy();
+    let red: Vec<String> = (MULTI_WRITER_BASE..MULTI_WRITER_BASE + 100)
+        .filter_map(|seed| red_verdict(&sc, seed).map(|why| format!("{seed:#x}: {why}")))
+        .collect();
+    for line in &red {
+        println!("{line}");
+    }
+    println!("multi_writer_lossy: {} of 100 seeds red", red.len());
+    assert!(red.is_empty());
+}
