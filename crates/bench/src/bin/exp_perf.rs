@@ -22,11 +22,9 @@
 //! correctness oracles (`continuity`, `converged`) — a perf number from a
 //! broken run is worthless.
 //!
-//! The `*_fullpush` rows run the **full legacy configuration** — full-push
-//! replica sync *and* grant fencing off — so their deterministic fields
-//! are directly comparable across the epoch-fencing change: the committed
-//! baseline rows for those scenarios must not move unless the legacy
-//! protocol itself does.
+//! `scripts/check_bench.py` holds each `*_n3_collab` row's replication
+//! bytes (`chord.replicate` plus `chord.sync.*`) under a fixed budget: half
+//! of what the retired full-push replica sync spent on the same workload.
 //!
 //! Every scenario runs with wire accounting on (purely observational);
 //! the `*_bw*` scenario additionally sets `NetConfig::bandwidth`, so the
@@ -37,7 +35,6 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use chord::ReplicationMode;
 use ltr_bench::settled_net_with;
 use p2p_ltr::{check_continuity, check_convergence, LtrConfig};
 use simnet::{Duration, NetConfig};
@@ -55,24 +52,9 @@ struct Scenario {
     drive_secs: u64,
     /// Per-link bandwidth in bytes/sec (None = unlimited, the default).
     bandwidth: Option<u64>,
-    /// Explicit per-row seed: the `*_fullpush` comparison rows reuse their
-    /// Merkle sibling's seed so both modes simulate the *same* workload
-    /// and the byte delta is attributable to the sync protocol alone.
+    /// Explicit per-row seed, so a row's workload never depends on its
+    /// position in the matrix.
     seed: u64,
-    /// Replica-synchronization protocol under measurement.
-    mode: ReplicationMode,
-    /// Grant fencing (master epochs). The `*_fullpush` rows run the full
-    /// legacy configuration — fencing off as well as full-push sync — so
-    /// their deterministic fields stay byte-identical to the pre-epoch
-    /// baseline and any drift there means the legacy path itself moved.
-    fencing: bool,
-}
-
-fn mode_str(mode: ReplicationMode) -> &'static str {
-    match mode {
-        ReplicationMode::FullPush => "full_push",
-        ReplicationMode::MerkleDiff => "merkle_diff",
-    }
 }
 
 struct Outcome {
@@ -80,7 +62,6 @@ struct Outcome {
     peers: usize,
     replication: usize,
     workload: &'static str,
-    mode: &'static str,
     sim_secs: f64,
     wall_ms: f64,
     ops: u64,
@@ -97,34 +78,17 @@ struct Outcome {
 
 fn scenario_matrix(quick: bool) -> Vec<Scenario> {
     if quick {
-        return vec![
-            Scenario {
-                name: "quick_ring8_n3_collab",
-                peers: 8,
-                replication: 3,
-                workload: "collab",
-                editors: 3,
-                docs: 4,
-                drive_secs: 8,
-                bandwidth: None,
-                seed: 0xBEAC_0000,
-                mode: ReplicationMode::MerkleDiff,
-                fencing: true,
-            },
-            Scenario {
-                name: "quick_ring8_n3_collab_fullpush",
-                peers: 8,
-                replication: 3,
-                workload: "collab",
-                editors: 3,
-                docs: 4,
-                drive_secs: 8,
-                bandwidth: None,
-                seed: 0xBEAC_0000,
-                mode: ReplicationMode::FullPush,
-                fencing: false,
-            },
-        ];
+        return vec![Scenario {
+            name: "quick_ring8_n3_collab",
+            peers: 8,
+            replication: 3,
+            workload: "collab",
+            editors: 3,
+            docs: 4,
+            drive_secs: 8,
+            bandwidth: None,
+            seed: 0xBEAC_0000,
+        }];
     }
     vec![
         Scenario {
@@ -137,8 +101,6 @@ fn scenario_matrix(quick: bool) -> Vec<Scenario> {
             drive_secs: 20,
             bandwidth: None,
             seed: 0xBEAC_0000,
-            mode: ReplicationMode::MerkleDiff,
-            fencing: true,
         },
         Scenario {
             name: "ring16_n3_collab",
@@ -150,21 +112,6 @@ fn scenario_matrix(quick: bool) -> Vec<Scenario> {
             drive_secs: 20,
             bandwidth: None,
             seed: 0xBEAC_0001,
-            mode: ReplicationMode::MerkleDiff,
-            fencing: true,
-        },
-        Scenario {
-            name: "ring16_n3_collab_fullpush",
-            peers: 16,
-            replication: 3,
-            workload: "collab",
-            editors: 4,
-            docs: 8,
-            drive_secs: 20,
-            bandwidth: None,
-            seed: 0xBEAC_0001,
-            mode: ReplicationMode::FullPush,
-            fencing: false,
         },
         Scenario {
             name: "ring48_n3_collab",
@@ -176,21 +123,6 @@ fn scenario_matrix(quick: bool) -> Vec<Scenario> {
             drive_secs: 20,
             bandwidth: None,
             seed: 0xBEAC_0002,
-            mode: ReplicationMode::MerkleDiff,
-            fencing: true,
-        },
-        Scenario {
-            name: "ring48_n3_collab_fullpush",
-            peers: 48,
-            replication: 3,
-            workload: "collab",
-            editors: 8,
-            docs: 16,
-            drive_secs: 20,
-            bandwidth: None,
-            seed: 0xBEAC_0002,
-            mode: ReplicationMode::FullPush,
-            fencing: false,
         },
         Scenario {
             name: "ring16_n3_syncheavy",
@@ -202,8 +134,6 @@ fn scenario_matrix(quick: bool) -> Vec<Scenario> {
             drive_secs: 20,
             bandwidth: None,
             seed: 0xBEAC_0003,
-            mode: ReplicationMode::MerkleDiff,
-            fencing: true,
         },
         // Bandwidth-constrained: 256 kB/s per link, so every message pays
         // its encoded size as serialization delay (a ~300-byte frame costs
@@ -218,8 +148,6 @@ fn scenario_matrix(quick: bool) -> Vec<Scenario> {
             drive_secs: 20,
             bandwidth: Some(256 * 1024),
             seed: 0xBEAC_0004,
-            mode: ReplicationMode::MerkleDiff,
-            fencing: true,
         },
     ]
 }
@@ -228,8 +156,6 @@ fn run_scenario(sc: &Scenario) -> Outcome {
     let seed = sc.seed;
     let mut cfg = LtrConfig::default();
     cfg.log.replication = sc.replication;
-    cfg.chord.replication_mode = sc.mode;
-    cfg.kts.fencing = sc.fencing;
     if sc.workload == "syncheavy" {
         // Aggressive anti-entropy: every open replica probes its master 5×
         // per second, so the run is dominated by LastTs traffic + lookups.
@@ -283,7 +209,6 @@ fn run_scenario(sc: &Scenario) -> Outcome {
         peers: sc.peers,
         replication: sc.replication,
         workload: sc.workload,
-        mode: mode_str(sc.mode),
         sim_secs: net.now().since(t0).as_millis_f64() / 1e3,
         wall_ms,
         ops: m.counter("ltr.publish_ok"),
@@ -321,7 +246,7 @@ fn render_json(quick: bool, outcomes: &[Outcome]) -> String {
         let _ = write!(
             out,
             "    {{\"name\": \"{}\", \"peers\": {}, \"replication\": {}, \
-             \"workload\": \"{}\", \"mode\": \"{}\", \
+             \"workload\": \"{}\", \
              \"sim_secs\": {:.3}, \"wall_ms\": {:.1}, \
              \"ops\": {}, \"ops_per_sec\": {:.1}, \
              \"msgs\": {}, \"msgs_per_sec\": {:.1}, \
@@ -333,7 +258,6 @@ fn render_json(quick: bool, outcomes: &[Outcome]) -> String {
             o.peers,
             o.replication,
             o.workload,
-            o.mode,
             o.sim_secs,
             o.wall_ms,
             o.ops,

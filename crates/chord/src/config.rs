@@ -2,19 +2,6 @@
 
 use simnet::Duration;
 
-/// How `tick_replicate` ships backup copies to the storage successors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplicationMode {
-    /// Legacy full push: on every `store_version` bump, re-send the whole
-    /// primary item set to each successor. Simple, correct, and O(store)
-    /// bytes per change — retained as the drift-comparison baseline.
-    FullPush,
-    /// Merkle-diff anti-entropy: exchange a range root, descend only into
-    /// subtrees that differ, and ship exactly the records the replica
-    /// proved missing or stale (see `chord::sync`).
-    MerkleDiff,
-}
-
 /// Chord protocol parameters.
 ///
 /// Defaults are sized for the LAN latency model (0.5–2 ms one-way); the
@@ -32,7 +19,7 @@ pub struct ChordConfig {
     pub fix_fingers_every: Duration,
     /// Period of the predecessor liveness probe.
     pub check_pred_every: Duration,
-    /// Period of the replica push (storage anti-entropy).
+    /// Period of the Merkle anti-entropy round (storage replica sync).
     pub replicate_every: Duration,
     /// Timeout for any single request/response exchange.
     pub op_timeout: Duration,
@@ -51,8 +38,6 @@ pub struct ChordConfig {
     /// conflict detection is blind across the split (it almost never
     /// fires on a clean run, so the threshold costs nothing there).
     pub fail_threshold: u32,
-    /// Replica-synchronization protocol (see [`ReplicationMode`]).
-    pub replication_mode: ReplicationMode,
 }
 
 impl Default for ChordConfig {
@@ -69,7 +54,6 @@ impl Default for ChordConfig {
             max_hops: 3 * 64,
             suspect_ttl: Duration::from_secs(4),
             fail_threshold: 3,
-            replication_mode: ReplicationMode::MerkleDiff,
         }
     }
 }

@@ -39,7 +39,7 @@ pub mod storage;
 pub mod storage_proto;
 pub mod sync;
 
-pub use config::{ChordConfig, ReplicationMode};
+pub use config::ChordConfig;
 pub use docname::DocName;
 pub use events::{Action, ChordEvent, ChordTimer};
 pub use id::{Id, M};

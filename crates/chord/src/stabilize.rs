@@ -180,9 +180,8 @@ impl ChordNode {
     }
 
     /// Periodic replica synchronization tick. Sweeps *orphaned* primaries
-    /// back to their true owners, then runs the configured replication
-    /// protocol: legacy full push, or Merkle-diff anti-entropy
-    /// (see [`crate::sync`]).
+    /// back to their true owners, then runs a Merkle-diff anti-entropy
+    /// round (see [`crate::sync`]).
     pub(crate) fn tick_replicate(&mut self, now: Time) {
         self.arm(
             self.cfg.replicate_every,
@@ -192,46 +191,7 @@ impl ChordNode {
             return;
         }
         self.rehome_orphans(now);
-        match self.cfg.replication_mode {
-            crate::config::ReplicationMode::FullPush => self.tick_replicate_full(),
-            crate::config::ReplicationMode::MerkleDiff => self.tick_replicate_merkle(),
-        }
-    }
-
-    /// Legacy full push: send our entire primary item set to the first
-    /// `storage_replicas` successors, skipping those already current.
-    /// Note the cursor is advanced *before* the send — a lost push is not
-    /// retried until the next `store_version` bump. Kept byte-for-byte so
-    /// the drift baseline can compare modes; the Merkle path advances the
-    /// cursor on ack instead.
-    fn tick_replicate_full(&mut self) {
-        let version = self.store_version;
-        let succs: Vec<NodeRef> = self
-            .succs
-            .iter()
-            .filter(|s| s.id != self.me.id)
-            .take(self.cfg.storage_replicas)
-            .copied()
-            .collect();
-        if succs.is_empty() {
-            return;
-        }
-        let items = self.store.primary_items();
-        if items.is_empty() {
-            return;
-        }
-        for s in succs {
-            if self.replicated_to.get(&s.addr) == Some(&version) {
-                continue;
-            }
-            self.replicated_to.insert(s.addr, version);
-            self.send(
-                s.addr,
-                ChordMsg::Replicate {
-                    items: items.clone(),
-                },
-            );
-        }
+        self.tick_replicate_merkle();
     }
 
     /// Re-home orphaned primaries: items we hold in the primary bucket for
@@ -281,9 +241,9 @@ impl ChordNode {
         }
     }
 
-    /// Receive a replica push from a predecessor-side owner — the full
-    /// set in legacy mode, exactly the proven-missing records during a
-    /// Merkle sync round.
+    /// Receive a replica push from a predecessor-side owner: exactly the
+    /// proven-missing records during a Merkle sync round, or the eager
+    /// copy of a fresh write.
     pub(crate) fn on_replicate(&mut self, _now: Time, from: NodeId, items: Vec<(Id, Bytes)>) {
         let mut touched_primary = false;
         for (k, v) in items {
@@ -303,7 +263,7 @@ impl ChordNode {
         }
         // During a Merkle round the transfer is the last phase: check
         // whether it brought us up to the session root and ack. (No
-        // session — e.g. legacy mode — makes this a no-op.)
+        // session — e.g. an eager copy — makes this a no-op.)
         if self.sync_in.contains_key(&from) {
             self.advance_sync(from, false);
         }

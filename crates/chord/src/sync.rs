@@ -1,14 +1,12 @@
 //! Merkle-diff anti-entropy for replica synchronization.
 //!
-//! The legacy replica push (`ReplicationMode::FullPush`) re-ships a node's
-//! *entire* primary item set to each storage successor on every
-//! `store_version` bump — O(store) bytes per change, and the single
-//! biggest wire consumer in every benchmark scenario. This module replaces
-//! it with content-addressed set reconciliation in the spirit of the
-//! Merkle-tree log-savings construction of Barontini (arXiv:2110.02103)
-//! and the structural-sharing prolly-tree design: the owner summarizes its
-//! primary range as a fixed-shape Merkle tree, the replica compares
-//! digests, and only the subtrees that differ are expanded.
+//! Every storage owner keeps its successors' replicas in step with
+//! content-addressed set reconciliation in the spirit of the Merkle-tree
+//! log-savings construction of Barontini (arXiv:2110.02103) and the
+//! structural-sharing prolly-tree design: the owner summarizes its primary
+//! range as a fixed-shape Merkle tree, the replica compares digests, and
+//! only the subtrees that differ are expanded. A round ships exactly the
+//! records the replica proved missing or stale, not the owner's store.
 //!
 //! ## Tree shape
 //!
@@ -89,9 +87,7 @@
 //!    the session root it sends `SyncAck { ver }`, and only then does the
 //!    owner advance its `replicated_to` cursor — a lost message anywhere
 //!    simply leaves the cursor behind, and the next replicate tick
-//!    restarts the round (the legacy full push marked the cursor *before*
-//!    sending, so a lossy link silently lost the update until the next
-//!    version bump).
+//!    restarts the round.
 //!
 //! Every message echoes the owner's `store_version` (`ver`); stale rounds
 //! are discarded on both sides. If the owner's store mutates mid-descent,
@@ -297,7 +293,7 @@ pub struct SyncIn {
 }
 
 impl crate::node::ChordNode {
-    /// Merkle-mode replicate tick: open (or restart) a sync round toward
+    /// Replicate tick: open (or restart) a sync round toward
     /// every storage successor whose cursor is behind `store_version`.
     pub(crate) fn tick_replicate_merkle(&mut self) {
         let version = self.store_version;
@@ -317,8 +313,7 @@ impl crate::node::ChordNode {
         // With no (or a self-pointing) predecessor we would claim the arc
         // (me, me] — the whole ring — and a replica comparing against that
         // range would prune every replica it holds for other owners. Wait
-        // for stabilization to link us in; full push had no deletions, so
-        // it never needed this guard.
+        // for stabilization to link us in.
         let pred = match self.pred {
             Some(p) if p.id != self.me.id => p,
             _ => return,
@@ -522,9 +517,7 @@ impl crate::node::ChordNode {
 
     /// Owner: the replica proved its contents match version `ver`'s root.
     /// Only now does the `replicated_to` cursor advance — under loss the
-    /// cursor stays behind and the next tick retries, where the legacy
-    /// path (which marks before sending) would silently skip the retry
-    /// until the next version bump.
+    /// cursor stays behind and the next tick retries.
     pub(crate) fn on_sync_ack(&mut self, src: NodeId, ver: u64) {
         match self.sync_out.get(&src) {
             Some(s) if s.ver == ver => {}

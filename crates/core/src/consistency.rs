@@ -287,7 +287,7 @@ impl EpochReport {
 }
 
 /// Verify that every replica integrated records with non-decreasing
-/// master epochs (legacy records all carry epoch 0, trivially clean).
+/// master epochs.
 pub fn check_epoch_monotonic(sim: &Sim<Payload>) -> EpochReport {
     let mut report = EpochReport::default();
     for idx in 0..sim.node_count() {

@@ -41,7 +41,7 @@ pub enum LtrEventKind {
         doc: DocName,
         /// Timestamp integrated.
         ts: u64,
-        /// Master epoch stamped on the record (0 = legacy unfenced). The
+        /// Master epoch stamped on the record (0 = an unstamped record). The
         /// epoch-monotonicity oracle consumes these: per (node, doc) the
         /// epoch sequence must be non-decreasing.
         epoch: u64,

@@ -233,16 +233,16 @@ impl LtrNode {
         }
     }
 
-    /// Issue one publish-replica put, registering the completion route.
+    /// Issue one publish-replica put (ranked by the record's epoch),
+    /// registering the completion route.
     pub(crate) fn issue_log_put(
         &mut self,
         ctx: &mut Ctx<'_, Payload>,
         token: u64,
         key: chord::Id,
         bytes: bytes::Bytes,
-        mode: PutMode,
     ) {
-        let (op, actions) = self.chord.put(ctx.now(), key, bytes, mode);
+        let (op, actions) = self.chord.put(ctx.now(), key, bytes, PutMode::Ranked);
         self.chord_ops.insert(op, OpPurpose::LogPut { token });
         self.apply_chord_actions(ctx, actions);
     }

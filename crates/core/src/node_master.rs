@@ -214,11 +214,10 @@ impl LtrNode {
     }
 
     /// Start the log replication of a freshly granted patch:
-    /// `Put(h_i(key+ts), record)` for every replication hash. Unfenced
-    /// grants use first-writer mode (the log arbitrates duelling masters);
-    /// fenced grants (`epoch > 0`) stamp the record with the master epoch
-    /// and use ranked mode, so a higher-epoch master's record displaces a
-    /// superseded rival's at the same slot.
+    /// `Put(h_i(key+ts), record)` for every replication hash. The record
+    /// carries the master epoch (always ≥ 1) and goes out in ranked mode,
+    /// so a higher-epoch master's record displaces a superseded rival's at
+    /// the same slot.
     fn begin_publish(
         &mut self,
         ctx: &mut Ctx<'_, Payload>,
@@ -233,18 +232,13 @@ impl LtrNode {
         let author = ot::decode_patch(&patch).map(|p| p.author).unwrap_or(0);
         let record = p2plog::LogRecord::new(doc.as_str(), ts, author, patch).with_epoch(epoch);
         let bytes = record.encode();
-        let mode = if epoch > 0 {
-            chord::PutMode::Ranked
-        } else {
-            chord::PutMode::FirstWriter
-        };
         let tracker = PublishTracker::new(n, self.cfg.log.ack_policy);
         // Register the tracker *before* issuing puts: a put to a key we own
         // completes synchronously.
         self.publishes.insert(token, PublishCtx { tracker });
         ctx.metrics().incr_id(self.c().log_publishes);
         for key in p2plog::log_locations_iter(n, doc, ts) {
-            self.issue_log_put(ctx, token, key, bytes.clone(), mode);
+            self.issue_log_put(ctx, token, key, bytes.clone());
         }
     }
 

@@ -190,7 +190,7 @@ impl LtrNode {
     }
 
     /// `Granted{ts, epoch}`: our tentative patch is in the log with `ts`,
-    /// stamped with the granting master's `epoch` (0 = legacy unfenced).
+    /// stamped with the granting master's `epoch`.
     pub(crate) fn on_validate_granted(
         &mut self,
         ctx: &mut Ctx<'_, Payload>,
@@ -714,17 +714,11 @@ impl LtrNode {
         }
         let key = state.key;
         let name = state.name.clone();
-        // Fenced mode: tell the master how far this replica already is.
-        // A freshly promoted master whose restored last_ts lags behind
-        // re-probes the log instead of replying with the stale value —
-        // the fix for idle replicas stuck one patch behind a transient
-        // master's grant. Legacy mode sends 0, keeping the old protocol
-        // byte-identical.
-        let known_ts = if self.cfg.kts.fencing {
-            state.replica.ts
-        } else {
-            0
-        };
+        // Tell the master how far this replica already is. A freshly
+        // promoted master whose restored last_ts lags behind re-probes the
+        // log instead of replying with the stale value — the fix for idle
+        // replicas stuck one patch behind a transient master's grant.
+        let known_ts = state.replica.ts;
         self.lastts_reqs.insert(name, req);
         ctx.send(
             master.addr,

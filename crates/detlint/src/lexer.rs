@@ -205,10 +205,14 @@ pub fn cfg_test_spans(masked: &str) -> Vec<(usize, usize)> {
 
 /// From just past a `#[cfg(test)]` attribute, find the end (exclusive) of
 /// the gated item: skip further attributes, then brace-match the first `{`
-/// or stop at a top-level `;`.
+/// or stop at a top-level `;` — one outside every bracket, paren and
+/// brace, so the `;` of an array type (`[u32; 5]`) in a signature does
+/// not end the item.
 fn gated_item_end(bytes: &[u8], mut i: usize) -> usize {
     let n = bytes.len();
     let mut brace_depth = 0usize;
+    // Bracket and paren nesting outside any brace.
+    let mut group_depth = 0usize;
     while i < n {
         match bytes[i] {
             b'#' if brace_depth == 0 && i + 1 < n && bytes[i + 1] == b'[' => {
@@ -240,7 +244,15 @@ fn gated_item_end(bytes: &[u8], mut i: usize) -> usize {
                     return i;
                 }
             }
-            b';' if brace_depth == 0 => return i + 1,
+            b'[' | b'(' if brace_depth == 0 => {
+                group_depth += 1;
+                i += 1;
+            }
+            b']' | b')' if brace_depth == 0 => {
+                group_depth = group_depth.saturating_sub(1);
+                i += 1;
+            }
+            b';' if brace_depth == 0 && group_depth == 0 => return i + 1,
             _ => i += 1,
         }
     }

@@ -254,6 +254,16 @@ fn loc_counts_product_code_after_a_test_only_counter() {
     assert_eq!(per_crate.into_iter().collect::<Vec<_>>(), expect);
 }
 
+#[test]
+fn loc_masks_test_items_with_a_semicolon_in_brackets() {
+    // The `;` of an array type (`[u32; 5]`) in a gated signature or type
+    // does not end the item: the oracle's body and the gated constant's
+    // initializer stay masked, and only the product function (with its
+    // doc line and the file's doc line) counts.
+    let src = fixture("loc_array_signature.rs");
+    assert_eq!(detlint::product_lines(&src), 5);
+}
+
 // ---------------------------------------------------------------------------
 // The real tree
 // ---------------------------------------------------------------------------

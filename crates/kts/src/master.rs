@@ -48,8 +48,7 @@ pub enum MasterAction {
         key_name: DocName,
         /// The granted timestamp.
         ts: u64,
-        /// The master epoch to stamp the record with (0 = legacy,
-        /// unfenced).
+        /// The master epoch to stamp the record with.
         epoch: u64,
         /// The patch to store.
         patch: Bytes,
@@ -75,7 +74,7 @@ pub enum MasterAction {
     },
     /// Raise a grant fence at the Log-Peers of slot `last_ts + 1` with
     /// floor `epoch`, then call [`KtsMaster::fence_done`] with the quorum
-    /// outcome (fenced mode only).
+    /// outcome.
     BeginFence {
         /// Completion token.
         token: u64,
@@ -165,8 +164,7 @@ pub enum FenceOutcome {
 }
 
 /// Where an authoritative entry stands in its grant cycle. Every entry is
-/// born `Unverified`; legacy mode (`fencing = false`) never enters
-/// `Unfenced` or `Fencing`.
+/// born `Unverified`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// `last_ts` is not verified against the log: the next pump probes.
@@ -180,8 +178,7 @@ pub enum Stage {
         /// `last_ts` was shown stale meanwhile: re-probe once it ends.
         stale: bool,
     },
-    /// Verified and (in fenced mode) the next slot is fenced: the queue
-    /// head is served.
+    /// Verified and the next slot is fenced: the queue head is served.
     Fenced,
     /// A grant's publish is outstanding.
     Publishing {
@@ -257,19 +254,14 @@ impl KeyEntry {
     /// The stage × event table, and the `last_ts` / `epoch` effect of each
     /// completion: the only place a stage changes after birth.
     #[rustfmt::skip] // one row per line
-    fn apply(&mut self, ev: Event, fencing: bool) {
+    fn apply(&mut self, ev: Event) {
         use Event::*;
         use Stage::*;
-        // Where a verified, idle entry rests: fenced mode fences every
-        // slot anew, legacy mode grants straight away.
-        let verified = if fencing { Unfenced } else { Fenced };
         let trusted = match self.stage {
             Unfenced | Fenced => true,
             Fencing { stale } | Publishing { stale } => !stale,
             Unverified | Probing => false,
         };
-        // Where a completion that leaves `last_ts` trusted lands.
-        let rest = if trusted { verified } else { Unverified };
         self.stage = match (self.stage, ev) {
             (Unverified, Serve) => Probing,
             (Unfenced, Serve) => Fencing { stale: false },
@@ -283,10 +275,10 @@ impl KeyEntry {
             // rival master granted under it: advance strictly past it.
             (_, ProbeDone { recovered, log_epoch }) => {
                 self.last_ts = self.last_ts.max(recovered);
-                if fencing && log_epoch >= self.epoch {
+                if log_epoch >= self.epoch {
                     self.epoch = log_epoch + 1;
                 }
-                verified
+                Unfenced
             }
             (Fencing { stale: false }, FenceDone(FenceOutcome::Acked { occupied: false })) => Fenced,
             // Retried on demand by the next pump; the fan-out's per-op
@@ -297,24 +289,20 @@ impl KeyEntry {
             (Fencing { .. }, FenceDone(_)) => Unverified,
             // Applies to whichever entry holds the key; `last_ts` is
             // assigned, not max-merged. The fence that covered the slot is
-            // consumed by the grant.
+            // consumed by the grant: the next slot is fenced anew.
             (_, PublishDone { ts, outcome: PublishOutcome::Ok }) => {
                 self.last_ts = ts;
-                rest
+                if trusted { Unfenced } else { Unverified }
             }
-            // Fenced mode, Conflict or Unreachable: our puts may have
-            // landed at a minority of the slot's Log-Peers (or still be in
-            // flight), so the slot is suspect. Re-verify, and re-grant it
-            // only under a strictly higher epoch behind a fresh fence, so a
-            // straggler copy is outranked everywhere it can land.
-            (_, PublishDone { .. }) if fencing => {
+            // Conflict or Unreachable: our puts may have landed at a
+            // minority of the slot's Log-Peers (or still be in flight), so
+            // the slot is suspect. Re-verify, and re-grant it only under a
+            // strictly higher epoch behind a fresh fence, so a straggler
+            // copy is outranked everywhere it can land.
+            (_, PublishDone { .. }) => {
                 self.epoch += 1;
                 Unverified
             }
-            // A first-writer conflict: a newer master exists.
-            (_, PublishDone { outcome: PublishOutcome::Conflict, .. }) => Unverified,
-            // Legacy Unreachable: nothing was granted.
-            (_, PublishDone { .. }) => rest,
             // Busy stages ignore `Serve`, unverified ones `Ahead`, and
             // `fence_done` passes only completions for a `Fencing` entry.
             (stage, _) => stage,
@@ -483,11 +471,11 @@ impl KtsMaster {
     /// truth — otherwise idle replicas would trust a stale `last_ts`
     /// forever and never pull the missing patches.
     ///
-    /// `known_ts` is the asker's own last integrated timestamp (0 in
-    /// legacy mode). A reader ahead of a verified entry proves the table
-    /// lags the log — some other master granted past us — so the entry is
-    /// re-verified instead of being trusted forever (the residual
-    /// "idle replica one patch stale" window of the churn matrix).
+    /// `known_ts` is the asker's own last integrated timestamp. A reader
+    /// ahead of a verified entry proves the table lags the log — some
+    /// other master granted past us — so the entry is re-verified instead
+    /// of being trusted forever (the residual "idle replica one patch
+    /// stale" window of the churn matrix).
     pub fn on_last_ts(
         &mut self,
         key: Id,
@@ -497,7 +485,7 @@ impl KtsMaster {
     ) -> Vec<MasterAction> {
         if known_ts > self.last_ts(key) {
             if let Some(e) = self.entries.get_mut(&key) {
-                e.apply(Event::Ahead, self.cfg.fencing);
+                e.apply(Event::Ahead);
             }
         }
         if self.stage(key) == Some(Stage::Unverified) {
@@ -531,14 +519,13 @@ impl KtsMaster {
     /// Start the next operation for `key` if its entry is idle and has
     /// work.
     fn pump(&mut self, key: Id) {
-        let fencing = self.cfg.fencing;
         loop {
             let Some(entry) = self.entries.get_mut(&key) else {
                 return;
             };
             match entry.stage {
                 Stage::Unverified => {
-                    entry.apply(Event::Serve, fencing);
+                    entry.apply(Event::Serve);
                     let (key_name, base) = (entry.key_name.clone(), entry.last_ts);
                     let token = self.begin(Pending::Probe { key });
                     self.acts.push(MasterAction::BeginProbe {
@@ -555,7 +542,7 @@ impl KtsMaster {
                 // non-empty): an idle key with unreachable log peers must
                 // not spin fence retries forever.
                 Stage::Unfenced if !entry.queue.is_empty() => {
-                    entry.apply(Event::Serve, fencing);
+                    entry.apply(Event::Serve);
                     let (key_name, epoch, last_ts) =
                         (entry.key_name.clone(), entry.epoch, entry.last_ts);
                     let token = self.begin(Pending::Fence { key, epoch });
@@ -608,14 +595,14 @@ impl KtsMaster {
                     reprobed: true,
                     ..req
                 });
-                entry.apply(Event::Ahead, fencing);
+                entry.apply(Event::Ahead);
                 continue; // loop re-enters as Unverified
             }
             // last_ts == proposed_ts: grant ts+1, publish, then ack.
-            entry.apply(Event::Serve, fencing);
+            entry.apply(Event::Serve);
             let ts = entry.last_ts + 1;
             let key_name = entry.key_name.clone();
-            let epoch = if fencing { entry.epoch } else { 0 };
+            let epoch = entry.epoch;
             let token = self.begin(Pending::Publish {
                 key,
                 key_name: key_name.clone(),
@@ -664,7 +651,7 @@ impl KtsMaster {
         };
         self.acts.push(MasterAction::Send(user.addr, reply));
         if let Some(entry) = self.entries.get_mut(&key) {
-            entry.apply(Event::PublishDone { ts, outcome }, self.cfg.fencing);
+            entry.apply(Event::PublishDone { ts, outcome });
             match outcome {
                 PublishOutcome::Ok => {
                     let entry = entry.handoff(key);
@@ -691,12 +678,12 @@ impl KtsMaster {
 
     /// The embedding layer finished a log probe: `recovered` is the highest
     /// timestamp found in the log for the key (0 = none), `log_epoch` the
-    /// highest master epoch stamped on any record seen (0 = legacy /
-    /// fenced-mode-off records only).
+    /// highest master epoch stamped on any record seen (0 = unstamped
+    /// records only).
     ///
-    /// In fenced mode a logged epoch at or above our own proves a rival
-    /// master granted under it: we advance strictly past it so our fence
-    /// floor and records outrank anything that master can still produce.
+    /// A logged epoch at or above our own proves a rival master granted
+    /// under it: we advance strictly past it so our fence floor and
+    /// records outrank anything that master can still produce.
     pub fn probe_done(&mut self, token: u64, recovered: u64, log_epoch: u64) -> Vec<MasterAction> {
         let Some(Pending::Probe { key }) = self.outstanding.remove(&token) else {
             return self.drain();
@@ -706,7 +693,7 @@ impl KtsMaster {
                 recovered,
                 log_epoch,
             };
-            entry.apply(ev, self.cfg.fencing);
+            entry.apply(ev);
         }
         self.pump(key);
         self.drain()
@@ -742,7 +729,7 @@ impl KtsMaster {
                     .push(MasterAction::Event(MasterEvent::StaleDetected { key }));
             }
         } else if let Some(entry) = self.entries.get_mut(&key) {
-            entry.apply(Event::FenceDone(outcome), self.cfg.fencing);
+            entry.apply(Event::FenceDone(outcome));
         }
         self.pump(key);
         self.drain()
@@ -877,14 +864,6 @@ mod tests {
         Bytes::from_static(b"patch")
     }
 
-    /// Fencing off: the legacy unfenced protocol.
-    fn cfg_legacy() -> KtsConfig {
-        KtsConfig {
-            fencing: false,
-            ..KtsConfig::default()
-        }
-    }
-
     /// User `u` validates `key()` as request `op`, claiming `proposed`.
     fn validate(m: &mut KtsMaster, op: u64, proposed: u64, u: u32) -> Vec<MasterAction> {
         m.on_validate(
@@ -931,6 +910,12 @@ mod tests {
             .expect("no BeginFence")
     }
 
+    /// Ack the fence in `acts` on a free slot — the fence every grant
+    /// waits for.
+    fn complete_fence(m: &mut KtsMaster, acts: &[MasterAction]) -> Vec<MasterAction> {
+        m.fence_done(fence_req(acts).0, FenceOutcome::Acked { occupied: false })
+    }
+
     /// Extract the single BeginPublish token from actions.
     fn publish_token(acts: &[MasterAction]) -> u64 {
         acts.iter()
@@ -943,9 +928,10 @@ mod tests {
 
     #[test]
     fn first_validate_grants_ts_1() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         let acts = validate(&mut m, 1, 0, 1);
         let acts = probe_empty(&mut m, &acts);
+        let acts = complete_fence(&mut m, &acts);
         let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
@@ -958,12 +944,14 @@ mod tests {
 
     #[test]
     fn continuous_timestamps_across_grants() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         for expect in 1..=5u64 {
             let mut acts = validate(&mut m, expect, expect - 1, 1);
             if let Some(t) = probe_of(&acts) {
                 acts = m.probe_done(t, expect - 1, 0);
             }
+            // Every slot is fenced anew before its grant.
+            let acts = complete_fence(&mut m, &acts);
             let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
             let granted = acts
                 .iter()
@@ -978,12 +966,14 @@ mod tests {
 
     #[test]
     fn behind_user_gets_retry() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         let acts = validate(&mut m, 1, 0, 1);
         let acts = probe_empty(&mut m, &acts);
+        let acts = complete_fence(&mut m, &acts);
         m.publish_done(publish_token(&acts), PublishOutcome::Ok);
-        // Second user still at ts 0.
+        // Second user still at ts 0; the slot is fenced before it is served.
         let acts = validate(&mut m, 2, 0, 2);
+        let acts = complete_fence(&mut m, &acts);
         assert!(acts
             .iter()
             .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Retry { last_ts: 1, .. }))));
@@ -991,12 +981,13 @@ mod tests {
 
     #[test]
     fn concurrent_validates_serialized_per_key() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         // Two users race at proposed_ts=0; the first grant starts publishing,
         // the second stays queued.
         let acts1 = validate(&mut m, 1, 0, 1);
         let acts2 = validate(&mut m, 2, 0, 2);
         let acts = probe_empty(&mut m, &acts1);
+        let acts = complete_fence(&mut m, &acts);
         let t1 = publish_token(&acts);
         assert_eq!(
             acts.iter()
@@ -1006,9 +997,10 @@ mod tests {
             1,
             "second publish must wait for the first"
         );
-        // First completes; the queued request is now behind (last_ts=1) and
-        // receives a Retry.
+        // First completes; once slot 2 is fenced, the queued request is
+        // behind (last_ts=1) and receives a Retry.
         let acts = m.publish_done(t1, PublishOutcome::Ok);
+        let acts = complete_fence(&mut m, &acts);
         assert!(acts.iter().any(|a| matches!(
             a,
             MasterAction::Send(to, KtsMsg::Retry { last_ts: 1, .. }) if *to == NodeId(2)
@@ -1017,7 +1009,7 @@ mod tests {
 
     #[test]
     fn not_responsible_redirects() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         let acts = m.on_validate(
             key(),
             &DocName::new("doc"),
@@ -1035,9 +1027,10 @@ mod tests {
 
     #[test]
     fn conflict_marks_stale_and_redirects() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         let acts = validate(&mut m, 1, 0, 1);
         let acts = probe_empty(&mut m, &acts);
+        let acts = complete_fence(&mut m, &acts);
         let acts = m.publish_done(publish_token(&acts), PublishOutcome::Conflict);
         assert!(acts
             .iter()
@@ -1046,13 +1039,17 @@ mod tests {
             .iter()
             .any(|a| matches!(a, MasterAction::Event(MasterEvent::StaleDetected { .. }))));
         assert_eq!(m.last_ts(key()), 0, "no grant on conflict");
+        // The suspect slot's epoch is spent, and the entry re-verifies.
+        assert_eq!(m.entry_epoch(key()), Some(2));
+        assert!(probe_of(&acts).is_some(), "{acts:?}");
     }
 
     #[test]
     fn unreachable_log_fails_request_but_keeps_state() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         let acts = validate(&mut m, 1, 0, 1);
         let acts = probe_empty(&mut m, &acts);
+        let acts = complete_fence(&mut m, &acts);
         let acts = m.publish_done(publish_token(&acts), PublishOutcome::Unreachable);
         assert!(acts.iter().any(|a| matches!(
             a,
@@ -1065,17 +1062,31 @@ mod tests {
             )
         )));
         assert_eq!(m.last_ts(key()), 0);
-        // A retry can now succeed, without another probe.
-        let t = publish_token(&validate(&mut m, 2, 0, 1));
-        let acts = m.publish_done(t, PublishOutcome::Ok);
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Granted { ts: 1, .. }))));
+        // Our puts may have landed at a minority of the slot's Log-Peers:
+        // the entry re-verifies at once, and the retry re-fences under a
+        // strictly higher epoch.
+        let probe = probe_token(&acts);
+        validate(&mut m, 2, 0, 1);
+        let acts = m.probe_done(probe, 0, 0);
+        assert_eq!(fence_req(&acts).1, 2);
+        let acts = complete_fence(&mut m, &acts);
+        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            MasterAction::Send(
+                _,
+                KtsMsg::Granted {
+                    ts: 1,
+                    epoch: 2,
+                    ..
+                }
+            )
+        )));
     }
 
     #[test]
     fn probe_unknown_key_before_first_grant() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         let acts = validate(&mut m, 1, 0, 1);
         let probe_token = probe_of(&acts).expect("must probe unknown key");
         assert!(!acts
@@ -1083,6 +1094,8 @@ mod tests {
             .any(|a| matches!(a, MasterAction::BeginPublish { .. })));
         // Probe finds 3 patches already in the log (state was lost).
         let acts = m.probe_done(probe_token, 3, 0);
+        assert_eq!(fence_req(&acts).2, 3, "the fence goes up at slot 4");
+        let acts = complete_fence(&mut m, &acts);
         // The queued user (at ts 0) is behind -> Retry with last_ts 3.
         assert!(acts
             .iter()
@@ -1098,7 +1111,7 @@ mod tests {
         // must kick off the verification probe so the *next* read serves
         // the log's truth — otherwise idle replicas would never pull the
         // missing patches (the master-crash-storm convergence bug).
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         m.restore_entries(vec![HandoffEntry {
             key: key(),
             key_name: DocName::new("doc"),
@@ -1126,16 +1139,18 @@ mod tests {
 
     #[test]
     fn user_ahead_triggers_reprobe() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         // Master thinks 0, user proposes 2 (it integrated 2 patches from the
         // log that we never saw — we are a recovered master with lost state).
         let acts = validate(&mut m, 1, 2, 1);
         // The birth probe misses them (say the log peers lagged) …
         let acts = probe_empty(&mut m, &acts);
+        let acts = complete_fence(&mut m, &acts);
         // … so the user-ahead request sends the entry back to the log.
         let probe_token = probe_of(&acts).expect("user-ahead must trigger probe");
         let acts = m.probe_done(probe_token, 2, 0);
-        // Now last_ts == proposed: grant 3.
+        // Now last_ts == proposed: fence slot 3, then grant it.
+        let acts = complete_fence(&mut m, &acts);
         let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
@@ -1144,7 +1159,7 @@ mod tests {
 
     #[test]
     fn backup_promotion_on_first_touch() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         m.on_replicate_entry(HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1159,16 +1174,25 @@ mod tests {
             .iter()
             .any(|a| matches!(a, MasterAction::Event(MasterEvent::Promoted { .. }))));
         let acts = m.probe_done(probe_token(&acts), 7, 0);
+        let acts = complete_fence(&mut m, &acts);
         let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, MasterAction::Send(_, KtsMsg::Granted { ts: 8, .. }))));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            MasterAction::Send(
+                _,
+                KtsMsg::Granted {
+                    ts: 8,
+                    epoch: 2,
+                    ..
+                }
+            )
+        )));
         assert_eq!(m.backup_count(), 0);
     }
 
     #[test]
     fn backup_never_regresses() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         m.on_replicate_entry(HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1186,20 +1210,22 @@ mod tests {
 
     #[test]
     fn handoff_roundtrip_preserves_state() {
-        let mut a = KtsMaster::new(cfg_legacy());
+        let mut a = KtsMaster::new(KtsConfig::default());
         let acts = validate(&mut a, 1, 0, 1);
         let acts = probe_empty(&mut a, &acts);
+        let acts = complete_fence(&mut a, &acts);
         a.publish_done(publish_token(&acts), PublishOutcome::Ok);
         let (entries, _acts) = a.export_all();
         assert_eq!(entries.len(), 1);
         assert_eq!(a.mastered_count(), 0);
 
-        let mut b = KtsMaster::new(cfg_legacy());
+        let mut b = KtsMaster::new(KtsConfig::default());
         let probe = probe_token(&b.on_table_handoff(entries));
         assert_eq!(b.last_ts(key()), 1);
         // Continuity across the handoff: next grant is 2.
         validate(&mut b, 2, 1, 2);
         let acts = b.probe_done(probe, 1, 0);
+        let acts = complete_fence(&mut b, &acts);
         let acts = b.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
@@ -1208,12 +1234,13 @@ mod tests {
 
     #[test]
     fn export_range_keeps_backup_copies() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         let k1 = Id(10);
         let k2 = Id(1000);
         for (k, op) in [(k1, 1u64), (k2, 2)] {
             let acts = m.on_validate(k, &DocName::new("d"), ReqId(op), 0, patch(), user(1), true);
             let acts = probe_empty(&mut m, &acts);
+            let acts = complete_fence(&mut m, &acts);
             m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         }
         let (exported, _) = m.export_range(Id(0), Id(100));
@@ -1229,7 +1256,7 @@ mod tests {
         // Crash recovery: disk said last_ts=3, but a grant for ts=4 was
         // in flight when we died. The restored entry must re-probe before
         // serving and then continue the sequence at 5.
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         m.restore_entries(vec![HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1241,6 +1268,7 @@ mod tests {
         let acts = validate(&mut m, 1, 4, 1);
         let probe_token = probe_of(&acts).expect("restored entry must probe before first grant");
         let acts = m.probe_done(probe_token, 4, 0);
+        let acts = complete_fence(&mut m, &acts);
         let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
         assert!(acts
             .iter()
@@ -1249,7 +1277,7 @@ mod tests {
 
     #[test]
     fn restored_backups_do_not_shadow_authoritative_entries() {
-        let mut m = KtsMaster::new(cfg_legacy());
+        let mut m = KtsMaster::new(KtsConfig::default());
         m.restore_entries(vec![HandoffEntry {
             key: key(),
             key_name: "doc".into(),
@@ -1280,7 +1308,6 @@ mod tests {
     fn queue_overflow_sheds_load() {
         let cfg = KtsConfig {
             max_queue_per_key: 2,
-            ..KtsConfig::default()
         };
         let mut m = KtsMaster::new(cfg);
         // The first two wait in the queue behind the birth probe; the 3rd
@@ -1391,34 +1418,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_never_fences() {
-        let mut m = KtsMaster::new(cfg_legacy());
-        let mut acts = validate(&mut m, 1, 0, 1);
-        assert_eq!(m.stage(key()), Some(Stage::Probing));
-        acts.extend(probe_empty(&mut m, &acts));
-        assert!(!acts
-            .iter()
-            .any(|a| matches!(a, MasterAction::BeginFence { .. })));
-        assert_eq!(m.stage(key()), Some(Stage::Publishing { stale: false }));
-        let acts = m.publish_done(publish_token(&acts), PublishOutcome::Ok);
-        assert!(
-            acts.iter().any(|a| matches!(
-                a,
-                MasterAction::Send(
-                    _,
-                    KtsMsg::Granted {
-                        ts: 1,
-                        epoch: 0,
-                        ..
-                    }
-                )
-            )),
-            "legacy grants carry epoch 0"
-        );
-        assert_eq!(m.stage(key()), Some(Stage::Fenced));
-    }
-
-    #[test]
     fn probed_entry_reprobes_when_reader_is_ahead() {
         // The churn-matrix residual: an idle replica that integrated ts 3
         // asks a master whose (probed but stale) table says 1. The read
@@ -1500,7 +1499,7 @@ mod tests {
         let mut m = KtsMaster::new(KtsConfig::default());
         let acts = validate(&mut m, 1, 0, 1);
         let acts = probe_empty(&mut m, &acts);
-        let acts = m.fence_done(fence_req(&acts).0, FenceOutcome::Acked { occupied: false });
+        let acts = complete_fence(&mut m, &acts);
         let publish = publish_token(&acts);
         // A joiner takes the arc mid-publish; we keep a backup at ts 0 …
         let (exported, _) = m.export_range(Id(0), Id(100));

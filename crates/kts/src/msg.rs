@@ -55,8 +55,8 @@ pub enum KtsMsg {
         op: ReqId,
         /// The validated (continuous) timestamp.
         ts: u64,
-        /// The master epoch the grant was issued under (0 = legacy,
-        /// unfenced master; encoded as an optional trailing field).
+        /// The master epoch the grant was issued under (encoded as an
+        /// optional trailing field; an absent field decodes as 0).
         epoch: u64,
     },
     /// Master → user: you are behind; retrieve `(proposed_ts, last_ts]`
@@ -88,10 +88,10 @@ pub enum KtsMsg {
         key: Id,
         /// Where to answer.
         user: NodeRef,
-        /// The asker's own last integrated timestamp (0 = unknown or
-        /// legacy mode; encoded as an optional trailing field). A fenced
-        /// master that sees a reader ahead of its own table re-probes
-        /// the log instead of serving a stale answer.
+        /// The asker's own last integrated timestamp (encoded as an
+        /// optional trailing field; an absent field decodes as 0). A
+        /// master that sees a reader ahead of its own table re-probes the
+        /// log instead of serving a stale answer.
         known_ts: u64,
     },
     /// Master → user: `last_ts(key)` answer.

@@ -1,16 +1,18 @@
 //! Randomized interleaving tests of the master state machine: arbitrary
-//! mixes of validations, publish completions (ok/conflict/unreachable),
-//! probes, handoffs and backups must never break the continuity of granted
+//! mixes of validations, publish completions (ok/unreachable), probes,
+//! fences, handoffs and backups must never break the continuity of granted
 //! timestamps.
 //!
-//! These scripts pin `fencing: false` — they exercise the legacy unfenced
-//! protocol, which must stay intact. The fenced state machine has its own
-//! model-checked interleaving suite in `fencing_model.rs`.
+//! The world here has one master and a truthful log, so every fence is
+//! acked; rival masters, superseded floors and the fencing invariants are
+//! model-checked in `fencing_model.rs`.
 
 use bytes::Bytes;
 use chord::DocName;
 use chord::{Id, NodeRef};
-use kts::{HandoffEntry, KtsConfig, KtsMaster, KtsMsg, MasterAction, PublishOutcome, ReqId};
+use kts::{
+    FenceOutcome, HandoffEntry, KtsConfig, KtsMaster, KtsMsg, MasterAction, PublishOutcome, ReqId,
+};
 use proptest::prelude::*;
 use simnet::NodeId;
 
@@ -26,6 +28,8 @@ struct World {
     publishes: Vec<(u64, u64)>,
     /// Pending probe tokens.
     probes: Vec<u64>,
+    /// Pending fence tokens with the `last_ts` they fence above.
+    fences: Vec<(u64, u64)>,
     /// The "log": highest ts durably stored per this world.
     log_high: u64,
     /// Every ts the master granted (publish completed Ok).
@@ -41,6 +45,7 @@ impl World {
             master: KtsMaster::new(cfg),
             publishes: Vec::new(),
             probes: Vec::new(),
+            fences: Vec::new(),
             log_high: 0,
             granted: Vec::new(),
             retries: 0,
@@ -55,6 +60,9 @@ impl World {
                     self.publishes.push((token, ts));
                 }
                 MasterAction::BeginProbe { token, .. } => self.probes.push(token),
+                MasterAction::BeginFence { token, last_ts, .. } => {
+                    self.fences.push((token, last_ts));
+                }
                 MasterAction::Send(_, KtsMsg::Retry { .. }) => self.retries += 1,
                 MasterAction::Send(_, KtsMsg::Redirect { .. }) => self.redirects += 1,
                 _ => {}
@@ -107,6 +115,45 @@ impl World {
         let acts = self.master.probe_done(token, high, 0);
         self.absorb(acts);
     }
+
+    /// Ack the oldest fence, truthfully reporting whether the world log
+    /// already holds its slot.
+    fn complete_fence(&mut self) {
+        if self.fences.is_empty() {
+            return;
+        }
+        let (token, last_ts) = self.fences.remove(0);
+        let occupied = last_ts < self.log_high;
+        let acts = self
+            .master
+            .fence_done(token, FenceOutcome::Acked { occupied });
+        self.absorb(acts);
+    }
+
+    /// Complete every outstanding operation (and whatever each one
+    /// starts), publishes succeeding.
+    fn drain(&mut self) {
+        loop {
+            if !self.publishes.is_empty() {
+                self.complete_publish(true);
+            } else if !self.probes.is_empty() {
+                self.complete_probe();
+            } else if !self.fences.is_empty() {
+                self.complete_fence();
+            } else {
+                return;
+            }
+        }
+    }
+
+    /// One grant: verify the entry if it is new to this master, fence the
+    /// slot, publish.
+    fn grant(&mut self, key: Id, req: u64, proposed: u64, user_n: u32) {
+        self.validate(key, req, proposed, user_n);
+        self.complete_probe(); // the entry's verification, first round only
+        self.complete_fence();
+        self.complete_publish(true);
+    }
 }
 
 proptest! {
@@ -115,11 +162,10 @@ proptest! {
     /// always exactly 1, 2, 3, … with no duplicates or gaps.
     #[test]
     fn granted_sequence_is_continuous(
-        script in prop::collection::vec(0u8..6, 1..120),
+        script in prop::collection::vec(0u8..7, 1..120),
     ) {
         let cfg = KtsConfig {
             max_queue_per_key: 16,
-            fencing: false,
         };
         let mut w = World::new(cfg);
         let key = Id(99);
@@ -145,16 +191,12 @@ proptest! {
                 // Publish fails (log unreachable).
                 4 => w.complete_publish(false),
                 // Probe completes.
-                _ => w.complete_probe(),
+                5 => w.complete_probe(),
+                // Fence completes.
+                _ => w.complete_fence(),
             }
         }
-        // Drain everything outstanding.
-        while !w.publishes.is_empty() {
-            w.complete_publish(true);
-        }
-        while !w.probes.is_empty() {
-            w.complete_probe();
-        }
+        w.drain();
 
         // Continuity of the granted sequence.
         for (i, &ts) in w.granted.iter().enumerate() {
@@ -170,16 +212,11 @@ proptest! {
         grants_before in 0u64..20,
         grants_after in 1u64..20,
     ) {
-        let cfg = KtsConfig {
-            fencing: false,
-            ..KtsConfig::default()
-        };
+        let cfg = KtsConfig::default();
         let key = Id(5);
         let mut a = World::new(cfg.clone());
         for i in 0..grants_before {
-            a.validate(key, i + 1, i, 1);
-            a.complete_probe(); // the unknown key's verification, first round only
-            a.complete_publish(true);
+            a.grant(key, i + 1, i, 1);
         }
         prop_assert_eq!(a.master.last_ts(key), grants_before);
 
@@ -190,10 +227,7 @@ proptest! {
         b.absorb(acts);
 
         for i in 0..grants_after {
-            let proposed = grants_before + i;
-            b.validate(key, 1000 + i, proposed, 2);
-            b.complete_probe(); // the handed-over entry's verification, first round only
-            b.complete_publish(true);
+            b.grant(key, 1000 + i, grants_before + i, 2);
         }
         let expect: Vec<u64> = (grants_before + 1..=grants_before + grants_after).collect();
         prop_assert_eq!(&b.granted, &expect, "continuation after handoff");
@@ -203,17 +237,11 @@ proptest! {
     /// a log probe (the backup may lag).
     #[test]
     fn crash_promotion_continues_sequence(grants_before in 1u64..15, lag in 0u64..2) {
-        // Fencing off (legacy).
-        let cfg = KtsConfig {
-            fencing: false,
-            ..KtsConfig::default()
-        };
+        let cfg = KtsConfig::default();
         let key = Id(7);
         let mut a = World::new(cfg.clone());
         for i in 0..grants_before {
-            a.validate(key, i + 1, i, 1);
-            a.complete_probe(); // the unknown key's verification, first round only
-            a.complete_publish(true);
+            a.grant(key, i + 1, i, 1);
         }
         // The successor's backup may lag the last grant by `lag`.
         let backup_ts = grants_before.saturating_sub(lag);
@@ -226,11 +254,9 @@ proptest! {
             epoch: 1,
         });
 
-        // A synced user publishes through the promoted successor.
-        b.validate(key, 500, grants_before, 3);
-        // Possibly a probe fires first (promotion verification).
-        b.complete_probe();
-        b.complete_publish(true);
+        // A synced user publishes through the promoted successor, which
+        // verifies its (possibly lagging) backup against the log first.
+        b.grant(key, 500, grants_before, 3);
         prop_assert_eq!(&b.granted, &vec![grants_before + 1], "granted {:?}", b.granted);
     }
 }

@@ -13,8 +13,9 @@ pub struct LogRecord {
     pub author: u64,
     /// The encoded patch body (see `ot::encode_patch`).
     pub patch: Bytes,
-    /// The master epoch the grant was issued under (0 = legacy,
-    /// pre-fencing record; encodes to the exact legacy byte layout).
+    /// The master epoch the grant was issued under. Masters stamp epoch
+    /// 1 or higher; 0 is an unstamped record, which encodes to (and
+    /// decodes from) the byte layout without the epoch field.
     pub epoch: u64,
 }
 

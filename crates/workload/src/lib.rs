@@ -28,6 +28,6 @@ pub use churn::{drive_churn, schedule_crash, schedule_join, schedule_leave, Chur
 pub use driver::{drive_editors, EditorSpec};
 pub use editors::{mutate_text, EditKind, EditMix};
 pub use scenario::{
-    named_scenarios, run_scenario, run_scenario_with_mode, ChurnLoad, FaultAction, FaultEvent,
-    Scenario, ScenarioOutcome, Who,
+    named_scenarios, run_scenario, ChurnLoad, FaultAction, FaultEvent, Scenario, ScenarioOutcome,
+    Who,
 };

@@ -238,48 +238,11 @@ struct PendingRecovery {
 
 /// Execute one scenario deterministically. Same `sc` + same `seed` ⇒
 /// bit-identical run (the byte-identity property test pins this).
-/// Runs the default replication mode (Merkle-diff anti-entropy).
 pub fn run_scenario(sc: &Scenario, seed: u64) -> ScenarioOutcome {
-    run_scenario_with_mode(sc, seed, chord::ReplicationMode::MerkleDiff)
-}
-
-/// [`run_scenario`] with an explicit chord replication mode, so the fault
-/// matrix and benches can exercise both the Merkle-diff protocol and the
-/// legacy full push under identical fault schedules.
-pub fn run_scenario_with_mode(
-    sc: &Scenario,
-    seed: u64,
-    mode: chord::ReplicationMode,
-) -> ScenarioOutcome {
-    run_scenario_opts(sc, seed, mode, true)
-}
-
-/// [`run_scenario_with_mode`] with grant fencing switchable, so the
-/// benches can pin the pre-epoch legacy protocol (`fencing = false`)
-/// for byte-identity against historical baselines.
-pub fn run_scenario_opts(
-    sc: &Scenario,
-    seed: u64,
-    mode: chord::ReplicationMode,
-    fencing: bool,
-) -> ScenarioOutcome {
-    run_scenario_net(sc, seed, mode, fencing).0
-}
-
-/// [`run_scenario_opts`] returning the quiesced network alongside the
-/// outcome, so forensic tests can inspect events and storage after a run.
-pub fn run_scenario_net(
-    sc: &Scenario,
-    seed: u64,
-    mode: chord::ReplicationMode,
-    fencing: bool,
-) -> (ScenarioOutcome, LtrNet) {
     // detlint::allow(DET-CLOCK, wall-clock duration is reported alongside the outcome; it never feeds the simulation)
     let wall = Instant::now();
     let mut cfg = LtrConfig::default();
     cfg.log.replication = sc.replication;
-    cfg.chord.replication_mode = mode;
-    cfg.kts.fencing = fencing;
 
     // Every peer journals: crashes scripted with `recover_after_secs`
     // restart from the journal (crash-with-disk), the rest rely on
@@ -438,7 +401,7 @@ pub fn run_scenario_net(
 
     let report = check_all(&net.sim);
     let m = net.sim.metrics();
-    let outcome = ScenarioOutcome {
+    ScenarioOutcome {
         name: sc.name.to_string(),
         peers: sc.peers,
         sim_secs: net.now().since(t0).as_millis_f64() / 1e3,
@@ -459,8 +422,7 @@ pub fn run_scenario_net(
         equivocation_free: report.equivocation.is_clean(),
         epoch_monotonic: report.epochs.is_clean(),
         detail: report.summary(),
-    };
-    (outcome, net)
+    }
 }
 
 /// Run the simulation to `until`, paying any recovery that falls due on

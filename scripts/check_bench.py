@@ -33,7 +33,7 @@ NONDETERMINISTIC = {
 }
 
 SCENARIO_REQUIRED = [
-    "name", "peers", "replication", "workload", "mode", "sim_secs", "wall_ms",
+    "name", "peers", "replication", "workload", "sim_secs", "wall_ms",
     "ops", "ops_per_sec", "msgs", "msgs_per_sec",
     "events", "events_per_sec", "stamp_p50_ms", "stamp_p99_ms",
     "wire_bytes", "wire_bytes_per_class",
@@ -82,32 +82,30 @@ def replication_bytes(sc):
                if k == "chord.replicate" or k.startswith("chord.sync."))
 
 
-def check_reduction(scenarios):
-    """Every ``*_fullpush`` row is a legacy-mode rerun of its Merkle
-    sibling (same seed, same workload). Gate the tentpole claim: the
-    Merkle row must spend at most 50% of the full-push row's
-    replication-class bytes."""
-    by_name = {sc["name"]: sc for sc in scenarios}
-    for name, full in sorted(by_name.items()):
-        if not name.endswith("_fullpush"):
-            continue
-        if full.get("mode") != "full_push":
-            fail(f"{name}: expected mode full_push, got {full.get('mode')}")
-        merkle = by_name.get(name[:-len("_fullpush")])
-        if merkle is None:
-            fail(f"{name}: no Merkle sibling scenario to compare against")
-        if merkle.get("mode") != "merkle_diff":
-            fail(f"{merkle['name']}: expected mode merkle_diff, "
-                 f"got {merkle.get('mode')}")
-        fb, mb = replication_bytes(full), replication_bytes(merkle)
-        if fb <= 0:
-            fail(f"{name}: full-push run metered no replication bytes")
-        if mb > fb * 0.5:
-            fail(f"{merkle['name']}: replication bytes {mb} exceed 50% of "
-                 f"the full-push baseline {fb} "
-                 f"(ratio {mb / fb:.2f})")
-        print(f"reduction OK: {merkle['name']} replication bytes "
-              f"{mb} vs full-push {fb} ({1 - mb / fb:.0%} cut)")
+# Replication-byte budgets per scenario row, bytes: 50% of the last
+# committed figure of the retired full-push replica sync (it re-sent the
+# whole primary store on every change) on the same seed and workload.
+REPLICATION_BUDGETS = {
+    "quick_ring8_n3_collab": 105_906,
+    "ring16_n3_collab": 639_956,
+    "ring48_n3_collab": 1_185_015,
+}
+
+
+def check_replication_budgets(scenarios):
+    """Hold each budgeted row's replication-class bytes under its fixed
+    budget; a run must carry at least one budgeted row."""
+    budgeted = [sc for sc in scenarios if sc["name"] in REPLICATION_BUDGETS]
+    if not budgeted:
+        fail("no scenario row has a replication budget")
+    for sc in budgeted:
+        budget = REPLICATION_BUDGETS[sc["name"]]
+        rb = replication_bytes(sc)
+        if rb > budget:
+            fail(f"{sc['name']}: replication bytes {rb} exceed the "
+                 f"budget {budget}")
+        print(f"replication budget OK: {sc['name']} {rb} <= {budget} "
+              f"({rb / budget:.0%} of budget)")
 
 
 def check_schema(data):
@@ -130,7 +128,7 @@ def check_schema(data):
         fail("missing totals")
     if data["totals"]["wire_bytes"] <= 0:
         fail("no wire bytes in totals")
-    check_reduction(data["scenarios"])
+    check_replication_budgets(data["scenarios"])
 
     rec = data.get("recovery")
     if rec is None:

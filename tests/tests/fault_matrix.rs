@@ -4,7 +4,7 @@
 //! scenario directly in the test report, plus the zero-fault identity
 //! pin (an inert fault plan must not perturb the event stream at all).
 
-use workload::scenario::{named_scenarios, run_scenario, run_scenario_with_mode, Scenario};
+use workload::scenario::{named_scenarios, run_scenario, Scenario};
 
 /// Fixed seeds, aligned with `exp_fault` (`seed_for`).
 ///
@@ -12,8 +12,8 @@ use workload::scenario::{named_scenarios, run_scenario, run_scenario_with_mode, 
 /// became Merkle-diff: the new message pattern reshuffles the per-message
 /// fault draws, and the old base landed `lossy_links` on a seed that
 /// trips the dual-master grant window that grant fencing has since
-/// closed. Those once-red seeds are pinned below
-/// (`repro_dual_grant_seed_*`) as regressions, and the whole
+/// closed. The once-red Merkle seed is pinned below
+/// (`repro_dual_grant_seed_merkle`) as a regression, and the whole
 /// seed-neighbourhood is swept by `grant_fence_sweep.rs`.
 const SEED_BASE: u64 = 0xFA_0200;
 
@@ -33,19 +33,6 @@ fn run_named(name: &str) -> workload::scenario::ScenarioOutcome {
     assert!(
         out.ok(),
         "scenario {name} violated an invariant: {}",
-        out.detail
-    );
-    out
-}
-
-/// Same matrix entry under the legacy full-push fallback — the mode must
-/// stay usable, not just encodable.
-fn run_named_fullpush(name: &str) -> workload::scenario::ScenarioOutcome {
-    let (i, sc) = find(name);
-    let out = run_scenario_with_mode(&sc, SEED_BASE + i as u64, chord::ReplicationMode::FullPush);
-    assert!(
-        out.ok(),
-        "scenario {name} (full-push) violated an invariant: {}",
         out.detail
     );
     out
@@ -96,55 +83,28 @@ fn scenario_lossy_links() {
     assert!(out.faults_dropped > 0, "loss never bit: {out:?}");
 }
 
-#[test]
-fn scenario_lossy_links_fullpush() {
-    let out = run_named_fullpush("lossy_links");
-    assert!(out.faults_dropped > 0, "loss never bit: {out:?}");
-}
-
-#[test]
-fn scenario_churn_under_load_fullpush() {
-    let out = run_named_fullpush("churn_under_load");
-    assert!(out.crashes > 0, "churn never crashed anyone: {out:?}");
-    assert!(out.grants > 0);
-}
-
-/// Before grant fencing, `lossy_links` at seed `0xFA_0000` in legacy
-/// full-push mode ended with two different payloads stored for one
-/// `(doc, ts)` — a master re-granted a slot whose earlier publish had
-/// partially landed. The seed is pinned red-to-green: every oracle
-/// (including the equivocation and epoch-monotonicity detectors this
-/// seed used to trip) must now hold.
-#[test]
-fn repro_dual_grant_seed_fullpush() {
-    let (_, sc) = find("lossy_links");
-    let out = run_scenario_with_mode(&sc, 0xFA_0000, chord::ReplicationMode::FullPush);
-    assert!(
-        out.ok(),
-        "historic dual-grant seed 0xFA_0000 (full-push) regressed: {}",
-        out.detail
-    );
-    assert!(out.equivocation_free && out.epoch_monotonic);
-}
-
-/// The Merkle-mode twin of the repro above: seed `0xFA_0006` drove the
-/// same dual-grant window through the anti-entropy message pattern.
+/// Before grant fencing, `lossy_links` at seed `0xFA_0006` ended with two
+/// different payloads stored for one `(doc, ts)` — a master re-granted a
+/// slot whose earlier publish had partially landed. The seed is pinned
+/// red-to-green: every oracle (including the equivocation and
+/// epoch-monotonicity detectors this seed used to trip) must now hold.
 #[test]
 fn repro_dual_grant_seed_merkle() {
     let (_, sc) = find("lossy_links");
-    let out = run_scenario_with_mode(&sc, 0xFA_0006, chord::ReplicationMode::MerkleDiff);
+    let out = run_scenario(&sc, 0xFA_0006);
     assert!(
         out.ok(),
-        "historic dual-grant seed 0xFA_0006 (merkle) regressed: {}",
+        "historic dual-grant seed 0xFA_0006 regressed: {}",
         out.detail
     );
     assert!(out.equivocation_free && out.epoch_monotonic);
 }
 
 /// The open 5 %-loss defect (ROADMAP Known issues, "`lossy_links` safety
-/// residue"): about 3 runs in 1 024 of `lossy_links` end with a dual grant
-/// inside one epoch, OT divergence between replicas at the same timestamp,
-/// or the divergence panic. These are the runs of the wide sweep's block
+/// residue"): a few runs in 1 024 of `lossy_links` (3 to 8 per block so
+/// far) end with a dual grant inside one epoch, OT divergence between
+/// replicas at the same timestamp, replicas that never converge, or the
+/// divergence panic. These are the runs of the wide sweep's block
 /// (`grant_fence_sweep.rs`, `0xAB_0000`) that are red at this commit,
 /// pinned so the fix has something to turn green. Which seeds of a block
 /// are red moves with every change to the message pattern; the rate has
@@ -152,21 +112,23 @@ fn repro_dual_grant_seed_merkle() {
 #[test]
 #[ignore = "open defect: red until the 5 %-loss residue is fixed"]
 fn repro_lossy_links_loss_residue() {
-    use chord::ReplicationMode::{FullPush, MerkleDiff};
     let (_, sc) = find("lossy_links");
     let mut red = Vec::new();
-    for (seed, mode) in [
-        (0xAB_0054, MerkleDiff), // replicas at one ts, two texts
-        (0xAB_0093, MerkleDiff), // two payloads at (doc, ts) under one epoch
-        (0xAB_0136, FullPush),   // same
-        (0xAB_0145, MerkleDiff), // same
-        (0xAB_01D2, MerkleDiff), // "replica divergence" panic
+    for seed in [
+        0xAB_0054u64, // replicas at one ts, two texts
+        0xAB_0093,    // two payloads at (doc, ts) under one epoch
+        0xAB_0145,    // same
+        0xAB_01D2,    // "replica divergence" panic
+        0xAB_023D,    // unconverged, 2 replicas busy
+        0xAB_0271,    // "replica divergence" panic
+        0xAB_0274,    // same
+        0xAB_0378,    // same
     ] {
-        let run = std::panic::catch_unwind(|| run_scenario_with_mode(&sc, seed, mode));
+        let run = std::panic::catch_unwind(|| run_scenario(&sc, seed));
         match run {
             Ok(out) if out.ok() => {}
-            Ok(out) => red.push(format!("{seed:#x} {mode:?}: {}", out.detail)),
-            Err(_) => red.push(format!("{seed:#x} {mode:?}: panicked")),
+            Ok(out) => red.push(format!("{seed:#x}: {}", out.detail)),
+            Err(_) => red.push(format!("{seed:#x}: panicked")),
         }
     }
     assert!(red.is_empty(), "still red:\n{}", red.join("\n"));

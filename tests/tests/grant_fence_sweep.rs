@@ -5,8 +5,8 @@
 //! sweep runs the two scenarios that historically drove the window —
 //! `lossy_links` (message loss reshuffles every publish fan-out) and
 //! `partition_during_handoff` (master handoff under a cut) — across a
-//! block of consecutive seeds in *both* replication modes, and asserts
-//! the two fencing invariants on every run:
+//! block of consecutive seeds, and asserts the two fencing invariants on
+//! every run:
 //!
 //! * **no dual grant** — no `(doc, ts)` is ever stored with two payloads
 //!   under one master epoch (`equivocation_free`), and
@@ -17,27 +17,27 @@
 //! too — a seed that diverges is as red as one that forks.
 //!
 //! Each run prints one line (`cargo test -- --nocapture`, or the CI step
-//! summary) so a red seed names itself: scenario, mode, seed, verdict.
+//! summary) so a red seed names itself: scenario, seed, verdict.
 //! The sweep is wall-clock capped as a harness-health check: quick-mode
 //! scenarios run in well under a second each, and a blowup here means
 //! the simulator or the protocol regressed badly enough that the seed
 //! verdicts are beside the point.
 //!
-//! **The wide sweep** (`--ignored`): the 64 pinned seeds are a gate, not a
+//! **The wide sweep** (`--ignored`): the 32 pinned seeds are a gate, not a
 //! rate. Any protocol change that adds or moves a message reshuffles the
 //! fault RNG draws, so a red pinned seed after such a change may be the
 //! change's fault or the pre-existing 5 %-loss defect (ROADMAP Known
-//! issues) landing on a different seed. `wide_sweep_*` runs 512 seeds ×
-//! 2 modes from `WIDE_BASE`, catches panics, prints the red *rate* and
+//! issues) landing on a different seed. `wide_sweep_*` runs 1 024 seeds
+//! from `WIDE_BASE`, catches panics, prints the red *rate* and
 //! bounds it by what the defect's rate before grant hints allows — the
 //! evidence to look at before touching `SEED_BASE`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use workload::scenario::{named_scenarios, run_scenario_with_mode, Scenario};
+use workload::scenario::{named_scenarios, run_scenario, Scenario};
 
-/// Seeds swept per scenario × mode. 32 consecutive seeds from the sweep
+/// Seeds swept per scenario. 32 consecutive seeds from the sweep
 /// base give deterministic, disjoint-from-the-matrix coverage
 /// (`fault_matrix.rs` pins `0xFA_0200 + index`; the sweep block starts
 /// well above every matrix seed).
@@ -45,22 +45,17 @@ const SEEDS: u64 = 32;
 const SEED_BASE: u64 = 0xFE_0000;
 
 /// The wide sweep's block: disjoint from the matrix and the pinned sweep.
-const WIDE_SEEDS: u64 = 512;
+const WIDE_SEEDS: u64 = 1024;
 const WIDE_BASE: u64 = 0xAB_0000;
 
-/// Wall-clock budget for one scenario's full sweep (both modes). Far
+/// Wall-clock budget for one scenario's full sweep. Far
 /// above the observed cost (populations are quick-mode); a breach means
 /// the harness itself regressed.
 const BUDGET_SECS: u64 = 600;
 
-const MODES: [(chord::ReplicationMode, &str); 2] = [
-    (chord::ReplicationMode::MerkleDiff, "merkle"),
-    (chord::ReplicationMode::FullPush, "full-push"),
-];
-
-/// Run `scenario` on `seeds` consecutive seeds from `base` in both modes;
-/// one verdict line per run, the red runs (violated invariant or panic)
-/// returned by name.
+/// Run `scenario` on `seeds` consecutive seeds from `base`; one verdict
+/// line per run, the red runs (violated invariant or panic) returned by
+/// name.
 fn run_block(scenario: &str, base: u64, seeds: u64) -> Vec<String> {
     let sc: Scenario = named_scenarios(true)
         .into_iter()
@@ -68,36 +63,29 @@ fn run_block(scenario: &str, base: u64, seeds: u64) -> Vec<String> {
         .unwrap_or_else(|| panic!("unknown scenario {scenario}"));
     let mut red: Vec<String> = Vec::new();
     for seed in base..base + seeds {
-        for (mode, tag) in MODES {
-            let run = catch_unwind(AssertUnwindSafe(|| run_scenario_with_mode(&sc, seed, mode)));
-            match run {
-                Ok(out) => {
-                    println!(
-                        "sweep {scenario} seed={seed:#x} mode={tag} ok={} dual-grant-free={} \
-                         epoch-monotonic={} ({:.0} ms)",
-                        out.ok(),
-                        out.equivocation_free,
-                        out.epoch_monotonic,
-                        out.wall_ms
-                    );
-                    if !out.ok() {
-                        red.push(format!(
-                            "{scenario} seed={seed:#x} mode={tag}: {}",
-                            out.detail
-                        ));
-                    }
+        let run = catch_unwind(AssertUnwindSafe(|| run_scenario(&sc, seed)));
+        match run {
+            Ok(out) => {
+                println!(
+                    "sweep {scenario} seed={seed:#x} ok={} dual-grant-free={} \
+                     epoch-monotonic={} ({:.0} ms)",
+                    out.ok(),
+                    out.equivocation_free,
+                    out.epoch_monotonic,
+                    out.wall_ms
+                );
+                if !out.ok() {
+                    red.push(format!("{scenario} seed={seed:#x}: {}", out.detail));
                 }
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| panic.downcast_ref::<&str>().copied())
-                        .unwrap_or("non-string panic");
-                    println!("sweep {scenario} seed={seed:#x} mode={tag} PANIC {msg}");
-                    red.push(format!(
-                        "{scenario} seed={seed:#x} mode={tag}: panic: {msg}"
-                    ));
-                }
+            }
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("non-string panic");
+                println!("sweep {scenario} seed={seed:#x} PANIC {msg}");
+                red.push(format!("{scenario} seed={seed:#x}: panic: {msg}"));
             }
         }
     }
@@ -111,7 +99,7 @@ fn sweep(scenario: &str) {
         red.is_empty(),
         "{} of {} sweep runs violated an invariant:\n{}",
         red.len(),
-        SEEDS * 2,
+        SEEDS,
         red.join("\n")
     );
     let spent = wall.elapsed().as_secs();
@@ -128,7 +116,9 @@ fn sweep(scenario: &str) {
 /// 31 in 9 216: which seeds are red moved, the rate did not. A count that
 /// scatters like that cannot be held to the 3 of one block; it is held to
 /// the 99th percentile of a Poisson count at the earlier rate (3.04 per
-/// block). More than that is a regression, not a reshuffle.
+/// block). More than that is a regression, not a reshuffle. Those blocks
+/// were 512 seeds × two replica-sync protocols; the block is now 1 024
+/// seeds of the one protocol, so the bound keeps its rate per 1 024 runs.
 const WIDE_RED_MAX_LOSSY: usize = 8;
 
 /// The rate-reporting sweep: prints every red run by name, asserts
@@ -138,17 +128,19 @@ fn wide_sweep(scenario: &str, max_red: usize) {
     println!(
         "wide sweep {scenario}: {} red of {} runs\n{}",
         red.len(),
-        WIDE_SEEDS * 2,
+        WIDE_SEEDS,
         red.join("\n")
     );
     assert!(
         red.len() <= max_red,
         "{scenario}: {} red runs of {}, bound {max_red}",
         red.len(),
-        WIDE_SEEDS * 2
+        WIDE_SEEDS
     );
 }
 
+// The `_both_modes` suffix of the two gates below dates from when the
+// sweep also ran the retired full-push replica sync; the test ids stay.
 #[test]
 fn sweep_lossy_links_both_modes() {
     sweep("lossy_links");

@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use chord::{ChordConfig, Id, NodeRef, ReplicationMode};
+use chord::{ChordConfig, Id, NodeRef};
 use proptest::prelude::*;
 use simnet::{NodeId, Time};
 use wire::{chord_class, Encode};
@@ -65,9 +65,8 @@ const OWNER_ADDR: NodeId = NodeId(1);
 const REPLICA_ADDR: NodeId = NodeId(2);
 
 impl TwoNodes {
-    fn new(mode: ReplicationMode) -> Self {
-        let mut cfg = ChordConfig::default();
-        cfg.replication_mode = mode;
+    fn new() -> Self {
+        let cfg = ChordConfig::default();
         let owner_ref = NodeRef {
             addr: OWNER_ADDR,
             id: Id(OWNER_ID),
@@ -210,7 +209,7 @@ fn seed_stores(
     expect
 }
 
-fn check_converged(h: &mut TwoNodes, expect: &BTreeMap<Id, Bytes>, check_extras: bool) {
+fn check_converged(h: &mut TwoNodes, expect: &BTreeMap<Id, Bytes>) {
     for (k, v) in expect {
         assert_eq!(
             h.replica.storage().get(*k),
@@ -218,37 +217,35 @@ fn check_converged(h: &mut TwoNodes, expect: &BTreeMap<Id, Bytes>, check_extras:
             "replica missing or stale at {k:?} after reconciliation"
         );
     }
-    if check_extras {
-        let replica_keys: Vec<Id> = h
-            .replica
-            .storage()
-            .iter_replica()
-            .map(|(k, _)| *k)
-            .collect();
-        for k in replica_keys {
-            assert!(
-                expect.contains_key(&k),
-                "replica kept {k:?}, which the owner no longer holds"
-            );
-        }
-        // The strongest form: the replica's union summary now reproduces
-        // the owner's primary root over the synced range.
-        let from = Id(REPLICA_ID);
-        let to = Id(OWNER_ID);
-        let owner_pairs =
-            h.owner
-                .storage_mut()
-                .sync_bucket_digests(chord::SyncView::Primary, from, to);
-        let replica_pairs =
-            h.replica
-                .storage_mut()
-                .sync_bucket_digests(chord::SyncView::Union, from, to);
-        assert_eq!(
-            chord::sync::range_root(&owner_pairs),
-            chord::sync::range_root(&replica_pairs),
-            "summaries disagree after reconciliation"
+    let replica_keys: Vec<Id> = h
+        .replica
+        .storage()
+        .iter_replica()
+        .map(|(k, _)| *k)
+        .collect();
+    for k in replica_keys {
+        assert!(
+            expect.contains_key(&k),
+            "replica kept {k:?}, which the owner no longer holds"
         );
     }
+    // The strongest form: the replica's union summary now reproduces
+    // the owner's primary root over the synced range.
+    let from = Id(REPLICA_ID);
+    let to = Id(OWNER_ID);
+    let owner_pairs = h
+        .owner
+        .storage_mut()
+        .sync_bucket_digests(chord::SyncView::Primary, from, to);
+    let replica_pairs =
+        h.replica
+            .storage_mut()
+            .sync_bucket_digests(chord::SyncView::Union, from, to);
+    assert_eq!(
+        chord::sync::range_root(&owner_pairs),
+        chord::sync::range_root(&replica_pairs),
+        "summaries disagree after reconciliation"
+    );
 }
 
 /// Strategy for a keyed byte-value map (the vendored proptest has no
@@ -273,12 +270,12 @@ proptest! {
         selectors in proptest::collection::vec(any::<u8>(), 1..40),
         extras in kv_map(0..8),
     ) {
-        let mut h = TwoNodes::new(ReplicationMode::MerkleDiff);
+        let mut h = TwoNodes::new();
         h.form_ring();
         let expect = seed_stores(&mut h, &items, &selectors, &extras);
         h.reset_accounting();
         h.run_replicate_round();
-        check_converged(&mut h, &expect, true);
+        check_converged(&mut h, &expect);
 
         // A second round over already-identical stores is root-exchange
         // only: one SyncRoot, one SyncAck, no descent, no records.
@@ -289,10 +286,12 @@ proptest! {
             "steady-state round shipped records");
     }
 
-    /// Wire-cost comparison against the legacy full push on the same
-    /// divergence, logged per class. (No universal `merkle < full`
-    /// assertion: for tiny stores the descent overhead can exceed one
-    /// small push — the crossover is what the benches quantify.)
+    /// Wire cost of a Merkle round on the same divergence, logged per
+    /// class next to what a full push of the owner's store (one
+    /// `Replicate` carrying every primary record) would have cost. (No
+    /// universal `merkle < full` assertion: for tiny stores the descent
+    /// overhead can exceed one small push — the crossover is what the
+    /// benches quantify.)
     #[test]
     fn merkle_and_full_push_costs_logged(
         items in kv_map(1..40),
@@ -300,39 +299,34 @@ proptest! {
     ) {
         let extras = BTreeMap::new();
 
-        let mut m = TwoNodes::new(ReplicationMode::MerkleDiff);
+        let mut m = TwoNodes::new();
         m.form_ring();
         let expect = seed_stores(&mut m, &items, &selectors, &extras);
+        let full_push = chord::ChordMsg::Replicate {
+            items: m.owner.storage().primary_items(),
+        }
+        .encoded_len();
         m.reset_accounting();
         m.run_replicate_round();
-        check_converged(&mut m, &expect, true);
-
-        let mut f = TwoNodes::new(ReplicationMode::FullPush);
-        f.form_ring();
-        let expect_f = seed_stores(&mut f, &items, &selectors, &extras);
-        f.reset_accounting();
-        f.run_replicate_round();
-        // Full push overwrites stale and fills missing but never prunes.
-        check_converged(&mut f, &expect_f, false);
+        check_converged(&mut m, &expect);
 
         println!(
-            "reconcile {} items: merkle {} msgs / {} bytes {:?} vs full-push {} msgs / {} bytes",
-            items.len(), m.msg_count, m.byte_count, m.bytes_by_class, f.msg_count, f.byte_count,
+            "reconcile {} items: merkle {} msgs / {} bytes {:?} vs full push 1 msg / {} bytes",
+            items.len(), m.msg_count, m.byte_count, m.bytes_by_class, full_push,
         );
     }
 }
 
 /// Non-proptest pin of the steady-state cost: an in-sync pair exchanges
-/// exactly `SyncRoot` + `SyncAck` per round in Merkle mode, while the
-/// legacy push re-ships the full store once per version forever.
+/// exactly `SyncRoot` + `SyncAck` per round.
 #[test]
 fn steady_state_is_two_small_messages() {
-    let mut h = TwoNodes::new(ReplicationMode::MerkleDiff);
+    let mut h = TwoNodes::new();
     h.form_ring();
     let items: BTreeMap<u64, Vec<u8>> = (0u64..32).map(|i| (i << 32, vec![i as u8; 16])).collect();
     let expect = seed_stores(&mut h, &items, &[0], &BTreeMap::new());
     h.run_replicate_round();
-    check_converged(&mut h, &expect, true);
+    check_converged(&mut h, &expect);
 
     h.reset_accounting();
     h.run_replicate_round();
