@@ -23,10 +23,6 @@ pub struct ChordConfig {
     pub replicate_every: Duration,
     /// Timeout for any single request/response exchange.
     pub op_timeout: Duration,
-    /// Retries for lookups / puts / gets before reporting failure.
-    pub max_attempts: u32,
-    /// Routing loop guard: lookups exceeding this hop count are dropped.
-    pub max_hops: u32,
     /// How long a node observed to time out stays blacklisted from routing
     /// decisions.
     pub suspect_ttl: Duration,
@@ -50,8 +46,6 @@ impl Default for ChordConfig {
             check_pred_every: Duration::from_millis(500),
             replicate_every: Duration::from_millis(1_000),
             op_timeout: Duration::from_millis(400),
-            max_attempts: 4,
-            max_hops: 3 * 64,
             suspect_ttl: Duration::from_secs(4),
             fail_threshold: 3,
         }
@@ -80,7 +74,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ChordConfig::default();
         assert!(c.succ_list_len >= 2);
-        assert!(c.max_attempts >= 2);
         assert!(c.op_timeout > Duration::ZERO);
     }
 

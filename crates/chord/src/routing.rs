@@ -9,6 +9,17 @@ use crate::msg::{ChordMsg, NodeRef, OpId, PutMode};
 use crate::node::{ChordNode, OpKind};
 use simnet::Time;
 
+/// Tries of a lookup / put / get (or a join) before it is reported failed,
+/// the first try included. A constant, not a knob: no experiment or test
+/// varies it.
+const MAX_ATTEMPTS: u32 = 4;
+const _: () = assert!(MAX_ATTEMPTS >= 2, "a timed-out op gets at least one retry");
+
+/// Routing loop guard: a lookup forwarded more hops than this is dropped
+/// and left to the origin's timeout (three times the 64 fingers of the
+/// ring). A constant, not a knob: no experiment or test varies it.
+const MAX_HOPS: u32 = 3 * 64;
+
 impl ChordNode {
     /// Start (or restart) the lookup phase of operation `op` for `target`.
     /// `attempt` selects the entry path: attempt 0 routes greedily through
@@ -46,7 +57,7 @@ impl ChordNode {
         origin: NodeRef,
         hops: u32,
     ) {
-        if hops > self.cfg.max_hops {
+        if hops > MAX_HOPS {
             return; // loop guard: drop; the origin's timeout handles it
         }
         if !self.joined {
@@ -263,11 +274,10 @@ impl ChordNode {
         };
         state.attempts += 1;
         let attempts = state.attempts;
-        let max = self.cfg.max_attempts;
         let kind = state.kind.clone();
         match kind {
             OpKind::Join { bootstrap } => {
-                if attempts >= max {
+                if attempts >= MAX_ATTEMPTS {
                     self.ops.remove(&op);
                     self.emit(ChordEvent::JoinFailed);
                 } else {
@@ -284,7 +294,7 @@ impl ChordNode {
                 }
             }
             OpKind::Lookup { target } => {
-                if attempts >= max {
+                if attempts >= MAX_ATTEMPTS {
                     self.ops.remove(&op);
                     self.emit(ChordEvent::LookupFailed { op });
                 } else {
@@ -305,7 +315,7 @@ impl ChordNode {
                 if let Some(o) = owner {
                     self.mark_suspect(o.addr, now);
                 }
-                if attempts >= max {
+                if attempts >= MAX_ATTEMPTS {
                     self.finish_put(op, false, None);
                 } else {
                     // Restart from the lookup phase; ownership may have moved.
@@ -325,7 +335,7 @@ impl ChordNode {
                 if let Some(o) = owner {
                     self.mark_suspect(o.addr, now);
                 }
-                if attempts >= max {
+                if attempts >= MAX_ATTEMPTS {
                     self.ops.remove(&op);
                     self.emit(ChordEvent::GetDone {
                         op,
@@ -344,7 +354,7 @@ impl ChordNode {
                 if let Some(o) = owner {
                     self.mark_suspect(o.addr, now);
                 }
-                if attempts >= max {
+                if attempts >= MAX_ATTEMPTS {
                     self.finish_fence(op, false, 0, false);
                 } else {
                     if let Some(s) = self.ops.get_mut(&op) {
@@ -423,13 +433,12 @@ impl ChordNode {
         };
         state.attempts += 1;
         let attempts = state.attempts;
-        let max = self.cfg.max_attempts;
         let kind = state.kind.clone();
         match kind {
             OpKind::Put {
                 key, value, mode, ..
             } => {
-                if attempts >= max {
+                if attempts >= MAX_ATTEMPTS {
                     self.finish_put(op, false, None);
                 } else {
                     if let Some(s) = self.ops.get_mut(&op) {
@@ -445,7 +454,7 @@ impl ChordNode {
                 }
             }
             OpKind::Get { key, .. } => {
-                if attempts >= max {
+                if attempts >= MAX_ATTEMPTS {
                     self.ops.remove(&op);
                     self.emit(ChordEvent::GetDone {
                         op,
@@ -461,7 +470,7 @@ impl ChordNode {
                 }
             }
             OpKind::Fence { key, floor, .. } => {
-                if attempts >= max {
+                if attempts >= MAX_ATTEMPTS {
                     self.finish_fence(op, false, 0, false);
                 } else {
                     if let Some(s) = self.ops.get_mut(&op) {

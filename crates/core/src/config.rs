@@ -21,12 +21,10 @@ pub struct LtrConfig {
     pub chord: ChordConfig,
     /// Timestamp service.
     pub kts: KtsConfig,
-    /// Log layer (replication degree `n`, ack policy, pipelining).
+    /// Log layer (replication degree `n`, ack policy).
     pub log: LogConfig,
     /// Resend a validation if unanswered for this long.
     pub validate_timeout: Duration,
-    /// Validation attempts (including redirects) before backing off.
-    pub max_validate_attempts: u32,
     /// Backoff before retrying a failed publish cycle.
     pub retry_backoff: Duration,
     /// Anti-entropy period (None disables passive sync).
@@ -42,7 +40,6 @@ impl Default for LtrConfig {
             kts: KtsConfig::default(),
             log: LogConfig::default(),
             validate_timeout: Duration::from_millis(1_500),
-            max_validate_attempts: 8,
             retry_backoff: Duration::from_millis(500),
             sync_every: Some(Duration::from_millis(1_000)),
             gc: None,
@@ -61,7 +58,6 @@ mod tests {
             c.validate_timeout > c.chord.op_timeout,
             "a validation spans at least one DHT op"
         );
-        assert!(c.max_validate_attempts >= 2);
         assert!(c.gc.is_none());
     }
 }

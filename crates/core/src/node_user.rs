@@ -28,6 +28,16 @@ use crate::node::{
 };
 use crate::payload::Payload;
 
+/// Validation attempts (redirects included) before a save backs off. A
+/// constant, not a knob: no experiment or test varies it.
+const MAX_VALIDATE_ATTEMPTS: u32 = 8;
+const _: () = assert!(MAX_VALIDATE_ATTEMPTS >= 2, "a lost Validate gets a retry");
+
+/// Retrieval pipelining window: timestamps fetched concurrently. A
+/// constant, not a knob: no experiment or test varies it.
+const PIPELINE_WINDOW: usize = 4;
+const _: () = assert!(PIPELINE_WINDOW >= 1, "retrieval fetches something");
+
 impl LtrNode {
     // ---- commands ---------------------------------------------------------
 
@@ -337,7 +347,6 @@ impl LtrNode {
     }
 
     fn bump_attempts_and_retry(&mut self, ctx: &mut Ctx<'_, Payload>, doc: &str) {
-        let max = self.cfg.max_validate_attempts;
         let state = match self.docs.get_mut(doc) {
             Some(s) => s,
             None => return,
@@ -349,8 +358,8 @@ impl LtrNode {
                 i.attempts += 1;
                 i.attempts
             })
-            .unwrap_or(max);
-        if attempts >= max {
+            .unwrap_or(MAX_VALIDATE_ATTEMPTS);
+        if attempts >= MAX_VALIDATE_ATTEMPTS {
             self.backoff_doc(ctx, doc);
         } else {
             // Give stabilization a moment, then re-locate the master.
@@ -427,7 +436,6 @@ impl LtrNode {
         resume_validate: bool,
     ) {
         let n = self.cfg.log.replication;
-        let window = self.cfg.log.pipeline_window;
         let state = match self.docs.get_mut(doc) {
             Some(s) => s,
             None => return,
@@ -441,7 +449,8 @@ impl LtrNode {
         }
         state.master_ts = state.master_ts.max(to_ts);
         let name = state.name.clone();
-        let mut retriever = Retriever::new(name.clone(), state.replica.ts, to_ts, n, window);
+        let mut retriever =
+            Retriever::new(name.clone(), state.replica.ts, to_ts, n, PIPELINE_WINDOW);
         let cmds = retriever.start();
         state.phase = UserPhase::Retrieving;
         state.retr = Some(RetrState {

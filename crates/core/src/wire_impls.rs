@@ -4,69 +4,18 @@
 //! `wire` crate's codecs; user commands (the client API surface) encode
 //! here.
 //!
-//! Tags are frozen: `Chord = 0`, `Kts = 1`, `Cmd = 2`; within `Cmd`:
-//! `OpenDoc = 0`, `Edit = 1`, `Sync = 2`, `Leave = 3`. Append, never
-//! renumber.
+//! Tags are frozen: `Chord = 0`, `Kts = 1`, `Cmd = 2`, and `UserCmd`'s
+//! are its declaration below. Append, never renumber.
 
-use wire::{Decode, Encode, Reader, WireError};
+use wire::{wire_enum, Decode, Encode, Reader, WireError};
 
 use crate::payload::{Payload, UserCmd};
 
-impl Encode for UserCmd {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            UserCmd::OpenDoc { doc, initial } => {
-                out.push(0);
-                doc.encode(out);
-                initial.encode(out);
-            }
-            UserCmd::Edit { doc, new_text } => {
-                out.push(1);
-                doc.encode(out);
-                new_text.encode(out);
-            }
-            UserCmd::Sync { doc } => {
-                out.push(2);
-                doc.encode(out);
-            }
-            UserCmd::Leave => out.push(3),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            UserCmd::OpenDoc { doc, initial } => doc.encoded_len() + initial.encoded_len(),
-            UserCmd::Edit { doc, new_text } => doc.encoded_len() + new_text.encoded_len(),
-            UserCmd::Sync { doc } => doc.encoded_len(),
-            UserCmd::Leave => 0,
-        }
-    }
-}
-
-impl Decode for UserCmd {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.read_u8()?;
-        Ok(match tag {
-            0 => UserCmd::OpenDoc {
-                doc: String::decode(r)?,
-                initial: String::decode(r)?,
-            },
-            1 => UserCmd::Edit {
-                doc: String::decode(r)?,
-                new_text: String::decode(r)?,
-            },
-            2 => UserCmd::Sync {
-                doc: String::decode(r)?,
-            },
-            3 => UserCmd::Leave,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "UserCmd",
-                    tag,
-                })
-            }
-        })
-    }
+wire_enum! { UserCmd;
+    0 => OpenDoc { doc, initial },
+    1 => Edit { doc, new_text },
+    2 => Sync { doc },
+    3 => Leave,
 }
 
 impl Encode for Payload {

@@ -93,10 +93,12 @@ the operation is infallible by construction, annotate with
         summary: "codec/envelope tag drift against crates/wire/TAGS.lock",
         explain: "\
 Wire tags are frozen: append new variants, never renumber. detlint
-extracts every integer tag arm from the Decode impls in
-crates/wire/src/{codec,proto}.rs and crates/core/src/wire_impls.rs
-(plus the literal tags on the Encode side as a cross-check) and diffs
-them against the committed crates/wire/TAGS.lock manifest. A tag that is
+extracts every `N => Variant` line of the `wire_enum!` declarations and
+every integer tag arm of the hand-written Decode impls (plus the literal
+tags on their Encode side as a cross-check) in
+crates/wire/src/{codec,proto}.rs, crates/core/src/wire_impls.rs and
+crates/store/src/entry.rs, and diffs them against the committed
+crates/wire/TAGS.lock manifest. A tag that is
 added, removed, renumbered, renamed, or duplicated without touching the
 lock file fails the build — silent renumbering is how mixed-version
 rings corrupt each other.

@@ -1,10 +1,13 @@
-//! WIRE-TAGS: extract every frozen codec/envelope tag from the Encode /
-//! Decode impls and diff them against the committed manifest
-//! (`crates/wire/TAGS.lock`).
+//! WIRE-TAGS: extract every frozen codec/envelope/journal tag from the
+//! `wire_enum!` declarations and the hand-written Encode / Decode impls,
+//! and diff them against the committed manifest (`crates/wire/TAGS.lock`).
 //!
 //! Extraction is syntactic but runs on masked, test-stripped source, so
 //! doc examples and the frozen-encodings test vectors never leak in:
 //!
+//! * inside a `wire_enum! { T;` declaration, every `<int> => <Variant>`
+//!   line is a (tag, variant) pair — the declaration is the only place
+//!   the tag is written;
 //! * inside `impl Decode for T` blocks, every match arm of the form
 //!   `<int> => <variant-expr>` is a (tag, variant) pair — the decode side
 //!   names both the number and the variant, so it is the source of truth;
@@ -24,6 +27,7 @@ pub const TAG_FILES: &[&str] = &[
     "crates/wire/src/codec.rs",
     "crates/wire/src/proto.rs",
     "crates/core/src/wire_impls.rs",
+    "crates/store/src/entry.rs",
 ];
 
 /// Manifest location relative to the workspace root.
@@ -34,14 +38,15 @@ pub type TagTable = BTreeMap<(String, String), BTreeMap<u64, (String, usize)>>;
 
 /// Strip an arm expression down to its variant name: `Ok(PutMode::Overwrite)`
 /// → `Overwrite`, `ChordMsg::FindSuccessor {` → `FindSuccessor`,
-/// `Ok(Some(T::decode(r)?))` → `Some`, `Ok(false)` → `false`.
+/// `Ok(Some(T::decode(r)?))` → `Some`, `Ok(false)` → `false`,
+/// `Stop = "msg.stop",` → `Stop`.
 fn variant_name(expr: &str) -> String {
     let mut s = expr.trim();
     if let Some(rest) = s.strip_prefix("Ok(") {
         s = rest;
     }
     let end = s
-        .find(|c| c == '(' || c == '{' || c == ',' || c == ')')
+        .find(|c: char| matches!(c, '(' | '{' | ',' | ')') || c.is_whitespace())
         .unwrap_or(s.len());
     let head = s[..end].trim();
     head.rsplit("::").next().unwrap_or(head).trim().to_string()
@@ -51,6 +56,11 @@ fn variant_name(expr: &str) -> String {
 /// `impl<T: Encode> Encode for Option<T> {` → (kind, type name).
 fn impl_header(line: &str) -> Option<(&'static str, String)> {
     let t = line.trim_start();
+    // A `wire_enum! { Type;` declaration: its `N => Variant` lines are
+    // the whole wire form, so they scan like decode arms.
+    if let Some(rest) = t.strip_prefix("wire_enum! {") {
+        return Some(("Decode", rest.trim().trim_end_matches(';').to_string()));
+    }
     if !t.starts_with("impl") {
         return None;
     }

@@ -161,11 +161,13 @@ fn unused_allow_is_an_error_under_deny() {
 // WIRE-TAGS freeze
 // ---------------------------------------------------------------------------
 
-#[test]
-fn wire_tags_roundtrip_then_renumber_fails() {
-    let proto = fixture("wire_proto_mini.rs");
+/// The freeze cases every tag source must fail: `fixture` declares
+/// `Msg::Ping = 0` and `Msg::Pong = 1`, and `pong_line` / `gone_line` add
+/// tag 2 to it. Returns the workspace root, holding the fresh lock.
+fn wire_tags_freeze_cases(fixture_name: &str, pong_line: &str, gone_line: &str) -> PathBuf {
+    let proto = fixture(fixture_name);
     let root = mini_workspace(
-        "detlint-tags",
+        &format!("detlint-tags-{fixture_name}"),
         &[("crates/wire/src/proto.rs", proto.as_str())],
     );
 
@@ -173,7 +175,7 @@ fn wire_tags_roundtrip_then_renumber_fails() {
     let text = write_tags(&root).unwrap();
     assert!(text.contains("crates/wire/src/proto.rs | Msg | 0 = Ping"));
     assert!(text.contains("crates/wire/src/proto.rs | Msg | 1 = Pong"));
-    let report = scan_root(&root, &Options::default()).unwrap();
+    let report = scan_root(&root, &Options { deny: true }).unwrap();
     assert!(report.clean(), "{:#?}", report.findings);
 
     // Deliberately renumber the two variants in the lock: the scan must
@@ -182,35 +184,51 @@ fn wire_tags_roundtrip_then_renumber_fails() {
         .replace("0 = Ping", "0 = Pong")
         .replace("1 = Pong", "1 = Ping");
     fs::write(root.join("crates/wire/TAGS.lock"), &tampered).unwrap();
-    let report = scan_root(&root, &Options::default()).unwrap();
+    let report = scan_root(&root, &Options { deny: true }).unwrap();
     assert_eq!(count(&report.findings, "WIRE-TAGS"), 2, "{report:#?}");
     assert!(!report.clean());
 
     // A locked tag that vanished from the code is also fatal.
     let grown = format!("{text}crates/wire/src/proto.rs | Msg | 2 = Gone\n");
     fs::write(root.join("crates/wire/TAGS.lock"), &grown).unwrap();
-    let report = scan_root(&root, &Options::default()).unwrap();
+    let report = scan_root(&root, &Options { deny: true }).unwrap();
     assert_eq!(count(&report.findings, "WIRE-TAGS"), 1, "{report:#?}");
 
     // And a code-side addition without regenerating the lock.
     fs::write(root.join("crates/wire/TAGS.lock"), &text).unwrap();
-    let extended = proto.replace(
-        "            1 => Ok(Msg::Pong),",
-        "            1 => Ok(Msg::Pong),\n            2 => Ok(Msg::Gone),",
-    );
+    let extended = proto.replace(pong_line, &format!("{pong_line}\n{gone_line}"));
     assert_ne!(extended, proto);
     fs::write(root.join("crates/wire/src/proto.rs"), extended).unwrap();
-    let report = scan_root(&root, &Options::default()).unwrap();
-    // Two findings: the unlocked tag itself, plus the encode/decode
-    // cross-check (the encoder still never emits tag 2).
-    assert_eq!(count(&report.findings, "WIRE-TAGS"), 2, "{report:#?}");
+    let report = scan_root(&root, &Options { deny: true }).unwrap();
     assert!(
         report
             .findings
             .iter()
-            .any(|f| f.msg.contains("not in TAGS.lock")),
+            .any(|f| f.msg.contains("Msg tag 2 = Gone not in TAGS.lock")),
         "{report:#?}"
     );
+    fs::write(root.join("crates/wire/src/proto.rs"), proto).unwrap();
+    root
+}
+
+#[test]
+fn wire_tags_roundtrip_then_renumber_fails() {
+    // Hand-written Encode / Decode impls.
+    let root = wire_tags_freeze_cases(
+        "wire_proto_mini.rs",
+        "            1 => Ok(Msg::Pong),",
+        "            2 => Ok(Msg::Gone),",
+    );
+    // The unlocked decode arm also trips the encode/decode cross-check
+    // (the encoder still never emits tag 2).
+    let proto = fixture("wire_proto_mini.rs");
+    let extended = proto.replace(
+        "            1 => Ok(Msg::Pong),",
+        "            1 => Ok(Msg::Pong),\n            2 => Ok(Msg::Gone),",
+    );
+    fs::write(root.join("crates/wire/src/proto.rs"), extended).unwrap();
+    let report = scan_root(&root, &Options::default()).unwrap();
+    assert_eq!(count(&report.findings, "WIRE-TAGS"), 2, "{report:#?}");
 
     // Encode/decode cross-check: pushing a tag the decoder never matches.
     let skewed = proto.replace("Msg::Pong => out.push(1)", "Msg::Pong => out.push(9)");
@@ -224,6 +242,16 @@ fn wire_tags_roundtrip_then_renumber_fails() {
             .any(|f| f.rule == "WIRE-TAGS" && f.msg.contains("disagree")),
         "{report:#?}"
     );
+
+    // A `wire_enum!` declaration: its `N => Variant` lines are the tags,
+    // and the same three drifts fail `--deny`.
+    let root = wire_tags_freeze_cases(
+        "wire_decl_mini.rs",
+        "    1 => Pong { op, #[trailing] epoch } = \"msg.pong\",",
+        "    2 => Gone = \"msg.gone\",",
+    );
+    let report = scan_root(&root, &Options { deny: true }).unwrap();
+    assert!(report.clean(), "{:#?}", report.findings);
 }
 
 // ---------------------------------------------------------------------------

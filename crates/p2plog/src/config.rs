@@ -16,8 +16,6 @@ pub struct LogConfig {
     pub replication: usize,
     /// Publish acknowledgement policy.
     pub ack_policy: AckPolicy,
-    /// Retrieval pipelining window (timestamps fetched concurrently).
-    pub pipeline_window: usize,
 }
 
 impl Default for LogConfig {
@@ -25,7 +23,6 @@ impl Default for LogConfig {
         LogConfig {
             replication: 3,
             ack_policy: AckPolicy::All,
-            pipeline_window: 4,
         }
     }
 }
@@ -39,6 +36,5 @@ mod tests {
         let c = LogConfig::default();
         assert_eq!(c.replication, 3);
         assert_eq!(c.ack_policy, AckPolicy::All);
-        assert!(c.pipeline_window >= 1);
     }
 }

@@ -251,6 +251,168 @@ impl<'a> Reader<'a> {
         let raw = self.take(len)?;
         std::str::from_utf8(raw).map_err(|_| WireError::BadUtf8)
     }
+
+    /// Read an optional trailing field: the default when the input ends
+    /// here, else a value that must differ from the default — a present
+    /// default would be a second encoding of the same message.
+    pub fn read_trailing<T: Decode + Default + PartialEq>(&mut self) -> Result<T, WireError> {
+        if self.remaining() == 0 {
+            return Ok(T::default());
+        }
+        let v = T::decode(self)?;
+        if v == T::default() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(v)
+    }
+}
+
+/// Encoded size of an optional trailing field: nothing at its default.
+pub fn trailing_len<T: Encode + Default + PartialEq>(v: &T) -> usize {
+    if *v == T::default() {
+        0
+    } else {
+        v.encoded_len()
+    }
+}
+
+/// Encode an optional trailing field: omitted at its default.
+pub fn encode_trailing<T: Encode + Default + PartialEq>(v: &T, out: &mut Vec<u8>) {
+    if *v != T::default() {
+        v.encode(out);
+    }
+}
+
+/// Declare an enum's wire form once: a one-byte tag per variant, then the
+/// variant's fields in the order listed. Generates [`Encode`] (with
+/// `encoded_len`) and [`Decode`]; an unknown tag decodes to
+/// [`WireError::BadTag`]. Every field must be listed — the generated
+/// pattern and struct literal name them all, so a missing one is a compile
+/// error. The last field may be marked `#[trailing]`: omitted when it
+/// equals its `Default`, the default when absent, and an explicit default
+/// rejected (one value, one encoding). A trailing field must end the
+/// message's buffer.
+///
+/// An optional class function maps each variant to a stable label for
+/// wire accounting:
+///
+/// ```
+/// # #[derive(Debug, PartialEq)]
+/// # enum Msg { Ping { op: u64 }, Stop, Grant { op: u64, epoch: u64 } }
+/// wire::wire_enum! { Msg;
+///     /// Accounting label of a `Msg`.
+///     pub fn msg_class;
+///     0 => Ping { op } = "msg.ping",
+///     1 => Stop = "msg.stop",
+///     2 => Grant { op, #[trailing] epoch } = "msg.grant",
+/// }
+/// use wire::{Decode, Encode};
+/// assert_eq!(Msg::Grant { op: 7, epoch: 0 }.to_wire(), [2, 7]);
+/// assert_eq!(Msg::from_wire(&[2, 7, 3]), Ok(Msg::Grant { op: 7, epoch: 3 }));
+/// assert!(Msg::from_wire(&[2, 7, 0]).is_err());
+/// assert_eq!(msg_class(&Msg::Stop), "msg.stop");
+/// ```
+///
+/// Tags are a wire contract: append variants, never renumber. detlint's
+/// WIRE-TAGS rule reads the `N => Variant` lines and freezes them in
+/// `crates/wire/TAGS.lock`; the declaration's first line must read
+/// `wire_enum! { Type;` for it to find them.
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $ty:ident;
+        $( $tag:literal => $variant:ident
+            $({ $($field:ident),* $(, #[trailing] $tail:ident)? })? ),* $(,)?
+    ) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $( $ty::$variant { $($($field,)* $($tail)?)? } => {
+                        out.push($tag);
+                        $($( $crate::Encode::encode($field, out); )*
+                        $( $crate::codec::encode_trailing($tail, out); )?)?
+                    } )*
+                }
+            }
+
+            fn encoded_len(&self) -> usize {
+                1 + match self {
+                    $( $ty::$variant { $($($field,)* $($tail)?)? } => {
+                        0 $($( + $crate::Encode::encoded_len($field) )*
+                        $( + $crate::codec::trailing_len($tail) )?)?
+                    } )*
+                }
+            }
+        }
+
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
+                Ok(match r.read_u8()? {
+                    $( $tag => $ty::$variant {
+                        $($( $field: $crate::Decode::decode(r)?, )*
+                        $( $tail: r.read_trailing()?, )?)?
+                    }, )*
+                    tag => return Err($crate::WireError::BadTag { what: stringify!($ty), tag }),
+                })
+            }
+        }
+    };
+    (
+        $ty:ident;
+        $(#[$meta:meta])* $vis:vis fn $class:ident;
+        $( $tag:literal => $variant:ident $({ $($fields:tt)* })? = $label:literal ),* $(,)?
+    ) => {
+        $crate::wire_enum! { $ty; $( $tag => $variant $({ $($fields)* })? ),* }
+
+        $(#[$meta])*
+        $vis fn $class(msg: &$ty) -> &'static str {
+            match msg {
+                $( $ty::$variant { .. } => $label, )*
+            }
+        }
+    };
+}
+
+/// Declare a struct's wire form once: its fields in the order listed, no
+/// tag. Generates [`Encode`] (with `encoded_len`) and [`Decode`]. Every
+/// field must be listed; the last may be `#[trailing]`, with the meaning
+/// [`wire_enum!`] gives it.
+///
+/// ```
+/// # #[derive(Debug, PartialEq)]
+/// # struct Entry { key: u64, name: String }
+/// wire::wire_struct! { Entry { key, name } }
+/// use wire::{Decode, Encode};
+/// let e = Entry { key: 1, name: "a".into() };
+/// assert_eq!(e.to_wire(), [1, 1, b'a']);
+/// assert_eq!(Entry::from_wire(&e.to_wire()), Ok(e));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(, #[trailing] $tail:ident)? $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                let $ty { $($field,)* $($tail)? } = self;
+                $( $crate::Encode::encode($field, out); )*
+                $( $crate::codec::encode_trailing($tail, out); )?
+            }
+
+            fn encoded_len(&self) -> usize {
+                let $ty { $($field,)* $($tail)? } = self;
+                0 $( + $crate::Encode::encoded_len($field) )*
+                $( + $crate::codec::trailing_len($tail) )?
+            }
+        }
+
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
+                Ok($ty {
+                    $( $field: $crate::Decode::decode(r)?, )*
+                    $( $tail: r.read_trailing()?, )?
+                })
+            }
+        }
+    };
 }
 
 // ---- primitive impls ------------------------------------------------------
@@ -567,6 +729,59 @@ mod tests {
     fn non_utf8_string_rejected() {
         let buf = vec![2, 0xff, 0xfe];
         assert_eq!(String::from_wire(&buf), Err(WireError::BadUtf8));
+    }
+
+    // A message as an old peer declares it (V1), and as a newer peer
+    // declares it after appending one trailing field (V2).
+    #[derive(Debug, PartialEq)]
+    enum GrantV1 {
+        Granted { op: u64, ts: u64 },
+    }
+    #[derive(Debug, PartialEq)]
+    enum GrantV2 {
+        Granted { op: u64, ts: u64, epoch: u64 },
+    }
+    crate::wire_enum! { GrantV1;
+        1 => Granted { op, ts },
+    }
+    crate::wire_enum! { GrantV2;
+        1 => Granted { op, ts, #[trailing] epoch },
+    }
+
+    #[test]
+    fn a_trailing_field_is_compatible_both_ways() {
+        let v1 = GrantV1::Granted { op: 7, ts: 300 }.to_wire();
+        let v2 = GrantV2::Granted {
+            op: 7,
+            ts: 300,
+            epoch: 0,
+        };
+        // Old bytes decode under the new declaration with the default …
+        assert_eq!(GrantV2::from_wire(&v1).as_ref(), Ok(&v2));
+        // … and a new message at the default is the old message, byte
+        // for byte.
+        assert_eq!(v2.to_wire(), v1);
+        assert_eq!(v2.encoded_len(), v1.len());
+        assert_eq!(
+            GrantV1::from_wire(&v2.to_wire()),
+            Ok(GrantV1::Granted { op: 7, ts: 300 })
+        );
+        // A set trailing field is bytes the old peer does not know.
+        let v2 = GrantV2::Granted {
+            op: 7,
+            ts: 300,
+            epoch: 3,
+        };
+        assert_eq!(v2.encoded_len(), v1.len() + 1);
+        assert_eq!(
+            GrantV1::from_wire(&v2.to_wire()),
+            Err(WireError::TrailingBytes)
+        );
+        assert_eq!(GrantV2::from_wire(&v2.to_wire()), Ok(v2));
+        // An explicit default is a second encoding: rejected.
+        let mut explicit = v1.clone();
+        explicit.push(0);
+        assert_eq!(GrantV2::from_wire(&explicit), Err(WireError::TrailingBytes));
     }
 
     #[test]

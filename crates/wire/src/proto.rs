@@ -1,19 +1,25 @@
-//! [`Encode`]/[`Decode`] implementations for every protocol message that
-//! crosses a node boundary: the Chord DHT messages, the KTS timestamping
-//! messages, and the P2P-Log record.
+//! The wire form of every protocol message that crosses a node boundary:
+//! the Chord DHT messages, the KTS timestamping messages, and the P2P-Log
+//! record. Each is declared once with [`wire_enum!`] / [`wire_struct!`],
+//! which generate its [`Encode`] / [`Decode`] impls and class function;
+//! only the ring id, the address/handle newtypes and [`DocName`] are
+//! written by hand.
 //!
 //! Layout conventions:
 //!
-//! * enum variants are a one-byte tag followed by their fields in
-//!   declaration order;
+//! * enum variants are a one-byte tag followed by their fields in the
+//!   order the declaration lists them;
 //! * ring identifiers ([`Id`]) are fixed 8-byte little-endian (uniformly
 //!   distributed values — a varint would cost more);
 //! * handles, timestamps and counts are canonical varints;
-//! * names are length-prefixed UTF-8, payloads length-prefixed bytes.
+//! * names are length-prefixed UTF-8, payloads length-prefixed bytes;
+//! * a `#[trailing]` field is omitted at its default and rejected when
+//!   present at it, so one value keeps one encoding.
 //!
 //! Tags are part of the wire contract: **append new variants, never
-//! renumber**. The `frozen_encodings` test pins representative byte
-//! strings.
+//! renumber**, then regenerate `TAGS.lock` with
+//! `cargo run -p detlint -- --write-tags`. The `frozen_encodings` test
+//! pins representative byte strings.
 
 use chord::{ChordMsg, DocName, Id, NodeRef, OpId, PutMode};
 use kts::{HandoffEntry, KtsMsg, ReqId, ValidateFailure};
@@ -21,6 +27,7 @@ use p2plog::LogRecord;
 use simnet::NodeId;
 
 use crate::codec::{Decode, Encode, Reader, WireError};
+use crate::{wire_enum, wire_struct};
 
 impl Encode for Id {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -82,24 +89,7 @@ impl Decode for ReqId {
     }
 }
 
-impl Encode for NodeRef {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.addr.encode(out);
-        self.id.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.addr.encoded_len() + self.id.encoded_len()
-    }
-}
-
-impl Decode for NodeRef {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeRef {
-            addr: NodeId::decode(r)?,
-            id: Id::decode(r)?,
-        })
-    }
-}
+wire_struct! { NodeRef { addr, id } }
 
 impl Encode for DocName {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -116,742 +106,66 @@ impl Decode for DocName {
     }
 }
 
-impl Encode for PutMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            PutMode::Overwrite => 0,
-            PutMode::FirstWriter => 1,
-            PutMode::Ranked => 2,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
+wire_enum! { PutMode;
+    0 => Overwrite,
+    1 => FirstWriter,
+    2 => Ranked,
 }
 
-impl Decode for PutMode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(PutMode::Overwrite),
-            1 => Ok(PutMode::FirstWriter),
-            2 => Ok(PutMode::Ranked),
-            tag => Err(WireError::BadTag {
-                what: "PutMode",
-                tag,
-            }),
-        }
-    }
+wire_enum! { ValidateFailure;
+    0 => LogUnreachable,
+    1 => Overloaded,
+    2 => AheadOfLog,
 }
 
-impl Encode for ValidateFailure {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            ValidateFailure::LogUnreachable => 0,
-            ValidateFailure::Overloaded => 1,
-            ValidateFailure::AheadOfLog => 2,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
+wire_struct! { HandoffEntry { key, key_name, last_ts, epoch } }
+
+// Unstamped (epoch-0) records keep their exact pre-fencing byte layout.
+wire_struct! { LogRecord { doc, ts, author, patch, #[trailing] epoch } }
+
+wire_enum! { ChordMsg;
+    /// Stable class label of a Chord message for wire accounting (one per
+    /// variant; free function — `ChordMsg` is foreign to this crate).
+    pub fn chord_class;
+    0 => FindSuccessor { op, target, origin, hops } = "chord.find_successor",
+    1 => FoundSuccessor { op, owner, hops } = "chord.found_successor",
+    2 => GetPredecessor { op } = "chord.get_predecessor",
+    3 => PredecessorIs { op, pred, succ_list } = "chord.predecessor_is",
+    4 => Notify { candidate } = "chord.notify",
+    5 => Ping { op } = "chord.ping",
+    6 => Pong { op } = "chord.pong",
+    7 => Put { op, key, value, mode, origin } = "chord.put",
+    8 => PutAck { op, ok, existing } = "chord.put_ack",
+    9 => Get { op, key, origin } = "chord.get",
+    10 => GetReply { op, value, authoritative } = "chord.get_reply",
+    11 => Replicate { items } = "chord.replicate",
+    12 => TransferKeys { items } = "chord.transfer_keys",
+    13 => LeaveToSucc { pred_of_leaver, items } = "chord.leave_to_succ",
+    14 => LeaveToPred { succ_of_leaver } = "chord.leave_to_pred",
+    15 => SyncRoot { ver, from, to, root } = "chord.sync.root",
+    16 => SyncDiff { ver, wants, need } = "chord.sync.diff",
+    17 => SyncNodes { ver, nodes, leaves } = "chord.sync.nodes",
+    18 => SyncAck { ver } = "chord.sync.ack",
+    19 => Fence { op, key, floor, origin } = "chord.fence",
+    20 => FenceAck { op, ok, current, occupied } = "chord.fence_ack",
 }
 
-impl Decode for ValidateFailure {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(ValidateFailure::LogUnreachable),
-            1 => Ok(ValidateFailure::Overloaded),
-            2 => Ok(ValidateFailure::AheadOfLog),
-            tag => Err(WireError::BadTag {
-                what: "ValidateFailure",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Encode for HandoffEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.key.encode(out);
-        self.key_name.encode(out);
-        self.last_ts.encode(out);
-        self.epoch.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.key.encoded_len()
-            + self.key_name.encoded_len()
-            + self.last_ts.encoded_len()
-            + self.epoch.encoded_len()
-    }
-}
-
-impl Decode for HandoffEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HandoffEntry {
-            key: Id::decode(r)?,
-            key_name: DocName::decode(r)?,
-            last_ts: u64::decode(r)?,
-            epoch: u64::decode(r)?,
-        })
-    }
-}
-
-impl Encode for LogRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.doc.encode(out);
-        self.ts.encode(out);
-        self.author.encode(out);
-        self.patch.encode(out);
-        // Optional trailing field: legacy (epoch-0) records keep their
-        // exact pre-fencing byte layout.
-        if self.epoch > 0 {
-            self.epoch.encode(out);
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        self.doc.encoded_len()
-            + self.ts.encoded_len()
-            + self.author.encoded_len()
-            + self.patch.encoded_len()
-            + if self.epoch > 0 {
-                self.epoch.encoded_len()
-            } else {
-                0
-            }
-    }
-}
-
-impl Decode for LogRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LogRecord {
-            doc: String::decode(r)?,
-            ts: u64::decode(r)?,
-            author: u64::decode(r)?,
-            patch: bytes::Bytes::decode(r)?,
-            epoch: if r.remaining() == 0 {
-                0
-            } else {
-                u64::decode(r)?
-            },
-        })
-    }
-}
-
-// ---- ChordMsg -------------------------------------------------------------
-
-/// Stable class label of a Chord message for wire accounting (one per
-/// variant; free function — `ChordMsg` is foreign to this crate).
-pub fn chord_class(msg: &ChordMsg) -> &'static str {
-    match msg {
-        ChordMsg::FindSuccessor { .. } => "chord.find_successor",
-        ChordMsg::FoundSuccessor { .. } => "chord.found_successor",
-        ChordMsg::GetPredecessor { .. } => "chord.get_predecessor",
-        ChordMsg::PredecessorIs { .. } => "chord.predecessor_is",
-        ChordMsg::Notify { .. } => "chord.notify",
-        ChordMsg::Ping { .. } => "chord.ping",
-        ChordMsg::Pong { .. } => "chord.pong",
-        ChordMsg::Put { .. } => "chord.put",
-        ChordMsg::PutAck { .. } => "chord.put_ack",
-        ChordMsg::Get { .. } => "chord.get",
-        ChordMsg::GetReply { .. } => "chord.get_reply",
-        ChordMsg::Replicate { .. } => "chord.replicate",
-        ChordMsg::TransferKeys { .. } => "chord.transfer_keys",
-        ChordMsg::LeaveToSucc { .. } => "chord.leave_to_succ",
-        ChordMsg::LeaveToPred { .. } => "chord.leave_to_pred",
-        ChordMsg::SyncRoot { .. } => "chord.sync.root",
-        ChordMsg::SyncDiff { .. } => "chord.sync.diff",
-        ChordMsg::SyncNodes { .. } => "chord.sync.nodes",
-        ChordMsg::SyncAck { .. } => "chord.sync.ack",
-        ChordMsg::Fence { .. } => "chord.fence",
-        ChordMsg::FenceAck { .. } => "chord.fence_ack",
-    }
-}
-
-impl Encode for ChordMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ChordMsg::FindSuccessor {
-                op,
-                target,
-                origin,
-                hops,
-            } => {
-                out.push(0);
-                op.encode(out);
-                target.encode(out);
-                origin.encode(out);
-                hops.encode(out);
-            }
-            ChordMsg::FoundSuccessor { op, owner, hops } => {
-                out.push(1);
-                op.encode(out);
-                owner.encode(out);
-                hops.encode(out);
-            }
-            ChordMsg::GetPredecessor { op } => {
-                out.push(2);
-                op.encode(out);
-            }
-            ChordMsg::PredecessorIs {
-                op,
-                pred,
-                succ_list,
-            } => {
-                out.push(3);
-                op.encode(out);
-                pred.encode(out);
-                succ_list.encode(out);
-            }
-            ChordMsg::Notify { candidate } => {
-                out.push(4);
-                candidate.encode(out);
-            }
-            ChordMsg::Ping { op } => {
-                out.push(5);
-                op.encode(out);
-            }
-            ChordMsg::Pong { op } => {
-                out.push(6);
-                op.encode(out);
-            }
-            ChordMsg::Put {
-                op,
-                key,
-                value,
-                mode,
-                origin,
-            } => {
-                out.push(7);
-                op.encode(out);
-                key.encode(out);
-                value.encode(out);
-                mode.encode(out);
-                origin.encode(out);
-            }
-            ChordMsg::PutAck { op, ok, existing } => {
-                out.push(8);
-                op.encode(out);
-                ok.encode(out);
-                existing.encode(out);
-            }
-            ChordMsg::Get { op, key, origin } => {
-                out.push(9);
-                op.encode(out);
-                key.encode(out);
-                origin.encode(out);
-            }
-            ChordMsg::GetReply {
-                op,
-                value,
-                authoritative,
-            } => {
-                out.push(10);
-                op.encode(out);
-                value.encode(out);
-                authoritative.encode(out);
-            }
-            ChordMsg::Replicate { items } => {
-                out.push(11);
-                items.encode(out);
-            }
-            ChordMsg::TransferKeys { items } => {
-                out.push(12);
-                items.encode(out);
-            }
-            ChordMsg::LeaveToSucc {
-                pred_of_leaver,
-                items,
-            } => {
-                out.push(13);
-                pred_of_leaver.encode(out);
-                items.encode(out);
-            }
-            ChordMsg::LeaveToPred { succ_of_leaver } => {
-                out.push(14);
-                succ_of_leaver.encode(out);
-            }
-            ChordMsg::SyncRoot {
-                ver,
-                from,
-                to,
-                root,
-            } => {
-                out.push(15);
-                ver.encode(out);
-                from.encode(out);
-                to.encode(out);
-                root.encode(out);
-            }
-            ChordMsg::SyncDiff { ver, wants, need } => {
-                out.push(16);
-                ver.encode(out);
-                wants.encode(out);
-                need.encode(out);
-            }
-            ChordMsg::SyncNodes { ver, nodes, leaves } => {
-                out.push(17);
-                ver.encode(out);
-                nodes.encode(out);
-                leaves.encode(out);
-            }
-            ChordMsg::SyncAck { ver } => {
-                out.push(18);
-                ver.encode(out);
-            }
-            ChordMsg::Fence {
-                op,
-                key,
-                floor,
-                origin,
-            } => {
-                out.push(19);
-                op.encode(out);
-                key.encode(out);
-                floor.encode(out);
-                origin.encode(out);
-            }
-            ChordMsg::FenceAck {
-                op,
-                ok,
-                current,
-                occupied,
-            } => {
-                out.push(20);
-                op.encode(out);
-                ok.encode(out);
-                current.encode(out);
-                occupied.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ChordMsg::FindSuccessor {
-                op,
-                target,
-                origin,
-                hops,
-            } => {
-                op.encoded_len() + target.encoded_len() + origin.encoded_len() + hops.encoded_len()
-            }
-            ChordMsg::FoundSuccessor { op, owner, hops } => {
-                op.encoded_len() + owner.encoded_len() + hops.encoded_len()
-            }
-            ChordMsg::GetPredecessor { op } => op.encoded_len(),
-            ChordMsg::PredecessorIs {
-                op,
-                pred,
-                succ_list,
-            } => op.encoded_len() + pred.encoded_len() + succ_list.encoded_len(),
-            ChordMsg::Notify { candidate } => candidate.encoded_len(),
-            ChordMsg::Ping { op } => op.encoded_len(),
-            ChordMsg::Pong { op } => op.encoded_len(),
-            ChordMsg::Put {
-                op,
-                key,
-                value,
-                mode,
-                origin,
-            } => {
-                op.encoded_len()
-                    + key.encoded_len()
-                    + value.encoded_len()
-                    + mode.encoded_len()
-                    + origin.encoded_len()
-            }
-            ChordMsg::PutAck { op, ok, existing } => {
-                op.encoded_len() + ok.encoded_len() + existing.encoded_len()
-            }
-            ChordMsg::Get { op, key, origin } => {
-                op.encoded_len() + key.encoded_len() + origin.encoded_len()
-            }
-            ChordMsg::GetReply {
-                op,
-                value,
-                authoritative,
-            } => op.encoded_len() + value.encoded_len() + authoritative.encoded_len(),
-            ChordMsg::Replicate { items } => items.encoded_len(),
-            ChordMsg::TransferKeys { items } => items.encoded_len(),
-            ChordMsg::LeaveToSucc {
-                pred_of_leaver,
-                items,
-            } => pred_of_leaver.encoded_len() + items.encoded_len(),
-            ChordMsg::LeaveToPred { succ_of_leaver } => succ_of_leaver.encoded_len(),
-            ChordMsg::SyncRoot {
-                ver,
-                from,
-                to,
-                root,
-            } => ver.encoded_len() + from.encoded_len() + to.encoded_len() + root.encoded_len(),
-            ChordMsg::SyncDiff { ver, wants, need } => {
-                ver.encoded_len() + wants.encoded_len() + need.encoded_len()
-            }
-            ChordMsg::SyncNodes { ver, nodes, leaves } => {
-                ver.encoded_len() + nodes.encoded_len() + leaves.encoded_len()
-            }
-            ChordMsg::SyncAck { ver } => ver.encoded_len(),
-            ChordMsg::Fence {
-                op,
-                key,
-                floor,
-                origin,
-            } => op.encoded_len() + key.encoded_len() + floor.encoded_len() + origin.encoded_len(),
-            ChordMsg::FenceAck {
-                op,
-                ok,
-                current,
-                occupied,
-            } => {
-                op.encoded_len() + ok.encoded_len() + current.encoded_len() + occupied.encoded_len()
-            }
-        }
-    }
-}
-
-impl Decode for ChordMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.read_u8()?;
-        Ok(match tag {
-            0 => ChordMsg::FindSuccessor {
-                op: OpId::decode(r)?,
-                target: Id::decode(r)?,
-                origin: NodeRef::decode(r)?,
-                hops: u32::decode(r)?,
-            },
-            1 => ChordMsg::FoundSuccessor {
-                op: OpId::decode(r)?,
-                owner: NodeRef::decode(r)?,
-                hops: u32::decode(r)?,
-            },
-            2 => ChordMsg::GetPredecessor {
-                op: OpId::decode(r)?,
-            },
-            3 => ChordMsg::PredecessorIs {
-                op: OpId::decode(r)?,
-                pred: Option::<NodeRef>::decode(r)?,
-                succ_list: Vec::<NodeRef>::decode(r)?,
-            },
-            4 => ChordMsg::Notify {
-                candidate: NodeRef::decode(r)?,
-            },
-            5 => ChordMsg::Ping {
-                op: OpId::decode(r)?,
-            },
-            6 => ChordMsg::Pong {
-                op: OpId::decode(r)?,
-            },
-            7 => ChordMsg::Put {
-                op: OpId::decode(r)?,
-                key: Id::decode(r)?,
-                value: bytes::Bytes::decode(r)?,
-                mode: PutMode::decode(r)?,
-                origin: NodeRef::decode(r)?,
-            },
-            8 => ChordMsg::PutAck {
-                op: OpId::decode(r)?,
-                ok: bool::decode(r)?,
-                existing: Option::<bytes::Bytes>::decode(r)?,
-            },
-            9 => ChordMsg::Get {
-                op: OpId::decode(r)?,
-                key: Id::decode(r)?,
-                origin: NodeRef::decode(r)?,
-            },
-            10 => ChordMsg::GetReply {
-                op: OpId::decode(r)?,
-                value: Option::<bytes::Bytes>::decode(r)?,
-                authoritative: bool::decode(r)?,
-            },
-            11 => ChordMsg::Replicate {
-                items: Vec::<(Id, bytes::Bytes)>::decode(r)?,
-            },
-            12 => ChordMsg::TransferKeys {
-                items: Vec::<(Id, bytes::Bytes)>::decode(r)?,
-            },
-            13 => ChordMsg::LeaveToSucc {
-                pred_of_leaver: Option::<NodeRef>::decode(r)?,
-                items: Vec::<(Id, bytes::Bytes)>::decode(r)?,
-            },
-            14 => ChordMsg::LeaveToPred {
-                succ_of_leaver: NodeRef::decode(r)?,
-            },
-            15 => ChordMsg::SyncRoot {
-                ver: u64::decode(r)?,
-                from: Id::decode(r)?,
-                to: Id::decode(r)?,
-                root: <[u8; 20]>::decode(r)?,
-            },
-            16 => ChordMsg::SyncDiff {
-                ver: u64::decode(r)?,
-                wants: Vec::<(u8, u32)>::decode(r)?,
-                need: Vec::<Id>::decode(r)?,
-            },
-            17 => ChordMsg::SyncNodes {
-                ver: u64::decode(r)?,
-                nodes: Vec::<(u8, u32, Vec<(u8, [u8; 20])>)>::decode(r)?,
-                leaves: Vec::<(u32, Vec<(Id, [u8; 20])>)>::decode(r)?,
-            },
-            18 => ChordMsg::SyncAck {
-                ver: u64::decode(r)?,
-            },
-            19 => ChordMsg::Fence {
-                op: OpId::decode(r)?,
-                key: Id::decode(r)?,
-                floor: u64::decode(r)?,
-                origin: NodeRef::decode(r)?,
-            },
-            20 => ChordMsg::FenceAck {
-                op: OpId::decode(r)?,
-                ok: bool::decode(r)?,
-                current: u64::decode(r)?,
-                occupied: bool::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "ChordMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-// ---- KtsMsg ---------------------------------------------------------------
-
-/// Stable class label of a KTS message for wire accounting (one per
-/// variant; free function — `KtsMsg` is foreign to this crate).
-pub fn kts_class(msg: &KtsMsg) -> &'static str {
-    match msg {
-        KtsMsg::Validate { .. } => "kts.validate",
-        KtsMsg::Granted { .. } => "kts.granted",
-        KtsMsg::Retry { .. } => "kts.retry",
-        KtsMsg::Redirect { .. } => "kts.redirect",
-        KtsMsg::Failed { .. } => "kts.failed",
-        KtsMsg::LastTs { .. } => "kts.last_ts",
-        KtsMsg::LastTsReply { .. } => "kts.last_ts_reply",
-        KtsMsg::ReplicateEntry { .. } => "kts.replicate_entry",
-        KtsMsg::TableHandoff { .. } => "kts.table_handoff",
-        KtsMsg::Published { .. } => "kts.published",
-    }
-}
-
-impl Encode for KtsMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            KtsMsg::Validate {
-                op,
-                key,
-                key_name,
-                proposed_ts,
-                patch,
-                user,
-            } => {
-                out.push(0);
-                op.encode(out);
-                key.encode(out);
-                key_name.encode(out);
-                proposed_ts.encode(out);
-                patch.encode(out);
-                user.encode(out);
-            }
-            KtsMsg::Granted { op, ts, epoch } => {
-                out.push(1);
-                op.encode(out);
-                ts.encode(out);
-                // Optional trailing field: legacy (epoch-0) grants keep
-                // their exact pre-fencing byte layout.
-                if *epoch > 0 {
-                    epoch.encode(out);
-                }
-            }
-            KtsMsg::Retry { op, last_ts } => {
-                out.push(2);
-                op.encode(out);
-                last_ts.encode(out);
-            }
-            KtsMsg::Redirect { op } => {
-                out.push(3);
-                op.encode(out);
-            }
-            KtsMsg::Failed { op, reason } => {
-                out.push(4);
-                op.encode(out);
-                reason.encode(out);
-            }
-            KtsMsg::LastTs {
-                op,
-                key,
-                user,
-                known_ts,
-            } => {
-                out.push(5);
-                op.encode(out);
-                key.encode(out);
-                user.encode(out);
-                // Optional trailing field, like Granted.epoch.
-                if *known_ts > 0 {
-                    known_ts.encode(out);
-                }
-            }
-            KtsMsg::LastTsReply { op, key, last_ts } => {
-                out.push(6);
-                op.encode(out);
-                key.encode(out);
-                last_ts.encode(out);
-            }
-            KtsMsg::ReplicateEntry {
-                key,
-                key_name,
-                last_ts,
-                epoch,
-            } => {
-                out.push(7);
-                key.encode(out);
-                key_name.encode(out);
-                last_ts.encode(out);
-                epoch.encode(out);
-            }
-            KtsMsg::TableHandoff { entries } => {
-                out.push(8);
-                entries.encode(out);
-            }
-            KtsMsg::Published { key, ts } => {
-                out.push(9);
-                key.encode(out);
-                ts.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            KtsMsg::Validate {
-                op,
-                key,
-                key_name,
-                proposed_ts,
-                patch,
-                user,
-            } => {
-                op.encoded_len()
-                    + key.encoded_len()
-                    + key_name.encoded_len()
-                    + proposed_ts.encoded_len()
-                    + patch.encoded_len()
-                    + user.encoded_len()
-            }
-            KtsMsg::Granted { op, ts, epoch } => {
-                op.encoded_len()
-                    + ts.encoded_len()
-                    + if *epoch > 0 { epoch.encoded_len() } else { 0 }
-            }
-            KtsMsg::Retry { op, last_ts } => op.encoded_len() + last_ts.encoded_len(),
-            KtsMsg::Redirect { op } => op.encoded_len(),
-            KtsMsg::Failed { op, reason } => op.encoded_len() + reason.encoded_len(),
-            KtsMsg::LastTs {
-                op,
-                key,
-                user,
-                known_ts,
-            } => {
-                op.encoded_len()
-                    + key.encoded_len()
-                    + user.encoded_len()
-                    + if *known_ts > 0 {
-                        known_ts.encoded_len()
-                    } else {
-                        0
-                    }
-            }
-            KtsMsg::LastTsReply { op, key, last_ts } => {
-                op.encoded_len() + key.encoded_len() + last_ts.encoded_len()
-            }
-            KtsMsg::ReplicateEntry {
-                key,
-                key_name,
-                last_ts,
-                epoch,
-            } => {
-                key.encoded_len()
-                    + key_name.encoded_len()
-                    + last_ts.encoded_len()
-                    + epoch.encoded_len()
-            }
-            KtsMsg::TableHandoff { entries } => entries.encoded_len(),
-            KtsMsg::Published { key, ts } => key.encoded_len() + ts.encoded_len(),
-        }
-    }
-}
-
-impl Decode for KtsMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.read_u8()?;
-        Ok(match tag {
-            0 => KtsMsg::Validate {
-                op: ReqId::decode(r)?,
-                key: Id::decode(r)?,
-                key_name: DocName::decode(r)?,
-                proposed_ts: u64::decode(r)?,
-                patch: bytes::Bytes::decode(r)?,
-                user: NodeRef::decode(r)?,
-            },
-            1 => KtsMsg::Granted {
-                op: ReqId::decode(r)?,
-                ts: u64::decode(r)?,
-                epoch: if r.remaining() == 0 {
-                    0
-                } else {
-                    u64::decode(r)?
-                },
-            },
-            2 => KtsMsg::Retry {
-                op: ReqId::decode(r)?,
-                last_ts: u64::decode(r)?,
-            },
-            3 => KtsMsg::Redirect {
-                op: ReqId::decode(r)?,
-            },
-            4 => KtsMsg::Failed {
-                op: ReqId::decode(r)?,
-                reason: ValidateFailure::decode(r)?,
-            },
-            5 => KtsMsg::LastTs {
-                op: ReqId::decode(r)?,
-                key: Id::decode(r)?,
-                user: NodeRef::decode(r)?,
-                known_ts: if r.remaining() == 0 {
-                    0
-                } else {
-                    u64::decode(r)?
-                },
-            },
-            6 => KtsMsg::LastTsReply {
-                op: ReqId::decode(r)?,
-                key: Id::decode(r)?,
-                last_ts: u64::decode(r)?,
-            },
-            7 => KtsMsg::ReplicateEntry {
-                key: Id::decode(r)?,
-                key_name: DocName::decode(r)?,
-                last_ts: u64::decode(r)?,
-                epoch: u64::decode(r)?,
-            },
-            8 => KtsMsg::TableHandoff {
-                entries: Vec::<HandoffEntry>::decode(r)?,
-            },
-            9 => KtsMsg::Published {
-                key: Id::decode(r)?,
-                ts: u64::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "KtsMsg",
-                    tag,
-                })
-            }
-        })
-    }
+// `Granted.epoch` and `LastTs.known_ts` are trailing: unstamped grants and
+// plain reads keep their exact pre-fencing byte layout.
+wire_enum! { KtsMsg;
+    /// Stable class label of a KTS message for wire accounting (one per
+    /// variant; free function — `KtsMsg` is foreign to this crate).
+    pub fn kts_class;
+    0 => Validate { op, key, key_name, proposed_ts, patch, user } = "kts.validate",
+    1 => Granted { op, ts, #[trailing] epoch } = "kts.granted",
+    2 => Retry { op, last_ts } = "kts.retry",
+    3 => Redirect { op } = "kts.redirect",
+    4 => Failed { op, reason } = "kts.failed",
+    5 => LastTs { op, key, user, #[trailing] known_ts } = "kts.last_ts",
+    6 => LastTsReply { op, key, last_ts } = "kts.last_ts_reply",
+    7 => ReplicateEntry { key, key_name, last_ts, epoch } = "kts.replicate_entry",
+    8 => TableHandoff { entries } = "kts.table_handoff",
+    9 => Published { key, ts } = "kts.published",
 }
 
 #[cfg(test)]
@@ -1148,6 +462,32 @@ mod tests {
                 0xac, 0x02, // ts = 300 varint
             ]
         );
+    }
+
+    /// A trailing field present at its default is a second encoding of
+    /// the value that omits it, so it is rejected.
+    #[test]
+    fn explicit_default_trailing_fields_are_rejected() {
+        assert_eq!(
+            KtsMsg::from_wire(&[1, 1, 0x80, 0x01, 0]).map(|m| m.to_wire()),
+            Err(WireError::TrailingBytes)
+        );
+        let last_ts = KtsMsg::LastTs {
+            op: ReqId(5),
+            key: Id(6),
+            user: nref(7, 8),
+            known_ts: 0,
+        };
+        let mut buf = last_ts.to_wire();
+        buf.push(0);
+        assert_eq!(
+            KtsMsg::from_wire(&buf).map(|m| m.to_wire()),
+            Err(WireError::TrailingBytes)
+        );
+        let rec = LogRecord::new("d", 1, 2, Bytes::from_static(b"p"));
+        let mut buf = rec.to_wire();
+        buf.push(0);
+        assert_eq!(LogRecord::from_wire(&buf), Err(WireError::TrailingBytes));
     }
 
     #[test]

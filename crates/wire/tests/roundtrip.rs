@@ -7,7 +7,9 @@
 //!    every bandwidth model);
 //! 3. **Totality**: the decoder returns `Err` — never panics, never
 //!    over-allocates — on truncated and corrupted frames (a fuzz-style
-//!    corpus of cuts, bit flips and random byte smashes).
+//!    corpus of cuts, bit flips and random byte smashes);
+//! 4. **Canonical form**: a corrupted frame that does decode re-encodes
+//!    to the same bytes, so no value has a second encoding.
 //!
 //! Messages are generated structurally from a seeded [`Rng64`] so the
 //! corpus covers every variant and the awkward sizes (empty vecs, huge
@@ -249,12 +251,25 @@ fn assert_roundtrip<M: Encode + Decode + std::fmt::Debug>(m: &M) {
     assert_eq!(format!("{back:?}"), format!("{m:?}"));
 }
 
+/// A frame that decodes must be the one encoding of what it decodes to:
+/// re-encoding gives back the same bytes.
+fn assert_canonical<M: Encode + Decode + std::fmt::Debug>(frame: &[u8]) {
+    if let Ok((from, m)) = decode_frame::<M>(frame) {
+        assert_eq!(
+            encode_frame(from, &m),
+            frame,
+            "{m:?} decoded from a non-canonical frame"
+        );
+    }
+}
+
 /// Every truncation and a barrage of corruptions must yield `Ok` or `Err`
 /// — any panic fails the test. (Corruptions *may* decode to a different
 /// valid message — e.g. a flipped bit inside a payload byte — totality is
 /// the property here, not detection; detection belongs to the checksummed
-/// `LogRecord` storage encoding.)
-fn assert_total<M: Encode + Decode>(m: &M, rng: &mut Rng64) {
+/// `LogRecord` storage encoding.) A corruption that decodes must still be
+/// canonical: one value, one encoding.
+fn assert_total<M: Encode + Decode + std::fmt::Debug>(m: &M, rng: &mut Rng64) {
     let frame = encode_frame(NodeId(3), m);
     for cut in 0..frame.len() {
         assert!(
@@ -272,7 +287,7 @@ fn assert_total<M: Encode + Decode>(m: &M, rng: &mut Rng64) {
         for bit in [0x01u8, 0x80u8] {
             let mut bad = frame.clone();
             bad[pos] ^= bit;
-            let _ = decode_frame::<M>(&bad); // must return, not panic
+            assert_canonical::<M>(&bad); // must return, not panic
         }
     }
     // Random byte smashes.
@@ -283,16 +298,25 @@ fn assert_total<M: Encode + Decode>(m: &M, rng: &mut Rng64) {
             let pos = rng.index(bad.len());
             bad[pos] = rng.gen_below(256) as u8;
         }
-        let _ = decode_frame::<M>(&bad);
+        assert_canonical::<M>(&bad);
     }
     // Garbage from scratch.
     let len = rng.gen_below(64) as usize;
     let garbage: Vec<u8> = (0..len).map(|_| rng.gen_below(256) as u8).collect();
-    let _ = decode_frame::<M>(&garbage);
+    assert_canonical::<M>(&garbage);
+}
+
+/// 64 seeds per property; `PROPTEST_CASES` deepens the sweep (CI runs
+/// 4096).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn chord_msgs_roundtrip_and_decode_totally(seed in 0u64..1_000_000) {
