@@ -55,7 +55,10 @@ fn drive_base_editors(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one scheduled step's whole context"
+)]
 fn schedule_base_step(
     sim: &mut Sim<BaseMsg>,
     at: Time,

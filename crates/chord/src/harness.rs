@@ -6,6 +6,10 @@
 //! wrapper message type so external test code can inject client commands
 //! with [`simnet::Sim::send_external`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use bytes::Bytes;
 
 use crate::config::ChordConfig;
@@ -267,6 +271,10 @@ pub fn build_ring(
 /// The ground-truth owner of `key` among `members`: the first node at or
 /// after `key` walking clockwise (minimal clockwise distance from the key).
 /// Used by tests as an oracle against the routed answer.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test oracle: an empty member list is a caller bug, asserted first"
+)]
 pub fn oracle_owner(members: &[NodeRef], key: Id) -> NodeRef {
     assert!(!members.is_empty());
     *members

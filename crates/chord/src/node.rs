@@ -3,7 +3,11 @@
 //! [`crate::stabilize`], and the storage protocol in
 //! [`crate::storage_proto`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 
@@ -72,10 +76,8 @@ pub struct ChordNode {
     pub(crate) next_finger: usize,
     pub(crate) store: Storage,
     pub(crate) store_version: u64,
-    // detlint::allow(DET-HASH, keyed acks from a specific successor; never iterated)
-    pub(crate) replicated_to: HashMap<NodeId, u64>,
-    // detlint::allow(DET-HASH, hot per-op lookup; ops complete or time out individually, never iterated)
-    pub(crate) ops: HashMap<OpId, OpState>,
+    pub(crate) replicated_to: BTreeMap<NodeId, u64>,
+    pub(crate) ops: BTreeMap<OpId, OpState>,
     pub(crate) op_seq: u64,
     pub(crate) joined: bool,
     pub(crate) suspects: BTreeMap<NodeId, Time>,
@@ -113,8 +115,8 @@ impl ChordNode {
             next_finger: 0,
             store: Storage::new(),
             store_version: 0,
-            replicated_to: HashMap::new(), // detlint::allow(DET-HASH, lookup-only; see field decl)
-            ops: HashMap::new(),           // detlint::allow(DET-HASH, lookup-only; see field decl)
+            replicated_to: BTreeMap::new(),
+            ops: BTreeMap::new(),
             op_seq: 0,
             joined: false,
             suspects: BTreeMap::new(),

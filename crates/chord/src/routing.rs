@@ -1,6 +1,10 @@
 //! Lookup routing: recursive `FindSuccessor` forwarding with a direct reply
 //! to the origin, plus operation retry/timeout logic.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use bytes::Bytes;
 
 use crate::events::ChordEvent;
@@ -30,6 +34,10 @@ impl ChordNode {
             self.on_find_successor(now, op, target, self.me, 0);
         } else {
             let idx = ((attempt - 1) as usize) % self.succs.len();
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx is reduced modulo the non-empty successor list's length"
+            )]
             let via = self.succs[idx];
             if via.id == self.me.id {
                 self.on_find_successor(now, op, target, self.me, 0);
@@ -153,7 +161,9 @@ impl ChordNode {
             }
             OpKind::FingerLookup { idx } => {
                 self.ops.remove(&op);
-                self.fingers[idx] = Some(owner);
+                if let Some(finger) = self.fingers.get_mut(idx) {
+                    *finger = Some(owner);
+                }
             }
             OpKind::Put {
                 key, value, mode, ..

@@ -7,6 +7,10 @@
 //! surfaced as an event so the timestamping layer can hand over `last-ts`
 //! state, and storage moves with responsibility.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::events::ChordEvent;
 use crate::id::Id;
 use crate::msg::{ChordMsg, NodeRef};

@@ -1,6 +1,10 @@
 //! The direct phase of the storage protocol: `Put`/`Get` requests arriving
 //! at the responsible node and their acknowledgements at the origin.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use bytes::Bytes;
 
 use crate::events::ChordEvent;

@@ -95,6 +95,10 @@
 //! against the old session root fails, and the round restarts cheaply at
 //! the next tick.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::id::Id;
@@ -206,8 +210,10 @@ pub fn bucket_root(bucket: u32, subs: &[(u8, Digest)]) -> Digest {
 pub fn bucket_digest(bucket: u32, entries: &[(Id, Digest)]) -> Digest {
     let mut subs = Vec::new();
     for run in entries.chunk_by(|a, b| sub_of(a.0) == sub_of(b.0)) {
-        let ds: Vec<Digest> = run.iter().map(|(_, d)| *d).collect();
-        subs.push((sub_of(run[0].0), merkle::root_of_entry_hashes(&ds)));
+        if let [(first, _), ..] = run {
+            let ds: Vec<Digest> = run.iter().map(|(_, d)| *d).collect();
+            subs.push((sub_of(*first), merkle::root_of_entry_hashes(&ds)));
+        }
     }
     bucket_root(bucket, &subs)
 }
@@ -235,15 +241,13 @@ pub fn children_of(pairs: &[(u32, Digest)], depth: u8, prefix: u32) -> Vec<(u8, 
     match depth {
         0 => {
             let mut out = Vec::new();
-            let mut idx = 0;
-            while idx < pairs.len() {
-                let group = pairs[idx].0 >> 4;
-                let mut kids = Vec::new();
-                while idx < pairs.len() && pairs[idx].0 >> 4 == group {
-                    kids.push(((pairs[idx].0 & 0xF) as u8, pairs[idx].1));
-                    idx += 1;
+            for run in pairs.chunk_by(|a, b| a.0 >> 4 == b.0 >> 4) {
+                if let [(first, _), ..] = run {
+                    let group = first >> 4;
+                    let kids: Vec<(u8, Digest)> =
+                        run.iter().map(|(b, d)| ((b & 0xF) as u8, *d)).collect();
+                    out.push((group as u8, interior_digest(1, group, &kids)));
                 }
-                out.push((group as u8, interior_digest(1, group, &kids)));
             }
             out
         }

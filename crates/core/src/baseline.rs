@@ -11,6 +11,10 @@
 //! `1/service_time`, and when it crashes *all* editing stops — the two
 //! effects experiment B1 measures.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
@@ -185,9 +189,12 @@ impl Coordinator {
                 user,
             } => {
                 let log = self.logs.entry(doc).or_default();
-                let hi = (to as usize).min(log.len());
-                let records: Vec<(u64, Bytes)> = (from as usize..hi)
-                    .map(|i| (i as u64 + 1, log[i].clone()))
+                let records: Vec<(u64, Bytes)> = log
+                    .iter()
+                    .enumerate()
+                    .take(to as usize)
+                    .skip(from as usize)
+                    .map(|(i, r)| (i as u64 + 1, r.clone()))
                     .collect();
                 ctx.send(user, BaseMsg::Range { op, records });
             }
@@ -367,7 +374,9 @@ impl BaselineUser {
         let op = self.next_op(doc);
         let coordinator = self.coordinator;
         let timeout = self.validate_timeout;
-        let state = self.docs.get_mut(doc).expect("doc open");
+        let Some(state) = self.docs.get_mut(doc) else {
+            return;
+        };
         let pending = match state.replica.tentative_for_publish() {
             Some(p) => p,
             None => {
@@ -395,7 +404,9 @@ impl BaselineUser {
 
     fn resume(&mut self, ctx: &mut Ctx<'_, BaseMsg>, doc: &str) {
         let now = ctx.now();
-        let state = self.docs.get_mut(doc).expect("doc open");
+        let Some(state) = self.docs.get_mut(doc) else {
+            return;
+        };
         if let Some(text) = state.queued_text.take() {
             let _ = state.replica.edit(&text);
         }
@@ -482,9 +493,14 @@ impl Process<BaseMsg> for BaselineUser {
                 if state.phase != Phase::Validating || ts != state.replica.ts + 1 {
                     return;
                 }
-                let acked = state.replica.acknowledge_own(ts);
-                // detlint::allow(TOT-PANIC, phase==Validating with ts==replica.ts+1 means our own pending patch applies to its base; local OT invariant)
-                acked.expect("own patch applies");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Validating with ts == replica.ts + 1: our own pending patch applies to its base"
+                )]
+                state
+                    .replica
+                    .acknowledge_own(ts)
+                    .expect("own patch applies");
                 state.inflight = None;
                 state.phase = Phase::Idle;
                 self.published += 1;
@@ -541,7 +557,10 @@ impl Process<BaseMsg> for BaselineUser {
                     if i == 0 || state.inflight.is_some() {
                         if let Some((_, sent)) = &state.inflight {
                             if sent == bytes {
-                                // detlint::allow(TOT-PANIC, byte-identical to the patch we sent from this base; local OT invariant)
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "byte-identical to the patch we sent from this base"
+                                )]
                                 state.replica.acknowledge_own(*ts).expect("own applies");
                                 state.inflight = None;
                                 self.published += 1;
@@ -554,9 +573,11 @@ impl Process<BaseMsg> for BaselineUser {
                         Ok(p) => p,
                         Err(_) => break,
                     };
-                    let integrated = state.replica.integrate_remote(*ts, &patch);
-                    // detlint::allow(TOT-PANIC, ts==replica.ts+1 was checked above so the in-order integration cannot fail; local OT invariant)
-                    integrated.expect("baseline integration");
+                    // A well-formed patch that does not apply is outside
+                    // input too: stop here, as for one that does not decode.
+                    if state.replica.integrate_remote(*ts, &patch).is_err() {
+                        break;
+                    }
                     ctx.metrics().incr_id(c.integrated);
                 }
                 state.phase = Phase::Idle;
@@ -683,6 +704,51 @@ mod tests {
         assert!(t0.contains("alpha") && t0.contains("beta"));
         let c = sim.node_as::<Coordinator>(coord).unwrap();
         assert_eq!(c.last_ts("d"), 2);
+    }
+
+    #[test]
+    fn a_logged_patch_that_does_not_apply_is_not_a_crash() {
+        let (mut sim, coord, users) = build(3, 1);
+        sim.send_external(
+            users[0],
+            BaseMsg::Cmd(BaseCmd::OpenDoc {
+                doc: "d".into(),
+                initial: "base".into(),
+            }),
+        );
+        // A patch that decodes but deletes a line no replica has gets
+        // logged at ts 1 under a reply address that ignores the grant.
+        let bad = ot::Patch::new(
+            9,
+            vec![ot::TextOp::Del {
+                pos: 7,
+                content: "absent".into(),
+                site: 9,
+            }],
+        );
+        sim.send_external(
+            coord,
+            BaseMsg::Validate {
+                op: 1,
+                doc: "d".into(),
+                proposed_ts: 0,
+                patch: Bytes::from(ot::encode_patch(&bad)),
+                user: users[0],
+            },
+        );
+        sim.run_for(Duration::from_millis(100));
+        // The user's own edit is refused, fetches ts 1, and must not panic.
+        sim.send_external(
+            users[0],
+            BaseMsg::Cmd(BaseCmd::Edit {
+                doc: "d".into(),
+                new_text: "base\nalpha".into(),
+            }),
+        );
+        sim.run_for(Duration::from_secs(2));
+        let user = sim.node_as::<BaselineUser>(users[0]).unwrap();
+        assert_eq!(user.doc_text("d").as_deref(), Some("base\nalpha"));
+        assert_eq!(sim.node_as::<Coordinator>(coord).unwrap().last_ts("d"), 1);
     }
 
     #[test]

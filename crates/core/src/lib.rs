@@ -56,6 +56,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::disallowed_types)]
 
 pub mod baseline;
 pub mod config;

@@ -11,7 +11,11 @@
 //! wiring in [`crate::node_master`], and the Chord glue in
 //! [`crate::node_glue`].
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 
@@ -314,14 +318,10 @@ pub struct LtrNode {
     /// key, the holders that polled it and when each subscription lapses.
     pub(crate) hint_subs: BTreeMap<chord::Id, BTreeMap<NodeId, Time>>,
 
-    // detlint::allow(DET-HASH, per-op routing looked up by unique id on completion; never iterated)
-    pub(crate) chord_ops: HashMap<OpId, OpPurpose>,
-    // detlint::allow(DET-HASH, keyed by unique publish seq; never iterated)
-    pub(crate) publishes: HashMap<u64, PublishCtx>,
-    // detlint::allow(DET-HASH, keyed by unique probe seq; never iterated)
-    pub(crate) probes: HashMap<u64, ProbeCtx>,
-    // detlint::allow(DET-HASH, keyed by unique fence token; never iterated)
-    pub(crate) fences: HashMap<u64, FenceCtx>,
+    pub(crate) chord_ops: BTreeMap<OpId, OpPurpose>,
+    pub(crate) publishes: BTreeMap<u64, PublishCtx>,
+    pub(crate) probes: BTreeMap<u64, ProbeCtx>,
+    pub(crate) fences: BTreeMap<u64, FenceCtx>,
 
     /// Re-entrancy queue for [`Self::apply_chord_actions`]. Chord ops on
     /// self-owned keys complete synchronously, so a probe → fence → grant
@@ -331,8 +331,7 @@ pub struct LtrNode {
     pub(crate) chord_action_queue: VecDeque<chord::Action>,
     pub(crate) applying_chord_actions: bool,
 
-    // detlint::allow(DET-HASH, timer tags resolve one at a time as timers fire; never iterated)
-    pub(crate) timer_tags: HashMap<u64, CoreTimer>,
+    pub(crate) timer_tags: BTreeMap<u64, CoreTimer>,
     pub(crate) tag_seq: u64,
     /// Counter handles; registered on the first upcall (`on_start`).
     pub(crate) counters: Option<NodeCounters>,
@@ -386,13 +385,13 @@ impl LtrNode {
             validate_reqs: BTreeMap::new(),
             lastts_reqs: BTreeMap::new(),
             hint_subs: BTreeMap::new(),
-            chord_ops: HashMap::new(), // detlint::allow(DET-HASH, lookup-only; see field decl)
-            publishes: HashMap::new(), // detlint::allow(DET-HASH, lookup-only; see field decl)
-            probes: HashMap::new(),    // detlint::allow(DET-HASH, lookup-only; see field decl)
-            fences: HashMap::new(),    // detlint::allow(DET-HASH, lookup-only; see field decl)
+            chord_ops: BTreeMap::new(),
+            publishes: BTreeMap::new(),
+            probes: BTreeMap::new(),
+            fences: BTreeMap::new(),
             chord_action_queue: VecDeque::new(),
             applying_chord_actions: false,
-            timer_tags: HashMap::new(), // detlint::allow(DET-HASH, lookup-only; see field decl)
+            timer_tags: BTreeMap::new(),
             tag_seq: 0,
             counters: None,
             events: Vec::new(),
@@ -533,6 +532,10 @@ impl LtrNode {
     /// The pre-registered counter handles (filled in by `on_start`, which
     /// always runs before any message or timer can reach the node).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "on_start registers the counters before any message or timer arrives"
+    )]
     pub(crate) fn c(&self) -> NodeCounters {
         self.counters.expect("counters registered in on_start")
     }

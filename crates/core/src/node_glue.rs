@@ -2,6 +2,10 @@
 //! application, completion routing, responsibility-change handoffs, and the
 //! log GC sweep.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use chord::{Action as ChordAction, ChordEvent, PutMode};
 use p2plog::{FenceResponse, LogRecord, PublishVerdict, ReplicaResponse};
 use simnet::Ctx;
@@ -221,7 +225,9 @@ impl LtrNode {
         // Pass 2: remove everything below (high - retain].
         let mut removed = 0usize;
         for (key, doc, ts) in records {
-            let h = high[&doc];
+            let Some(&h) = high.get(&doc) else {
+                continue; // pass 1 set a watermark for every recorded doc
+            };
             if h > retain && ts <= h - retain && self.chord.storage_mut().remove(key) {
                 removed += 1;
             }

@@ -11,6 +11,10 @@
 //! empty and refills within one poll period, during which holders converge
 //! by polling exactly as they would without hints.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use kts::{KtsMsg, MasterAction, MasterEvent};
 use p2plog::{FenceResponse, FenceTracker, FenceVerdict, LogProbe, PublishTracker};
 use simnet::{Ctx, NodeId, Time};

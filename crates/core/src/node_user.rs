@@ -15,6 +15,10 @@
 //! master's grant hints ([`KtsMsg::Published`]) the same way: both land in
 //! `LtrNode::on_master_at`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use bytes::Bytes;
 
 use kts::{KtsMsg, ReqId, ValidateFailure};
@@ -230,9 +234,14 @@ impl LtrNode {
             .as_ref()
             .map(|i| i.op_count)
             .unwrap_or_else(|| state.replica.pending().map(|p| p.len()).unwrap_or(0));
-        let acked = state.replica.acknowledge_own_prefix(ts, prefix);
-        // detlint::allow(TOT-PANIC, grant for ts==replica.ts+1 implies our own pending prefix applies; local OT invariant)
-        acked.expect("own patch applies");
+        #[expect(
+            clippy::expect_used,
+            reason = "a grant for ts == replica.ts + 1: our own pending prefix applies to its base"
+        )]
+        state
+            .replica
+            .acknowledge_own_prefix(ts, prefix)
+            .expect("own patch applies");
         state.last_epoch = state.last_epoch.max(epoch);
         state.inflight = None;
         state.phase = UserPhase::Idle;
@@ -639,6 +648,10 @@ impl LtrNode {
             if let Some(inf) = &state.inflight {
                 if rec.patch == inf.bytes && ts == state.replica.ts + 1 {
                     let prefix = inf.op_count;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "our own bytes at ts == replica.ts + 1: the pending prefix applies to its base"
+                    )]
                     state
                         .replica
                         .acknowledge_own_prefix(ts, prefix)
@@ -695,6 +708,10 @@ impl LtrNode {
                 );
                 true
             }
+            #[expect(
+                clippy::panic,
+                reason = "a divergence has no recovery yet: ROADMAP 1(d) makes it a counted refetch"
+            )]
             Err(e) => {
                 // A transform bug or corrupted log — surface loudly.
                 ctx.metrics().incr_id(c.integrate_error);

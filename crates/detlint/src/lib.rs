@@ -1,104 +1,20 @@
-//! detlint — the workspace determinism & protocol-safety linter.
+//! The tracked size of the product code: per crate, the non-blank lines of
+//! `crates/<crate>/src/**/*.rs` outside every `#[cfg(test)]` item, comment
+//! lines included (ROADMAP aim 2). The determinism rules the crate is
+//! named for are rustc and clippy lints (ARCHITECTURE.md, "Determinism
+//! rules").
 //!
-//! A self-contained, dependency-free static-analysis pass over the
-//! workspace sources (`crates/*/src` and `examples/`). Three rule
-//! families protect the invariants the whole reproduction rests on:
-//!
-//! | family      | rules                          | invariant |
-//! |-------------|--------------------------------|-----------|
-//! | determinism | `DET-HASH` `DET-CLOCK` `DET-RNG` | same seed ⇒ byte-identical run |
-//! | totality    | `TOT-PANIC`                    | hostile bytes / odd messages ⇒ `Err`, never a crash |
-//! | wire freeze | `WIRE-TAGS`                    | codec tags append-only vs `crates/wire/TAGS.lock` |
-//!
-//! The scanner is comment/string/raw-string aware and skips
-//! `#[cfg(test)]` items, so it never false-positives on docs or tests
-//! (see [`lexer`]). Findings are suppressed by inline
-//! `// detlint::allow(RULE, reason)` annotations or the committed
-//! `detlint.baseline` (see [`suppress`]); everything else fails the run.
-//!
-//! Run `cargo run -p detlint -- --explain RULE` for the long-form text of
-//! any rule.
+//! Test items are found on a masked copy of the source, in which comment
+//! bodies and string or char literal contents are blanked, so a brace or
+//! a `#[cfg(test)]` inside a string or comment cannot confuse the count.
 
 #![forbid(unsafe_code)]
-
-pub mod lexer;
-pub mod rules;
-pub mod suppress;
-pub mod tags;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-pub use rules::{rule, Finding, Rule, RULES};
-
-/// Scan configuration.
-#[derive(Clone, Debug, Default)]
-pub struct Options {
-    /// Also surface unused allows / baseline entries as findings
-    /// (`--deny`, the CI mode).
-    pub deny: bool,
-}
-
-/// Result of a workspace scan.
-#[derive(Debug, Default)]
-pub struct Report {
-    /// Surviving findings, sorted by (file, line, rule).
-    pub findings: Vec<Finding>,
-    /// Findings suppressed by allows or the baseline.
-    pub suppressed: usize,
-    /// Per-rule counts of surviving findings.
-    pub per_rule: BTreeMap<&'static str, usize>,
-    /// Files scanned.
-    pub files_scanned: usize,
-}
-
-impl Report {
-    /// True when the tree is clean.
-    pub fn clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-/// Collect the `.rs` files under `crates/*/src` and `examples/`,
-/// deterministically sorted.
-pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let crates = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates) {
-        let mut dirs: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        dirs.sort();
-        for d in dirs {
-            // The linter does not lint itself: its sources quote rule ids
-            // and annotation syntax in docs and string literals.
-            if d.file_name().is_some_and(|n| n == "detlint") {
-                continue;
-            }
-            collect_rs(&d.join("src"), &mut out);
-        }
-    }
-    collect_rs(&root.join("examples"), &mut out);
-    out.sort();
-    out
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            collect_rs(&p, out);
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
-    }
-}
-
-/// The tracked size of the product code: per crate, the lines of
-/// `crates/<crate>/src/**/*.rs` that [`product_lines`] counts. Every crate
-/// is counted, the linter included.
+/// Per crate under `root/crates`, the lines of its `src/**/*.rs` that
+/// [`product_lines`] counts. Every crate is counted, this one included.
 pub fn loc_by_crate(root: &Path) -> BTreeMap<String, usize> {
     let mut out = BTreeMap::new();
     let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
@@ -121,11 +37,23 @@ pub fn loc_by_crate(root: &Path) -> BTreeMap<String, usize> {
     out
 }
 
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for p in entries.flatten().map(|e| e.path()) {
+        if p.is_dir() {
+            collect_rs(&p, out);
+        } else if p.extension().is_some_and(|e| e == "rs") {
+            out.push(p);
+        }
+    }
+}
+
 /// Lines of product code in one file: the non-blank lines whose first
-/// non-blank byte lies outside every `#[cfg(test)]` item
-/// ([`lexer::cfg_test_spans`]). Comment lines count.
+/// non-blank byte lies outside every `#[cfg(test)]` item.
 pub fn product_lines(src: &str) -> usize {
-    let spans = lexer::cfg_test_spans(&lexer::mask_source(src));
+    let spans = cfg_test_spans(&mask_source(src));
     let mut at = 0;
     let mut lines = 0;
     for line in src.split_inclusive('\n') {
@@ -140,84 +68,202 @@ pub fn product_lines(src: &str) -> usize {
     lines
 }
 
-/// Root-relative path with `/` separators.
-fn rel_of(root: &Path, p: &Path) -> String {
-    p.strip_prefix(root)
-        .unwrap_or(p)
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
+/// Blank `len` bytes starting at `start`, preserving newlines.
+fn blank(out: &mut [u8], start: usize, len: usize) {
+    for b in out.iter_mut().skip(start).take(len) {
+        if *b != b'\n' {
+            *b = b' ';
+        }
+    }
 }
 
-/// Scan the workspace rooted at `root`.
-pub fn scan_root(root: &Path, opts: &Options) -> std::io::Result<Report> {
-    let mut report = Report::default();
-    let mut findings = Vec::new();
+fn is_ident(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
+}
 
-    let baseline_text = std::fs::read_to_string(root.join("detlint.baseline")).unwrap_or_default();
-    let mut baseline = suppress::Baseline::parse(&baseline_text);
-
-    for path in workspace_files(root) {
-        let rel = rel_of(root, &path);
-        let Ok(src) = std::fs::read_to_string(&path) else {
-            continue; // non-UTF-8: nothing for a text linter to do
-        };
-        report.files_scanned += 1;
-        let mut raw = rules::scan_file(&rel, &src);
-        let mut allows = suppress::parse_allows(&rel, &src, &mut raw);
-        let before = raw.len();
-        let surviving = suppress::filter_file(raw, &src, &mut allows, &mut baseline);
-        report.suppressed += before - surviving.len();
-        findings.extend(surviving);
-        if opts.deny {
-            for a in &allows {
-                if a.used == 0 {
-                    findings.push(Finding {
-                        file: rel.clone(),
-                        line: a.line,
-                        rule: "ALLOW-SYNTAX",
-                        msg: format!(
-                            "unused allow({}) — it suppresses nothing; remove it",
-                            a.rule
-                        ),
-                    });
+/// A same-length copy of `src` with comments (nested block comments too)
+/// and the contents of string, raw-string, byte-string and char literals
+/// blanked; a plain string keeps its quotes, and a lifetime is not a char.
+fn mask_source(src: &str) -> String {
+    let bytes = src.as_bytes();
+    let mut out = bytes.to_vec();
+    let n = bytes.len();
+    let mut i = 0;
+    while i < n {
+        match bytes[i] {
+            b'/' if i + 1 < n && bytes[i + 1] == b'/' => {
+                let end = src[i..].find('\n').map(|o| i + o).unwrap_or(n);
+                blank(&mut out, i, end - i);
+                i = end;
+            }
+            b'/' if i + 1 < n && bytes[i + 1] == b'*' => {
+                let start = i;
+                let mut depth = 1usize;
+                i += 2;
+                while i < n && depth > 0 {
+                    if i + 1 < n && bytes[i] == b'/' && bytes[i + 1] == b'*' {
+                        depth += 1;
+                        i += 2;
+                    } else if i + 1 < n && bytes[i] == b'*' && bytes[i + 1] == b'/' {
+                        depth -= 1;
+                        i += 2;
+                    } else {
+                        i += 1;
+                    }
+                }
+                blank(&mut out, start, i - start);
+            }
+            b'"' => {
+                let start = i;
+                i += 1;
+                while i < n {
+                    match bytes[i] {
+                        b'\\' => i = (i + 2).min(n),
+                        b'"' => {
+                            i += 1;
+                            break;
+                        }
+                        _ => i += 1,
+                    }
+                }
+                if i - start > 2 {
+                    blank(&mut out, start + 1, i - start - 2);
                 }
             }
+            b'r' | b'b' | b'c' => {
+                // A literal prefix (`r"`, `r#"`, `br"`, `b"`, `cr#"`) unless
+                // it is the tail of an identifier such as `attr`.
+                let start = i;
+                let mut j = i;
+                while j < n && matches!(bytes[j], b'r' | b'b' | b'c') && j - i < 2 {
+                    j += 1;
+                }
+                let mut k = j;
+                while k < n && bytes[k] == b'#' {
+                    k += 1;
+                }
+                let hashes = k - j;
+                let raw = j > i && src[i..j].contains('r');
+                let literal = k < n && bytes[k] == b'"' && (raw || (hashes == 0 && j == i + 1));
+                if !literal || (i > 0 && is_ident(bytes[i - 1])) {
+                    i += 1;
+                } else if raw {
+                    let mut closer = vec![b'"'];
+                    closer.extend(std::iter::repeat_n(b'#', hashes));
+                    let mut m = k + 1;
+                    while m < n {
+                        if bytes[m..].starts_with(&closer) {
+                            m += closer.len();
+                            break;
+                        }
+                        m += 1;
+                    }
+                    blank(&mut out, start, m - start);
+                    i = m;
+                } else {
+                    i = k; // `b"…"`: the quote is masked as a plain string
+                }
+            }
+            b'\'' => {
+                // `'x'`, `'\…'` or a multi-byte char; a lifetime has no
+                // closing quote nearby.
+                let is_char = (i + 1 < n && bytes[i + 1] == b'\\')
+                    || (i + 2 < n && bytes[i + 2] == b'\'')
+                    || (i + 1 < n
+                        && bytes[i + 1] >= 0x80
+                        && bytes[i + 1..(i + 6).min(n)].contains(&b'\''));
+                if is_char {
+                    let start = i;
+                    i += 1;
+                    while i < n {
+                        match bytes[i] {
+                            b'\\' => i = (i + 2).min(n),
+                            b'\'' => {
+                                i += 1;
+                                break;
+                            }
+                            _ => i += 1,
+                        }
+                    }
+                    if i - start > 2 {
+                        blank(&mut out, start + 1, i - start - 2);
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            _ => i += 1,
         }
     }
-
-    // Workspace-level wire-tag freeze.
-    let (decode, encode) = tags::extract_root(root, &mut findings);
-    let lock_text = std::fs::read_to_string(root.join(tags::TAGS_LOCK)).ok();
-    tags::check(&decode, &encode, lock_text.as_deref(), &mut findings);
-
-    if opts.deny {
-        for entry in baseline.unused() {
-            findings.push(Finding {
-                file: "detlint.baseline".to_string(),
-                line: 1,
-                rule: "ALLOW-SYNTAX",
-                msg: format!("stale baseline entry matches nothing: `{entry}`"),
-            });
-        }
-    }
-
-    findings.sort();
-    findings.dedup();
-    for f in &findings {
-        *report.per_rule.entry(f.rule).or_insert(0) += 1;
-    }
-    report.findings = findings;
-    Ok(report)
+    // Only bytes inside literals and comments became ASCII spaces, so the
+    // result is UTF-8 whenever the input was.
+    String::from_utf8(out).unwrap_or_default()
 }
 
-/// Regenerate `crates/wire/TAGS.lock` from the code. Returns the manifest
-/// text written.
-pub fn write_tags(root: &Path) -> std::io::Result<String> {
-    let mut scratch = Vec::new();
-    let (decode, _) = tags::extract_root(root, &mut scratch);
-    let text = tags::render_lock(&decode);
-    std::fs::write(root.join(tags::TAGS_LOCK), &text)?;
-    Ok(text)
+/// Byte ranges `[start, end)` of every `#[cfg(test)]` attribute plus the
+/// item it gates, in ascending order, found in masked text.
+fn cfg_test_spans(masked: &str) -> Vec<(usize, usize)> {
+    const NEEDLE: &str = "#[cfg(test)]";
+    let mut spans = Vec::new();
+    let mut from = 0usize;
+    while let Some(o) = masked[from..].find(NEEDLE) {
+        let hit = from + o;
+        let end = gated_item_end(masked.as_bytes(), hit + NEEDLE.len());
+        spans.push((hit, end));
+        from = end;
+    }
+    spans
+}
+
+/// From just past a `#[cfg(test)]`, the end (exclusive) of the gated item:
+/// skip further attributes, then brace-match the first `{` or stop at a
+/// `;` outside every bracket, paren and brace (so the `;` of `[u32; 5]`
+/// in a signature does not end the item).
+fn gated_item_end(bytes: &[u8], mut i: usize) -> usize {
+    let n = bytes.len();
+    let mut brace_depth = 0usize;
+    let mut group_depth = 0usize;
+    while i < n {
+        match bytes[i] {
+            b'#' if brace_depth == 0 && i + 1 < n && bytes[i + 1] == b'[' => {
+                let mut depth = 0usize;
+                while i < n {
+                    match bytes[i] {
+                        b'[' => depth += 1,
+                        b']' => {
+                            depth -= 1;
+                            if depth == 0 {
+                                i += 1;
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                    i += 1;
+                }
+            }
+            b'{' => {
+                brace_depth += 1;
+                i += 1;
+            }
+            b'}' => {
+                brace_depth = brace_depth.saturating_sub(1);
+                i += 1;
+                if brace_depth == 0 {
+                    return i;
+                }
+            }
+            b'[' | b'(' if brace_depth == 0 => {
+                group_depth += 1;
+                i += 1;
+            }
+            b']' | b')' if brace_depth == 0 => {
+                group_depth = group_depth.saturating_sub(1);
+                i += 1;
+            }
+            b';' if brace_depth == 0 && group_depth == 0 => return i + 1,
+            _ => i += 1,
+        }
+    }
+    n
 }

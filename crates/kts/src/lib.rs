@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::disallowed_types)]
 
 pub mod config;
 pub mod master;

@@ -21,6 +21,10 @@
 //! moves it. Its stage × event table is the spec in ARCHITECTURE.md,
 //! "Grant fencing and master epochs".
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
@@ -423,7 +427,7 @@ impl KtsMaster {
 
     /// Handle a [`KtsMsg::Validate`]. `am_responsible` is the embedding
     /// layer's Chord-ownership check for `key`.
-    #[allow(clippy::too_many_arguments)] // mirrors the wire message fields
+    #[expect(clippy::too_many_arguments, reason = "mirrors the wire message fields")]
     pub fn on_validate(
         &mut self,
         key: Id,
@@ -439,10 +443,9 @@ impl KtsMaster {
                 .push(MasterAction::Send(user.addr, KtsMsg::Redirect { op }));
             return self.drain();
         }
-        self.ensure_entry(key, key_name);
-        // detlint::allow(TOT-PANIC, ensure_entry on the line above inserted the key; local invariant, not remote input)
-        let entry = self.entries.get_mut(&key).expect("just ensured");
-        if entry.queue.len() >= self.cfg.max_queue_per_key {
+        let max_queue = self.cfg.max_queue_per_key;
+        let entry = self.ensure_entry(key, key_name);
+        if entry.queue.len() >= max_queue {
             self.acts.push(MasterAction::Send(
                 user.addr,
                 KtsMsg::Failed {
@@ -500,20 +503,18 @@ impl KtsMaster {
     }
 
     /// Create (or promote from backup) the entry for `key`.
-    fn ensure_entry(&mut self, key: Id, key_name: &DocName) {
-        if self.entries.contains_key(&key) {
-            return;
-        }
-        let entry = match self.backups.remove(&key) {
-            // Promotion after our predecessor (the old master) vanished.
-            Some(b) => {
-                self.acts
-                    .push(MasterAction::Event(MasterEvent::Promoted { count: 1 }));
-                KeyEntry::new(b.key_name, b.last_ts, b.epoch + 1, VecDeque::new())
-            }
-            None => KeyEntry::new(key_name.clone(), 0, 1, VecDeque::new()),
-        };
-        self.entries.insert(key, entry);
+    fn ensure_entry(&mut self, key: Id, key_name: &DocName) -> &mut KeyEntry {
+        self.entries
+            .entry(key)
+            .or_insert_with(|| match self.backups.remove(&key) {
+                // Promotion after our predecessor (the old master) vanished.
+                Some(b) => {
+                    self.acts
+                        .push(MasterAction::Event(MasterEvent::Promoted { count: 1 }));
+                    KeyEntry::new(b.key_name, b.last_ts, b.epoch + 1, VecDeque::new())
+                }
+                None => KeyEntry::new(key_name.clone(), 0, 1, VecDeque::new()),
+            })
     }
 
     /// Start the next operation for `key` if its entry is idle and has

@@ -2,6 +2,10 @@
 //! the next timestamp slot and decide the outcome from the per-replica
 //! acknowledgements.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 /// Final verdict of one fence fan-out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FenceVerdict {

@@ -7,6 +7,10 @@
 //! Master-key and its successor are lost (extension over the paper,
 //! DESIGN.md §6).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use chord::Id;
 
 use crate::hashfam::DocHashes;

@@ -1,6 +1,10 @@
 //! Publish-side bookkeeping: fan a record out to the `n` Log-Peers and
 //! decide the outcome from the per-replica acknowledgements.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use chord::Id;
 
 use crate::config::AckPolicy;

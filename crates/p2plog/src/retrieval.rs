@@ -6,6 +6,10 @@
 //! records are *delivered* strictly in ascending timestamp order — the
 //! property Figure 5 of the paper demonstrates.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use std::collections::BTreeMap;
 
 use bytes::Bytes;

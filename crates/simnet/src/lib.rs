@@ -52,6 +52,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::disallowed_types)]
 
 pub mod fault;
 pub mod metrics;

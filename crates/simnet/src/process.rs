@@ -6,6 +6,10 @@
 //! returns. This keeps protocol handlers free of simulator borrows and makes
 //! them unit-testable with a synthetic `Ctx`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::metrics::Metrics;
 use crate::rng::Rng64;
 use crate::time::{Duration, Time};

@@ -737,7 +737,7 @@ mod tests {
     #[derive(Debug)]
     enum Msg {
         Ping(u32),
-        Pong(#[allow(dead_code)] u32),
+        Pong(u32),
     }
 
     /// Test process: replies to pings, counts pongs, re-arms a periodic timer.

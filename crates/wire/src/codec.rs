@@ -15,6 +15,10 @@
 //!   the receive buffer when the reader is backed by one
 //!   ([`Reader::with_backing`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use bytes::Bytes;
 
 use crate::varint::{read_varint, varint_len, write_varint};
@@ -113,6 +117,10 @@ pub trait Encode {
 /// # use wire::Encode;
 /// ```
 pub trait Decode: Sized {
+    /// The `(tag, variant)` pairs of a [`wire_enum!`](crate::wire_enum!)
+    /// declaration, in declaration order; empty for every other type.
+    const TAGS: &'static [(u8, &'static str)] = &[];
+
     /// Decode one value from the reader's current position.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
 
@@ -173,6 +181,10 @@ impl<'a> Reader<'a> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "pos + n <= buf.len(): remaining() >= n was checked above"
+        )]
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
@@ -181,12 +193,19 @@ impl<'a> Reader<'a> {
     /// Read one byte.
     #[inline]
     pub fn read_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        match self.take(1)? {
+            [b] => Ok(*b),
+            _ => Err(WireError::Truncated),
+        }
     }
 
     /// Read a canonical varint `u64`.
     #[inline]
     pub fn read_varint(&mut self) -> Result<u64, WireError> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "pos <= buf.len(): pos only advances past bytes already bounds-checked"
+        )]
         let (v, used) = read_varint(&self.buf[self.pos..])?;
         self.pos += used;
         Ok(v)
@@ -311,12 +330,13 @@ pub fn encode_trailing<T: Encode + Default + PartialEq>(v: &T, out: &mut Vec<u8>
 /// assert_eq!(Msg::from_wire(&[2, 7, 3]), Ok(Msg::Grant { op: 7, epoch: 3 }));
 /// assert!(Msg::from_wire(&[2, 7, 0]).is_err());
 /// assert_eq!(msg_class(&Msg::Stop), "msg.stop");
+/// assert_eq!(Msg::TAGS, [(0, "Ping"), (1, "Stop"), (2, "Grant")]);
 /// ```
 ///
-/// Tags are a wire contract: append variants, never renumber. detlint's
-/// WIRE-TAGS rule reads the `N => Variant` lines and freezes them in
-/// `crates/wire/TAGS.lock`; the declaration's first line must read
-/// `wire_enum! { Type;` for it to find them.
+/// Tags are a wire contract: append variants, never renumber. The
+/// declaration's [`Decode::TAGS`] is frozen in `crates/wire/TAGS.lock` by
+/// `crates/core/tests/wire_tags.rs`, which finds every declaration whose
+/// first line reads `wire_enum! { Type;` in column 0.
 #[macro_export]
 macro_rules! wire_enum {
     (
@@ -346,6 +366,8 @@ macro_rules! wire_enum {
         }
 
         impl $crate::Decode for $ty {
+            const TAGS: &'static [(u8, &'static str)] = &[$( ($tag, stringify!($variant)) ),*];
+
             fn decode(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
                 Ok(match r.read_u8()? {
                     $( $tag => $ty::$variant {
@@ -376,7 +398,7 @@ macro_rules! wire_enum {
 /// Declare a struct's wire form once: its fields in the order listed, no
 /// tag. Generates [`Encode`] (with `encoded_len`) and [`Decode`]. Every
 /// field must be listed; the last may be `#[trailing]`, with the meaning
-/// [`wire_enum!`] gives it.
+/// [`wire_enum!`](crate::wire_enum!) gives it.
 ///
 /// ```
 /// # #[derive(Debug, PartialEq)]

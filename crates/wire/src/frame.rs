@@ -19,6 +19,10 @@
 //! versions, and bodies that under- or over-run the declared length all
 //! return [`WireError`]s.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use std::collections::VecDeque;
 
 use bytes::Bytes;
@@ -155,15 +159,9 @@ impl BytesAssembler {
         }
         // The length prefix itself may span chunks: peek it bytewise.
         let mut len_bytes = [0u8; 4];
-        let mut filled = 0;
-        'peek: for chunk in &self.chunks {
-            for &b in chunk.iter() {
-                if filled == 4 {
-                    break 'peek;
-                }
-                len_bytes[filled] = b;
-                filled += 1;
-            }
+        let buffered = self.chunks.iter().flat_map(|chunk| chunk.iter());
+        for (slot, &b) in len_bytes.iter_mut().zip(buffered) {
+            *slot = b;
         }
         let len = u32::from_le_bytes(len_bytes) as usize;
         if len > MAX_FRAME_LEN {

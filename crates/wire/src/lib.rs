@@ -42,7 +42,7 @@ pub mod runner;
 #[cfg(target_os = "linux")]
 pub mod runtime;
 #[cfg(target_os = "linux")]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the one module of raw epoll and socket calls")]
 mod sys;
 pub mod transport;
 pub mod varint;

@@ -17,9 +17,13 @@
 //!   present at it, so one value keeps one encoding.
 //!
 //! Tags are part of the wire contract: **append new variants, never
-//! renumber**, then regenerate `TAGS.lock` with
-//! `cargo run -p detlint -- --write-tags`. The `frozen_encodings` test
-//! pins representative byte strings.
+//! renumber**, then rewrite `TAGS.lock` with
+//! `UPDATE_TAGS=1 cargo test -p p2p_ltr --test wire_tags`. The
+//! `frozen_encodings` test pins representative byte strings.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 use chord::{ChordMsg, DocName, Id, NodeRef, OpId, PutMode};
 use kts::{HandoffEntry, KtsMsg, ReqId, ValidateFailure};

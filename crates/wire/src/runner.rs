@@ -15,8 +15,11 @@
 //! soon as any node's socket has work (see [`runtime`](crate::runtime)),
 //! and over in-process queues nothing can arrive while the one thread
 //! that sends is parked.
-//!
-//! detlint::allow-file(DET-CLOCK, this module IS the real-time harness — wall time is its contract and never feeds back into simulator runs)
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the real-time harness: wall time is its contract and never reaches simulator runs"
+)]
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};

@@ -47,8 +47,11 @@
 //! fallback path for other systems.
 //!
 //! [`WireNet`]: crate::WireNet
-//!
-//! detlint::allow-file(DET-CLOCK, the runtime is the real-time I/O layer — wall-clock batching, parking and reconnect backoff never feed back into simulator logic)
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the real-time I/O layer: wall-clock batching, parking and backoff never reach simulator logic"
+)]
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};

@@ -7,6 +7,10 @@
 //! value has exactly one byte representation — a requirement for
 //! deterministic, comparable frames.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::codec::WireError;
 
 /// Maximum encoded length of a `u64` varint.

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::disallowed_types)]
 
 pub mod churn;
 pub mod driver;

@@ -239,7 +239,10 @@ struct PendingRecovery {
 /// Execute one scenario deterministically. Same `sc` + same `seed` ⇒
 /// bit-identical run (the byte-identity property test pins this).
 pub fn run_scenario(sc: &Scenario, seed: u64) -> ScenarioOutcome {
-    // detlint::allow(DET-CLOCK, wall-clock duration is reported alongside the outcome; it never feeds the simulation)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall-clock duration is reported beside the outcome and never feeds the simulation"
+    )]
     let wall = Instant::now();
     let mut cfg = LtrConfig::default();
     cfg.log.replication = sc.replication;

@@ -1,10 +1,10 @@
-// Negative DET-HASH fixture: BTreeMap everywhere, plus HashMap mentions
-// that only occur where the scanner must not look.
+// DET-HASH negative: BTreeMap everywhere, plus HashMap mentions that only
+// occur where the compiler does not look.
 use std::collections::BTreeMap;
 
 /// Docs may say HashMap as much as they like: HashMap, HashMap::new().
 pub struct State {
-    pending: BTreeMap<u64, String>, // "HashMap" in a trailing string? no: comment
+    pub pending: BTreeMap<u64, String>, // HashMap in a trailing comment
 }
 
 pub fn describe() -> &'static str {

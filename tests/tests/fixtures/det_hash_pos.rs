@@ -1,10 +1,10 @@
-// Positive DET-HASH fixture: scanned as if it lived in a
-// sim-deterministic crate (e.g. crates/kts/src/...).
+// DET-HASH positive: compiled as the root of a sim-deterministic crate, so
+// every mention of std's randomly seeded maps is an error.
 use std::collections::{HashMap, HashSet};
 
 pub struct State {
-    pending: HashMap<u64, String>,
-    seen: HashSet<u64>,
+    pub pending: HashMap<u64, String>,
+    pub seen: HashSet<u64>,
 }
 
 impl State {
