@@ -6,21 +6,23 @@
 //! The coordinator keeps every document's log locally and serves
 //! validation, retrieval and last-ts queries from one FIFO queue with a
 //! configurable per-request service time (a single-threaded reconciler).
-//! Under light load it beats P2P-LTR (no DHT routing, no replication
-//! round-trips); under aggregate load across many documents it saturates at
-//! `1/service_time`, and when it crashes *all* editing stops — the two
-//! effects experiment B1 measures.
+//! When it crashes *all* editing stops: the `b1` row of `exp_paper`
+//! measures that against one P2P-LTR master crash.
 
+#![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented)]
+// The simulated-code rules `p2p_ltr` denies at its root, which this crate
+// allows for its wall-clock harnesses: DET-HASH and DET-CLOCK.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 
 use ot::Document;
-use simnet::{CounterId, Ctx, Duration, HistogramId, Metrics, NodeId, Process, Time};
+use simnet::{CounterId, Ctx, Duration, NodeId, Process};
 
 /// Messages of the centralized system.
 #[derive(Clone, Debug)]
@@ -128,8 +130,6 @@ pub struct Coordinator {
     service_time: Duration,
     /// Pre-registered grant counter (filled on first use).
     grants: Option<CounterId>,
-    /// Pre-registered queue-depth histogram (filled on first use).
-    queue_depth: Option<HistogramId>,
     /// Per-document logs: `log[doc][i]` holds the patch with ts `i+1`.
     logs: BTreeMap<String, Vec<Bytes>>,
     queue: VecDeque<BaseMsg>,
@@ -142,16 +142,10 @@ impl Coordinator {
         Coordinator {
             service_time,
             grants: None,
-            queue_depth: None,
             logs: BTreeMap::new(),
             queue: VecDeque::new(),
             busy: false,
         }
-    }
-
-    /// Total patches logged (all documents).
-    pub fn total_patches(&self) -> usize {
-        self.logs.values().map(Vec::len).sum()
     }
 
     /// Last timestamp of a document.
@@ -207,10 +201,7 @@ impl Coordinator {
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_, BaseMsg>) {
-        if self.busy {
-            return;
-        }
-        if self.queue.is_empty() {
+        if self.busy || self.queue.is_empty() {
             return;
         }
         self.busy = true;
@@ -223,11 +214,6 @@ impl Process<BaseMsg> for Coordinator {
         match msg {
             BaseMsg::Validate { .. } | BaseMsg::FetchRange { .. } | BaseMsg::LastTs { .. } => {
                 self.queue.push_back(msg);
-                let queue_depth = *self
-                    .queue_depth
-                    .get_or_insert_with(|| ctx.metrics().register_histogram("base.queue_depth"));
-                ctx.metrics()
-                    .record_id(queue_depth, self.queue.len() as f64);
                 self.pump(ctx);
             }
             _ => {}
@@ -259,33 +245,6 @@ struct BaseDoc {
     phase: Phase,
     queued_text: Option<Document>,
     inflight: Option<(u64, Bytes)>, // (op, bytes sent)
-    cycle_started: Option<Time>,
-}
-
-/// Pre-registered counter and histogram handles of the baseline user
-/// (same metrics discipline as `LtrNode`: no by-name lookups on the
-/// message path).
-#[derive(Clone, Copy)]
-struct BaseCounters {
-    validate_sent: CounterId,
-    edits: CounterId,
-    publish_ok: CounterId,
-    integrated: CounterId,
-    validate_timeout: CounterId,
-    publish_latency_ms: HistogramId,
-}
-
-impl BaseCounters {
-    fn register(m: &mut Metrics) -> Self {
-        BaseCounters {
-            validate_sent: m.register_counter("base.validate_sent"),
-            edits: m.register_counter("base.edits"),
-            publish_ok: m.register_counter("base.publish_ok"),
-            integrated: m.register_counter("base.integrated"),
-            validate_timeout: m.register_counter("base.validate_timeout"),
-            publish_latency_ms: m.register_histogram("base.publish_latency_ms"),
-        }
-    }
 }
 
 /// A user peer of the centralized system.
@@ -301,8 +260,8 @@ pub struct BaselineUser {
     sync_every: Option<Duration>,
     /// Publishes acknowledged (for throughput accounting).
     pub published: u64,
-    /// Counter handles; registered on first use.
-    counters: Option<BaseCounters>,
+    /// Pre-registered validate-timeout counter (filled on first use).
+    validate_timeouts: Option<CounterId>,
 }
 
 /// Timer tags for the baseline user.
@@ -329,32 +288,13 @@ impl BaselineUser {
             validate_timeout,
             sync_every,
             published: 0,
-            counters: None,
-        }
-    }
-
-    /// The counter handles, registering them on first use.
-    fn c(&mut self, m: &mut Metrics) -> BaseCounters {
-        match self.counters {
-            Some(c) => c,
-            None => {
-                let c = BaseCounters::register(m);
-                self.counters = Some(c);
-                c
-            }
+            validate_timeouts: None,
         }
     }
 
     /// Working text of a document.
     pub fn doc_text(&self, doc: &str) -> Option<String> {
         self.docs.get(doc).map(|d| d.replica.working().to_text())
-    }
-
-    /// Content hash of a document.
-    pub fn doc_hash(&self, doc: &str) -> Option<u64> {
-        self.docs
-            .get(doc)
-            .map(|d| d.replica.working().content_hash())
     }
 
     /// Is a cycle in flight (or edits unpublished)?
@@ -398,12 +338,9 @@ impl BaselineUser {
             },
         );
         ctx.set_timer(timeout, timeout_tag(op));
-        let c = self.c(ctx.metrics());
-        ctx.metrics().incr_id(c.validate_sent);
     }
 
     fn resume(&mut self, ctx: &mut Ctx<'_, BaseMsg>, doc: &str) {
-        let now = ctx.now();
         let Some(state) = self.docs.get_mut(doc) else {
             return;
         };
@@ -411,7 +348,6 @@ impl BaselineUser {
             let _ = state.replica.edit(&text);
         }
         if state.replica.pending().is_some() {
-            state.cycle_started.get_or_insert(now);
             self.start_validate(ctx, doc);
         }
     }
@@ -425,17 +361,13 @@ impl BaselineUser {
                     phase: Phase::Idle,
                     queued_text: None,
                     inflight: None,
-                    cycle_started: None,
                 });
             }
             BaseCmd::Edit { doc, new_text } => {
-                let now = ctx.now();
-                let c = self.c(ctx.metrics());
                 let state = match self.docs.get_mut(&doc) {
                     Some(s) => s,
                     None => return,
                 };
-                ctx.metrics().incr_id(c.edits);
                 let target = Document::from_text(&new_text);
                 if state.phase == Phase::Idle {
                     if state
@@ -446,7 +378,6 @@ impl BaselineUser {
                     {
                         return;
                     }
-                    state.cycle_started = Some(now);
                     self.start_validate(ctx, &doc);
                 } else {
                     state.queued_text = Some(target);
@@ -485,8 +416,6 @@ impl Process<BaseMsg> for BaselineUser {
                     Some(d) => d,
                     None => return,
                 };
-                let now = ctx.now();
-                let c = self.c(ctx.metrics());
                 let Some(state) = self.docs.get_mut(&doc) else {
                     return;
                 };
@@ -504,11 +433,6 @@ impl Process<BaseMsg> for BaselineUser {
                 state.inflight = None;
                 state.phase = Phase::Idle;
                 self.published += 1;
-                if let Some(t0) = state.cycle_started.take() {
-                    ctx.metrics()
-                        .record_id(c.publish_latency_ms, now.since(t0).as_millis_f64());
-                }
-                ctx.metrics().incr_id(c.publish_ok);
                 self.resume(ctx, &doc);
             }
             BaseMsg::Retry { op, last_ts } => {
@@ -542,7 +466,6 @@ impl Process<BaseMsg> for BaselineUser {
                     Some(d) => d,
                     None => return,
                 };
-                let c = self.c(ctx.metrics());
                 let Some(state) = self.docs.get_mut(&doc) else {
                     return;
                 };
@@ -578,7 +501,6 @@ impl Process<BaseMsg> for BaselineUser {
                     if state.replica.integrate_remote(*ts, &patch).is_err() {
                         break;
                     }
-                    ctx.metrics().incr_id(c.integrated);
                 }
                 state.phase = Phase::Idle;
                 self.resume(ctx, &doc);
@@ -626,8 +548,10 @@ impl Process<BaseMsg> for BaselineUser {
             if let Some(doc) = self.ops.remove(&op) {
                 // Coordinator unresponsive (crashed?): retry while it is
                 // down; count the outage.
-                let c = self.c(ctx.metrics());
-                ctx.metrics().incr_id(c.validate_timeout);
+                let timeouts = *self
+                    .validate_timeouts
+                    .get_or_insert_with(|| ctx.metrics().register_counter("base.validate_timeout"));
+                ctx.metrics().incr_id(timeouts);
                 let Some(state) = self.docs.get_mut(&doc) else {
                     return;
                 };

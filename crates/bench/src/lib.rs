@@ -1,12 +1,15 @@
-//! Shared helpers for the experiment binaries (one per paper
-//! figure/scenario — see `EXPERIMENTS.md` at the workspace root for the
-//! index mapping each `exp_*` binary to its paper figure).
+//! Shared helpers for the experiment binaries (`exp_paper` checks the
+//! paper's claims; see `EXPERIMENTS.md` at the workspace root for every
+//! `exp_*` binary), and the centralized reconciler the paper argues
+//! against ([`baseline`]).
 
 #![forbid(unsafe_code)]
 
+pub mod baseline;
+
 use p2p_ltr::harness::LtrNet;
 use p2p_ltr::LtrConfig;
-use simnet::{Duration, NetConfig, Summary};
+use simnet::{Duration, NetConfig};
 
 /// Print one line to stdout; a closed pipe (`exp_perf | head`) ends the
 /// run quietly with status 0 instead of `println!`'s panic.
@@ -74,15 +77,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Format a latency summary as `mean/p95/p99 ms`.
-pub fn fmt_latency(s: &Summary) -> String {
-    if s.count == 0 {
-        "-".to_string()
-    } else {
-        format!("{:.1}/{:.1}/{:.1}", s.mean, s.p95, s.p99)
-    }
-}
-
 /// Format a boolean as a check.
 pub fn ok(b: bool) -> String {
     if b {
@@ -146,25 +140,6 @@ pub fn merge_bench_section(path: &std::path::Path, key: &str, body: &str) {
     std::fs::write(path, out).expect("write BENCH json");
 }
 
-/// Print the standard invariant footer every experiment ends with.
-pub fn print_invariants(net: &LtrNet) {
-    let cont = p2p_ltr::check_continuity(&net.sim);
-    let order = p2p_ltr::check_total_order(&net.sim);
-    let conv = p2p_ltr::check_convergence(&net.sim);
-    println!(
-        "\ninvariants: continuity={} (docs={}, dups={}, gaps={}), total-order={} ({} integrations), convergence={} ({} docs, {} busy)",
-        ok(cont.is_clean()),
-        cont.granted.len(),
-        cont.duplicates.len(),
-        cont.gaps.len(),
-        ok(order.is_clean()),
-        order.checked,
-        ok(conv.is_converged()),
-        conv.docs(),
-        conv.busy_replicas,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,10 +151,5 @@ mod tests {
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
-    }
-
-    #[test]
-    fn fmt_latency_empty() {
-        assert_eq!(fmt_latency(&Summary::default()), "-");
     }
 }

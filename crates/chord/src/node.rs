@@ -200,11 +200,6 @@ impl ChordNode {
         }
     }
 
-    /// Finger-table entries currently populated (diagnostics).
-    pub fn finger_fill(&self) -> usize {
-        self.fingers.iter().filter(|f| f.is_some()).count()
-    }
-
     // ----- effect helpers ----------------------------------------------
 
     pub(crate) fn send(&mut self, to: NodeId, msg: ChordMsg) {

@@ -26,10 +26,11 @@
 //!   API);
 //! * [`consistency`] — the oracles: timestamp continuity, per-replica
 //!   total order, replica convergence, equivocation (dual-master
-//!   detector), epoch monotonicity;
-//! * [`baseline`] — the centralized single-reconciler comparator the
-//!   paper's introduction argues against (bottleneck + single point of
-//!   failure).
+//!   detector), epoch monotonicity.
+//!
+//! The centralized reconciler the paper's introduction argues against
+//! lives with the experiment that compares against it
+//! (`ltr_bench::baseline`, the `b1` row of `exp_paper`).
 //!
 //! ## Quickstart
 //!
@@ -58,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::disallowed_types)]
 
-pub mod baseline;
 pub mod config;
 pub mod consistency;
 pub mod events;
@@ -68,7 +68,6 @@ pub mod node_glue;
 pub mod node_master;
 pub mod node_user;
 pub mod payload;
-pub mod report;
 pub mod wire_impls;
 
 pub use config::{GcConfig, LtrConfig};
@@ -80,4 +79,3 @@ pub use events::{LtrEvent, LtrEventKind};
 pub use harness::{LtrNet, RecoveryReport};
 pub use node::LtrNode;
 pub use payload::{Payload, UserCmd};
-pub use report::{network_report, summarize, NetworkSummary, PeerReport};
