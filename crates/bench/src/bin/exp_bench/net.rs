@@ -1,5 +1,4 @@
-//! **Network runtime harness — sustained open-loop load over real
-//! sockets.**
+//! **Net — sustained open-loop load over real sockets** (`net`).
 //!
 //! Drives the socket transport — the non-blocking event-loop runtime
 //! (`wire::RtHub`, one write syscall per *batch*) — through the batch
@@ -15,28 +14,18 @@
 //! 2. **Saturation**: senders are kept permanently backlogged and we
 //!    measure the drain rate — the throughput ceiling.
 //!
-//! CI gates on the runtime meeting the rated-phase SLOs and sustaining a
-//! saturation throughput of at least [`SATURATION_FLOOR`] msgs/s.
-//!
-//! Results are merged into `BENCH_hotpath.json` under the `net` key
-//! (excluded from the determinism drift gate — it is wall-clock data).
-//!
-//! Run: `cargo run -p ltr_bench --release --bin exp_net`
-//! Flags: `--quick` (short phases, CI smoke), `--out PATH` (default
-//! `BENCH_hotpath.json`).
+//! The section fails unless the runtime meets the rated-phase SLOs and
+//! sustains a saturation throughput of at least [`SATURATION_FLOOR`]
+//! msgs/s. It is wall-clock data, so the determinism drift gate skips
+//! it. `--quick` runs short phases.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use ltr_bench::{ok, print_table};
+use ltr_bench::table::{Col, Json, Section, Table};
 use simnet::NodeId;
-use wire::{
-    decode_frame_bytes, encode_frame, Decode, Encode, Reader, RtHub, RuntimeConfig, Transport,
-    TransportError, WireError,
-};
+use wire::{decode_frame_bytes, encode_frame, RtHub, RuntimeConfig, Transport, TransportError};
 
 /// Payload sizes cycled through the offered stream (small control
 /// message / typical stamped edit / large patch).
@@ -58,26 +47,7 @@ struct NetMsg {
     pad: Bytes,
 }
 
-impl Encode for NetMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.arrival_nanos.encode(out);
-        self.seq.encode(out);
-        self.pad.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.arrival_nanos.encoded_len() + self.seq.encoded_len() + self.pad.encoded_len()
-    }
-}
-
-impl Decode for NetMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NetMsg {
-            arrival_nanos: u64::decode(r)?,
-            seq: u64::decode(r)?,
-            pad: Bytes::decode(r)?,
-        })
-    }
-}
+wire::wire_struct! { NetMsg { arrival_nanos, seq, pad } }
 
 struct Endpoint {
     me: NodeId,
@@ -97,22 +67,24 @@ struct Window {
     backpressure_stalls: u64,
 }
 
+/// A rated phase: its offered rate, how long it ran, and its window
+/// with the latency samples sorted.
 struct PhaseRow {
     offered_rate: u64,
     secs: f64,
-    achieved_rate: f64,
-    send_p50_us: u64,
-    send_p99_us: u64,
-    recv_p50_us: u64,
-    recv_p99_us: u64,
-    stalls: u64,
-    slo_ok: bool,
+    win: Window,
 }
 
-struct TransportRun {
-    name: &'static str,
-    phases: Vec<PhaseRow>,
-    saturation_msgs_per_sec: f64,
+impl PhaseRow {
+    fn achieved_rate(&self) -> f64 {
+        self.win.delivered as f64 / self.secs
+    }
+
+    /// Achieved ≥ 75 % of offered, and recv p99 ≤ 100 ms.
+    fn slo_ok(&self) -> bool {
+        self.achieved_rate() >= 0.75 * self.offered_rate as f64
+            && percentile(&self.win.recv_us, 99.0) <= 100_000
+    }
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -207,21 +179,13 @@ fn run_phase(eps: &mut [Endpoint], start: Instant, rate: u64, secs: f64) -> Phas
             pump(ep, start, &mut win);
         }
     }
-    let elapsed = phase_start.elapsed().as_secs_f64();
+    let secs = phase_start.elapsed().as_secs_f64();
     win.send_us.sort_unstable();
     win.recv_us.sort_unstable();
-    let achieved_rate = win.delivered as f64 / elapsed;
-    let recv_p99 = percentile(&win.recv_us, 99.0);
     PhaseRow {
         offered_rate: rate,
-        secs: elapsed,
-        achieved_rate,
-        send_p50_us: percentile(&win.send_us, 50.0),
-        send_p99_us: percentile(&win.send_us, 99.0),
-        recv_p50_us: percentile(&win.recv_us, 50.0),
-        recv_p99_us: recv_p99,
-        stalls: win.backpressure_stalls,
-        slo_ok: achieved_rate >= 0.75 * rate as f64 && recv_p99 <= 100_000,
+        secs,
+        win,
     }
 }
 
@@ -255,17 +219,37 @@ fn run_saturation(eps: &mut [Endpoint], start: Instant, secs: f64) -> f64 {
     measured as f64 / elapsed
 }
 
-fn run_transport(
-    name: &'static str,
-    mut make: impl FnMut(NodeId) -> Box<dyn Transport>,
-    rates: &[(u64, f64)],
-    sat_secs: f64,
-) -> TransportRun {
+const PHASES: Table<PhaseRow> = Table {
+    title: "net: the runtime's open-loop phases",
+    cols: &[
+        Col::Int("offered_rate", |p| p.offered_rate),
+        Col::Fixed("secs", 2, |p| p.secs),
+        Col::Fixed("achieved_rate", 0, PhaseRow::achieved_rate),
+        Col::Int("send_p50_us", |p| percentile(&p.win.send_us, 50.0)),
+        Col::Int("send_p99_us", |p| percentile(&p.win.send_us, 99.0)),
+        Col::Int("recv_p50_us", |p| percentile(&p.win.recv_us, 50.0)),
+        Col::Int("recv_p99_us", |p| percentile(&p.win.recv_us, 99.0)),
+        Col::Int("backpressure_stalls", |p| p.win.backpressure_stalls),
+        Col::Check("slo_ok", PhaseRow::slo_ok),
+    ],
+};
+
+/// The `net` key.
+pub fn section(quick: bool) -> Section {
+    let (rates, sat_secs): (&[(u64, f64)], f64) = if quick {
+        (&[(20_000, 0.8)], 1.5)
+    } else {
+        (&[(20_000, 2.0), (50_000, 2.0)], 3.0)
+    };
+    let hub = RtHub::with_config(RuntimeConfig::new());
     let mut eps: Vec<Endpoint> = (0..PEERS)
         .map(|i| Endpoint {
             me: NodeId(i as u32),
             dest: NodeId(((i + 1) % PEERS) as u32),
-            transport: make(NodeId(i as u32)),
+            transport: Box::new(
+                hub.endpoint(NodeId(i as u32))
+                    .expect("bind runtime listener"),
+            ),
             outq: VecDeque::new(),
             scratch: Vec::new(),
         })
@@ -277,127 +261,32 @@ fn run_transport(
         .iter()
         .map(|&(rate, secs)| run_phase(&mut eps, start, rate, secs))
         .collect();
-    let saturation_msgs_per_sec = run_saturation(&mut eps, start, sat_secs);
-    TransportRun {
-        name,
-        phases,
-        saturation_msgs_per_sec,
-    }
-}
-
-fn render_net_json(runs: &[TransportRun], slo_ok: bool) -> String {
-    let mut out = String::new();
-    out.push_str("  \"net\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"peers\": {PEERS},\n    \"frame_mix_bytes\": [{}],",
-        FRAME_MIX.map(|s| s.to_string()).join(", ")
-    );
-    out.push_str("    \"transports\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"transport\": \"{}\", \"saturation_msgs_per_sec\": {:.0}, \"phases\": [",
-            run.name, run.saturation_msgs_per_sec
-        );
-        for (j, p) in run.phases.iter().enumerate() {
-            let pcomma = if j + 1 < run.phases.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "        {{\"offered_rate\": {}, \"secs\": {:.2}, \"achieved_rate\": {:.0}, \
-                 \"send_p50_us\": {}, \"send_p99_us\": {}, \"recv_p50_us\": {}, \
-                 \"recv_p99_us\": {}, \"backpressure_stalls\": {}, \"slo_ok\": {}}}{}",
-                p.offered_rate,
-                p.secs,
-                p.achieved_rate,
-                p.send_p50_us,
-                p.send_p99_us,
-                p.recv_p50_us,
-                p.recv_p99_us,
-                p.stalls,
-                p.slo_ok,
-                pcomma,
-            );
-        }
-        let _ = writeln!(out, "      ]}}{comma}");
-    }
-    out.push_str("    ],\n");
-    let _ = writeln!(out, "    \"slo_ok\": {slo_ok}");
-    out.push_str("  }\n");
-    out
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = PathBuf::from(
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or("BENCH_hotpath.json"),
-    );
-    let (rates, sat_secs): (Vec<(u64, f64)>, f64) = if quick {
-        (vec![(20_000, 0.8)], 1.5)
-    } else {
-        (vec![(20_000, 2.0), (50_000, 2.0)], 3.0)
-    };
-
-    let rt_hub = RtHub::with_config(RuntimeConfig::new());
-    let rt = run_transport(
-        "runtime",
-        |me| Box::new(rt_hub.endpoint(me).expect("bind runtime listener")),
-        &rates,
-        sat_secs,
-    );
-    print_table(
-        &format!(
-            "{}: open-loop phases ({} peers, frame mix {:?}B)",
-            rt.name, PEERS, FRAME_MIX
+    let saturation = run_saturation(&mut eps, start, sat_secs);
+    let saturated = saturation >= SATURATION_FLOOR;
+    let slo_ok = PHASES.holds(&phases);
+    let transport = Json::obj([
+        ("transport", Json::Str("runtime".into())),
+        ("saturation_msgs_per_sec", Json::Fixed(saturation, 0)),
+        ("phases", PHASES.json(&phases)),
+    ]);
+    let net = Json::obj([
+        ("peers", Json::Int(PEERS as u64)),
+        (
+            "frame_mix_bytes",
+            Json::List(FRAME_MIX.map(|b| Json::Int(b as u64)).to_vec()),
         ),
-        &[
-            "offered/s",
-            "achieved/s",
-            "send p50 us",
-            "send p99 us",
-            "recv p50 us",
-            "recv p99 us",
-            "stalls",
-            "SLO",
-        ],
-        &rt.phases
-            .iter()
-            .map(|p| {
-                vec![
-                    p.offered_rate.to_string(),
-                    format!("{:.0}", p.achieved_rate),
-                    p.send_p50_us.to_string(),
-                    p.send_p99_us.to_string(),
-                    p.recv_p50_us.to_string(),
-                    p.recv_p99_us.to_string(),
-                    p.stalls.to_string(),
-                    ok(p.slo_ok),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let saturated = rt.saturation_msgs_per_sec >= SATURATION_FLOOR;
-    let slo_ok = rt.phases.iter().all(|p| p.slo_ok);
-    println!(
-        "\nruntime saturation {:.0} msgs/s (gate: >= {SATURATION_FLOOR:.0}): {}; runtime SLO: {}",
-        rt.saturation_msgs_per_sec,
-        ok(saturated),
-        ok(slo_ok)
-    );
-
-    let net = render_net_json(&[rt], slo_ok);
-    ltr_bench::merge_bench_section(&out_path, "net", &net);
-    println!("merged net metrics into {}", out_path.display());
-
-    if !saturated || !slo_ok {
-        eprintln!("WARNING: network runtime gate failed (saturated {saturated}, slo {slo_ok})");
-        std::process::exit(1);
+        ("transports", Json::List(vec![transport])),
+        ("slo_ok", Json::Bool(slo_ok)),
+    ]);
+    let verdict = if saturated { "PASS" } else { "FAIL" };
+    Section {
+        keys: vec![("net", net)],
+        text: PHASES.text(&phases)
+            + &format!(
+                "{PEERS} peers, frame mix {FRAME_MIX:?} B; saturation {saturation:.0} msgs/s \
+                 (floor {SATURATION_FLOOR:.0}): {verdict}\n"
+            ),
+        markdown: String::new(),
+        holds: saturated && slo_ok,
     }
 }

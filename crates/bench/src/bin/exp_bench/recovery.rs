@@ -1,7 +1,4 @@
-//! **Recovery harness — crash-restart cost over the durable store.**
-//!
-//! Two measurements, both appended to `BENCH_hotpath.json` under the
-//! `recovery` key (the CI schema check validates them):
+//! **Recovery — crash-restart cost over the durable store** (`recovery`).
 //!
 //! 1. **Sweep** — synthetic journals of realistic entries (encoded
 //!    `LogRecord` puts + KTS table updates) are written through the file
@@ -10,25 +7,19 @@
 //!    CRC + Merkle verification), `rebuild_ms` (journal → final tables),
 //!    and report replayed entries/sec. This is the figure that answers
 //!    "how long is a master-key peer down after a crash, as a function of
-//!    its log size and checkpoint cadence?".
+//!    its log size and checkpoint cadence?". `--quick` runs a smaller
+//!    sweep.
 //! 2. **End-to-end** — a 10-peer simulated network where every peer
 //!    journals to an in-memory store; the document's master crashes after
 //!    four grants and restarts from its own journal. The run must pass
 //!    the standard invariant footer (continuity / total order /
 //!    convergence) — a recovery number from a broken run is worthless.
-//!
-//! Run: `cargo run -p ltr_bench --release --bin exp_rec`
-//! Flags: `--quick` (small sweep, CI smoke), `--out PATH` (default
-//! `BENCH_hotpath.json`; the `recovery` key is merged into an existing
-//! file via [`ltr_bench::merge_bench_section`], or a skeleton is
-//! created).
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use bytes::Bytes;
-use ltr_bench::{ok, print_table};
+use ltr_bench::per_sec;
+use ltr_bench::table::{Col, Json, Section, Table};
 use p2p_ltr::harness::LtrNet;
 use p2p_ltr::LtrConfig;
 use simnet::{Duration, NetConfig, Rng64};
@@ -42,13 +33,14 @@ struct SweepPoint {
     write_ms: f64,
     open_ms: f64,
     rebuild_ms: f64,
-    replay_entries_per_sec: f64,
     verified: bool,
 }
 
+/// The end-to-end run's ring size, and the grants before its crash.
+const E2E_PEERS: usize = 10;
+const GRANTS_BEFORE: u64 = 4;
+
 struct E2e {
-    peers: usize,
-    grants_before: u64,
     grants_total: u64,
     restart_entries: u64,
     recover_ms: f64,
@@ -136,11 +128,6 @@ fn run_sweep_point(entries: u64, checkpoint_every: u64, seed: u64) -> SweepPoint
         write_ms,
         open_ms,
         rebuild_ms,
-        replay_entries_per_sec: if open_ms > 0.0 {
-            entries as f64 / (open_ms / 1e3)
-        } else {
-            0.0
-        },
         verified: replay.stats.verified_entries == Some(entries),
     };
     drop(s2);
@@ -150,11 +137,10 @@ fn run_sweep_point(entries: u64, checkpoint_every: u64, seed: u64) -> SweepPoint
 
 fn run_e2e(seed: u64) -> E2e {
     const DOC: &str = "wiki/Main";
-    let peers_n = 10;
     let mut net = LtrNet::build_with_stores(
         seed,
         NetConfig::lan(),
-        peers_n,
+        E2E_PEERS,
         LtrConfig::default(),
         Duration::from_millis(150),
         |_| Box::new(store::MemStore::new()),
@@ -163,8 +149,7 @@ fn run_e2e(seed: u64) -> E2e {
     let peers = net.peers.clone();
     net.open_doc(&peers, DOC, "base");
     net.settle(1);
-    let grants_before = 4u64;
-    for i in 0..grants_before {
+    for i in 0..GRANTS_BEFORE {
         let editor = peers[i as usize];
         let cur = net.node(editor).doc_text(DOC).unwrap();
         net.edit(editor, DOC, &format!("{cur}\nedit-{i}"));
@@ -191,72 +176,50 @@ fn run_e2e(seed: u64) -> E2e {
     let cont = p2p_ltr::check_continuity(&net.sim);
     let conv = p2p_ltr::check_convergence(&net.sim);
     E2e {
-        peers: peers_n,
-        grants_before,
         grants_total: cont.last_ts(DOC),
         restart_entries: report.entries,
         recover_ms,
-        continuity: cont.is_clean() && cont.last_ts(DOC) == grants_before + 1,
+        continuity: cont.is_clean() && cont.last_ts(DOC) == GRANTS_BEFORE + 1,
         converged: conv.is_converged(),
     }
 }
 
-fn render_recovery_json(sweep: &[SweepPoint], e2e: &E2e) -> String {
-    let mut out = String::new();
-    out.push_str("  \"recovery\": {\n    \"sweep\": [\n");
-    for (i, p) in sweep.iter().enumerate() {
-        let comma = if i + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"entries\": {}, \"checkpoint_every\": {}, \"bytes\": {}, \
-             \"segments\": {}, \"write_ms\": {:.2}, \"open_ms\": {:.2}, \
-             \"rebuild_ms\": {:.2}, \"replay_entries_per_sec\": {:.0}, \
-             \"verified\": {}}}{}",
-            p.entries,
-            p.checkpoint_every,
-            p.bytes,
-            p.segments,
-            p.write_ms,
-            p.open_ms,
-            p.rebuild_ms,
-            p.replay_entries_per_sec,
-            p.verified,
-            comma,
-        );
-    }
-    out.push_str("    ],\n");
-    let _ = writeln!(
-        out,
-        "    \"e2e\": {{\"peers\": {}, \"grants_before_crash\": {}, \
-         \"grants_total\": {}, \"restart_entries\": {}, \"recover_ms\": {:.2}, \
-         \"continuity\": {}, \"converged\": {}}}",
-        e2e.peers,
-        e2e.grants_before,
-        e2e.grants_total,
-        e2e.restart_entries,
-        e2e.recover_ms,
-        e2e.continuity,
-        e2e.converged,
-    );
-    out.push_str("  }\n");
-    out
-}
+const SWEEP: Table<SweepPoint> = Table {
+    title: "recovery sweep: replay+verify cost vs journal size and checkpoint interval",
+    cols: &[
+        Col::Int("entries", |p| p.entries),
+        Col::Int("checkpoint_every", |p| p.checkpoint_every),
+        Col::Int("bytes", |p| p.bytes),
+        Col::Int("segments", |p| p.segments),
+        Col::Fixed("write_ms", 2, |p| p.write_ms),
+        Col::Fixed("open_ms", 2, |p| p.open_ms),
+        Col::Fixed("rebuild_ms", 2, |p| p.rebuild_ms),
+        Col::Fixed("replay_entries_per_sec", 0, |p| {
+            per_sec(p.entries, p.open_ms)
+        }),
+        Col::Check("verified", |p| p.verified),
+    ],
+};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = PathBuf::from(
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or("BENCH_hotpath.json"),
-    );
+const E2E: Table<E2e> = Table {
+    title: "recovery e2e: the master crashes after four grants and restarts from its journal",
+    cols: &[
+        Col::Int("peers", |_| E2E_PEERS as u64),
+        Col::Int("grants_before_crash", |_| GRANTS_BEFORE),
+        Col::Int("grants_total", |e| e.grants_total),
+        Col::Int("restart_entries", |e| e.restart_entries),
+        Col::Fixed("recover_ms", 2, |e| e.recover_ms),
+        Col::Check("continuity", |e| e.continuity),
+        Col::Check("converged", |e| e.converged),
+    ],
+};
 
-    let matrix: Vec<(u64, u64)> = if quick {
-        vec![(500, 64), (2_000, 64)]
+/// The `recovery` key.
+pub fn section(quick: bool) -> Section {
+    let matrix: &[(u64, u64)] = if quick {
+        &[(500, 64), (2_000, 64)]
     } else {
-        vec![
+        &[
             (1_000, 16),
             (1_000, 256),
             (4_000, 16),
@@ -265,61 +228,16 @@ fn main() {
             (16_000, 256),
         ]
     };
-    let mut sweep = Vec::with_capacity(matrix.len());
-    for (i, (entries, every)) in matrix.iter().enumerate() {
-        sweep.push(run_sweep_point(*entries, *every, 0x2EC0 + i as u64));
-    }
-    print_table(
-        "recovery sweep: replay+verify cost vs journal size and checkpoint interval",
-        &[
-            "entries",
-            "ckpt",
-            "KiB",
-            "segs",
-            "write ms",
-            "open ms",
-            "rebuild ms",
-            "entries/s",
-            "merkle",
-        ],
-        &sweep
-            .iter()
-            .map(|p| {
-                vec![
-                    p.entries.to_string(),
-                    p.checkpoint_every.to_string(),
-                    format!("{}", p.bytes / 1024),
-                    p.segments.to_string(),
-                    format!("{:.2}", p.write_ms),
-                    format!("{:.2}", p.open_ms),
-                    format!("{:.2}", p.rebuild_ms),
-                    format!("{:.0}", p.replay_entries_per_sec),
-                    ok(p.verified),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
+    let sweep: Vec<SweepPoint> = (0x2EC0..)
+        .zip(matrix)
+        .map(|(seed, &(entries, every))| run_sweep_point(entries, every, seed))
+        .collect();
     let e2e = run_e2e(0xE2E);
-    println!(
-        "\ne2e: {} peers, master crashed after {} grants, restarted from {} journal entries \
-         in {:.2} ms; sequence continued to ts={}; continuity={} converged={}",
-        e2e.peers,
-        e2e.grants_before,
-        e2e.restart_entries,
-        e2e.recover_ms,
-        e2e.grants_total,
-        ok(e2e.continuity),
-        ok(e2e.converged),
-    );
-
-    let recovery = render_recovery_json(&sweep, &e2e);
-    ltr_bench::merge_bench_section(&out_path, "recovery", &recovery);
-    println!("\nmerged recovery metrics into {}", out_path.display());
-
-    let all_ok = e2e.continuity && e2e.converged && sweep.iter().all(|p| p.verified);
-    if !all_ok {
-        eprintln!("WARNING: a recovery invariant failed");
-        std::process::exit(1);
+    let recovery = Json::obj([("sweep", SWEEP.json(&sweep)), ("e2e", E2E.json_row(&e2e))]);
+    Section {
+        keys: vec![("recovery", recovery)],
+        text: SWEEP.text(&sweep) + &E2E.text(std::slice::from_ref(&e2e)),
+        markdown: String::new(),
+        holds: SWEEP.holds(&sweep) && E2E.holds(std::slice::from_ref(&e2e)),
     }
 }

@@ -11,9 +11,11 @@
 
 use std::process::ExitCode;
 
+use chord::stabilize::CHECK_PRED_EVERY;
 use chord::NodeRef;
 use ltr_bench::baseline::{BaseCmd, BaseMsg, BaselineUser, Coordinator};
-use ltr_bench::{ok, print_table, settled_net};
+use ltr_bench::table::{Col, Table};
+use ltr_bench::{emit, ok, settled_net};
 use p2p_ltr::harness::LtrNet;
 use p2p_ltr::{
     check_continuity, check_convergence, check_total_order, LtrConfig, LtrEvent, LtrEventKind,
@@ -36,25 +38,42 @@ struct Claim<M> {
     holds: fn(&M) -> bool,
 }
 
+/// A claim's row in the report.
+struct Verdict {
+    claim: &'static str,
+    anchor: &'static str,
+    predicate: &'static str,
+    measured: String,
+    holds: bool,
+}
+
+const REPORT: Table<Verdict> = Table {
+    title: "P2P-LTR: the paper's claims",
+    cols: &[
+        Col::Text("claim", |v| v.claim),
+        Col::Text("anchor", |v| v.anchor),
+        Col::Text("predicate", |v| v.predicate),
+        Col::Text("measured", |v| &v.measured),
+        Col::Check("verdict", |v| v.holds),
+    ],
+};
+
 /// A claim with its measurement type erased, so one table holds them all.
 trait Check {
-    /// Run the scenario: the claim's table row, and whether it holds.
-    fn check(&self) -> (Vec<String>, bool);
+    /// Run the scenario: the claim's row in the report.
+    fn check(&self) -> Verdict;
 }
 
 impl<M> Check for Claim<M> {
-    fn check(&self) -> (Vec<String>, bool) {
+    fn check(&self) -> Verdict {
         let m = (self.scenario)();
-        let holds = (self.holds)(&m);
-        let verdict = if holds { "PASS" } else { "FAIL" };
-        let row = [
-            self.id,
-            self.anchor,
-            self.predicate,
-            &(self.fields)(&m),
-            verdict,
-        ];
-        (row.map(String::from).to_vec(), holds)
+        Verdict {
+            claim: self.id,
+            anchor: self.anchor,
+            predicate: self.predicate,
+            measured: (self.fields)(&m),
+            holds: (self.holds)(&m),
+        }
     }
 }
 
@@ -63,13 +82,9 @@ const CLAIMS: &[&dyn Check] = &[&F4, &F5, &S3, &S4, &P1, &P2, &P3, &A1, &A2, &B1
 /// Check `claims` in order and print them as one table; true when every
 /// claim holds.
 fn run(claims: &[&dyn Check]) -> bool {
-    let (rows, holds): (Vec<_>, Vec<_>) = claims.iter().map(|c| c.check()).unzip();
-    print_table(
-        "P2P-LTR: the paper's claims",
-        &["claim", "anchor", "predicate", "measured", "verdict"],
-        &rows,
-    );
-    holds.into_iter().all(|h| h)
+    let verdicts: Vec<Verdict> = claims.iter().map(|c| c.check()).collect();
+    emit(&REPORT.text(&verdicts));
+    REPORT.holds(&verdicts)
 }
 
 fn main() -> ExitCode {
@@ -315,14 +330,14 @@ const F5: Claim<LateReader> = Claim {
 
 /// The longest a crashed master's key may go without a grant, from the
 /// configured timeouts: the Master-Succ declares its predecessor dead after
-/// `fail_threshold` lost pings sent every `check_pred_every`, the last one
+/// `fail_threshold` lost pings sent every `CHECK_PRED_EVERY`, the last one
 /// timing out after `op_timeout`; the validation in flight at that moment
 /// times out after `validate_timeout`; the re-lookup of the master takes
 /// one `op_timeout`; and the re-sent validation is answered within one
 /// more `validate_timeout`, or it too would time out.
 fn takeover_bound(cfg: &LtrConfig) -> Duration {
     let c = &cfg.chord;
-    c.check_pred_every * u64::from(c.fail_threshold) + c.op_timeout * 2 + cfg.validate_timeout * 2
+    CHECK_PRED_EVERY * u64::from(c.fail_threshold) + c.op_timeout * 2 + cfg.validate_timeout * 2
 }
 
 struct Departure {
@@ -1061,15 +1076,18 @@ mod tests {
         assert!(run(&[&HOLDS, &HOLDS]));
         assert!(!run(&[&HOLDS, &FAILS]));
         assert!(!run(&[&FAILS]));
-        let (row, holds) = FAILS.check();
-        assert!(!holds);
-        assert_eq!(row, ["t", "-", "the measurement is 7", "7", "FAIL"]);
+        let verdict = FAILS.check();
+        assert!(!verdict.holds);
+        assert_eq!(
+            REPORT.cells(&verdict),
+            ["t", "-", "the measurement is 7", "7", "FAIL"]
+        );
     }
 
     #[test]
     fn the_join_claim_reports_the_same_bytes_twice() {
-        let (first, holds) = S4.check();
-        assert!(holds, "{first:?}");
-        assert_eq!(first, S4.check().0);
+        let first = REPORT.cells(&S4.check());
+        assert_eq!(first.last().map(String::as_str), Some("PASS"), "{first:?}");
+        assert_eq!(first, REPORT.cells(&S4.check()));
     }
 }

@@ -15,6 +15,9 @@ use crate::config::ChordConfig;
 use crate::events::{Action, ChordEvent, ChordTimer};
 use crate::id::{Id, M};
 use crate::msg::{ChordMsg, NodeRef, OpId, PutMode};
+use crate::stabilize::{
+    CHECK_PRED_EVERY, FIX_FINGERS_EVERY, REPLICATE_EVERY, STABILIZE_EVERY, SUCC_LIST_LEN,
+};
 use crate::storage::Storage;
 use simnet::{NodeId, Time};
 
@@ -273,11 +276,11 @@ impl ChordNode {
     }
 
     pub(crate) fn arm_periodic_timers(&mut self) {
-        self.arm(self.cfg.stabilize_every, ChordTimer::Stabilize);
-        self.arm(self.cfg.fix_fingers_every, ChordTimer::FixFingers);
-        self.arm(self.cfg.check_pred_every, ChordTimer::CheckPredecessor);
+        self.arm(STABILIZE_EVERY, ChordTimer::Stabilize);
+        self.arm(FIX_FINGERS_EVERY, ChordTimer::FixFingers);
+        self.arm(CHECK_PRED_EVERY, ChordTimer::CheckPredecessor);
         if self.cfg.storage_replicas > 0 {
-            self.arm(self.cfg.replicate_every, ChordTimer::Replicate);
+            self.arm(REPLICATE_EVERY, ChordTimer::Replicate);
         }
     }
 
@@ -293,7 +296,7 @@ impl ChordNode {
     }
 
     /// Insert a candidate into the successor list, keeping it sorted by
-    /// clockwise distance from `me` and truncated to the configured length.
+    /// clockwise distance from `me` and truncated to [`SUCC_LIST_LEN`].
     pub(crate) fn integrate_successor(&mut self, cand: NodeRef) {
         if cand.id == self.me.id {
             return;
@@ -305,7 +308,7 @@ impl ChordNode {
         self.succs.push(cand);
         let me = self.me.id;
         self.succs.sort_by_key(|s| me.distance_to(s.id));
-        self.succs.truncate(self.cfg.succ_list_len);
+        self.succs.truncate(SUCC_LIST_LEN);
     }
 
     /// Remove a node from the successor list (after detecting failure).

@@ -16,15 +16,32 @@ use crate::id::Id;
 use crate::msg::{ChordMsg, NodeRef};
 use crate::node::{ChordNode, OpKind};
 use bytes::Bytes;
-use simnet::{NodeId, Time};
+use simnet::{Duration, NodeId, Time};
+
+// Every run uses these values, so they are constants, not `ChordConfig`
+// fields; a field comes back when an experiment row or a test must vary
+// one.
+
+/// Successor-list length `r`: the ring survives `r - 1` simultaneous
+/// failures of consecutive nodes.
+pub const SUCC_LIST_LEN: usize = 4;
+const _: () = assert!(
+    SUCC_LIST_LEN >= 2,
+    "a list of one cannot repair a failed head"
+);
+/// Period of the stabilize round (successor pointer repair).
+pub const STABILIZE_EVERY: Duration = Duration::from_millis(250);
+/// Period of finger repair (one finger per round, round-robin).
+pub const FIX_FINGERS_EVERY: Duration = Duration::from_millis(100);
+/// Period of the predecessor liveness probe.
+pub const CHECK_PRED_EVERY: Duration = Duration::from_millis(500);
+/// Period of the Merkle anti-entropy round (storage replica sync).
+pub const REPLICATE_EVERY: Duration = Duration::from_millis(1_000);
 
 impl ChordNode {
     /// Periodic stabilize round: verify the successor pointer and notify.
     pub(crate) fn tick_stabilize(&mut self, now: Time) {
-        self.arm(
-            self.cfg.stabilize_every,
-            crate::events::ChordTimer::Stabilize,
-        );
+        self.arm(STABILIZE_EVERY, crate::events::ChordTimer::Stabilize);
         if !self.joined {
             return;
         }
@@ -73,7 +90,7 @@ impl ChordNode {
         }
         // Rebuild the successor list: entry point first, then the
         // responder's list, stopping at ourselves (small rings wrap).
-        let mut rebuilt: Vec<NodeRef> = Vec::with_capacity(self.cfg.succ_list_len + 2);
+        let mut rebuilt: Vec<NodeRef> = Vec::with_capacity(SUCC_LIST_LEN + 2);
         let push_unique = |r: NodeRef, v: &mut Vec<NodeRef>| {
             if r.id != self.me.id && !v.iter().any(|x| x.id == r.id) {
                 v.push(r);
@@ -97,7 +114,7 @@ impl ChordNode {
             }
         }
         rebuilt.retain(|s| !self.is_suspect(s.addr, now));
-        rebuilt.truncate(self.cfg.succ_list_len);
+        rebuilt.truncate(SUCC_LIST_LEN);
         if rebuilt.is_empty() {
             rebuilt.push(self.me);
         }
@@ -150,7 +167,7 @@ impl ChordNode {
     /// Periodic predecessor liveness probe.
     pub(crate) fn tick_check_predecessor(&mut self, _now: Time) {
         self.arm(
-            self.cfg.check_pred_every,
+            CHECK_PRED_EVERY,
             crate::events::ChordTimer::CheckPredecessor,
         );
         if !self.joined {
@@ -168,10 +185,7 @@ impl ChordNode {
 
     /// Periodic finger repair: one finger per round, round-robin.
     pub(crate) fn tick_fix_fingers(&mut self, now: Time) {
-        self.arm(
-            self.cfg.fix_fingers_every,
-            crate::events::ChordTimer::FixFingers,
-        );
+        self.arm(FIX_FINGERS_EVERY, crate::events::ChordTimer::FixFingers);
         if !self.joined || self.successor().id == self.me.id {
             return;
         }
@@ -187,10 +201,7 @@ impl ChordNode {
     /// back to their true owners, then runs a Merkle-diff anti-entropy
     /// round (see [`crate::sync`]).
     pub(crate) fn tick_replicate(&mut self, now: Time) {
-        self.arm(
-            self.cfg.replicate_every,
-            crate::events::ChordTimer::Replicate,
-        );
+        self.arm(REPLICATE_EVERY, crate::events::ChordTimer::Replicate);
         if !self.joined {
             return;
         }

@@ -3,6 +3,7 @@
 //! reach protocol branches that full-ring runs rarely exercise.
 
 use bytes::Bytes;
+use chord::stabilize::CHECK_PRED_EVERY;
 use chord::{
     Action, ChordConfig, ChordEvent, ChordMsg, ChordNode, ChordTimer, Id, NodeRef, PutMode,
 };
@@ -343,7 +344,7 @@ fn pred_failure_needs_consecutive_ping_timeouts() {
                 _ => None,
             })
             .expect("ping must have a timeout");
-        t = t + Duration::from_millis(500);
+        t = t + CHECK_PRED_EVERY;
         let acts = n.on_timer(t, ChordTimer::OpTimeout(op));
         let dropped = events(&acts)
             .iter()
@@ -378,7 +379,7 @@ fn pong_resets_the_ping_failure_count() {
                     _ => None,
                 })
                 .expect("ping must have a timeout");
-            t = t + Duration::from_millis(500);
+            t = t + CHECK_PRED_EVERY;
             n.on_timer(t, ChordTimer::OpTimeout(op));
         }
         assert!(n.predecessor().is_some(), "phase {phase}: dropped early");

@@ -13,7 +13,7 @@
 //! (continuity, total order, convergence) plus the fault/perf counters.
 //!
 //! [`named_scenarios`] is the committed matrix: the adversarial envelope
-//! CI runs on every push (`exp_fault`, the `fault-matrix` job, and the
+//! CI runs on every push (`exp_bench`'s faults section, and the
 //! per-scenario integration tests in `tests/tests/fault_matrix.rs`).
 //!
 //! ## What the engine has caught

@@ -56,9 +56,9 @@ NET_PHASE_REQUIRED = [
     "recv_p50_us", "recv_p99_us", "backpressure_stalls", "slo_ok",
 ]
 
-# exp_net's saturation gate, msgs/s: twice the threaded one-write-per-frame
-# TCP transport's last committed figure (375 961), which the runtime
-# replaced.
+# The net section's saturation gate, msgs/s: twice the threaded
+# one-write-per-frame TCP transport's last committed figure (375 961),
+# which the runtime replaced.
 SATURATION_FLOOR = 750_000
 
 FAULT_REQUIRED = [
@@ -132,7 +132,7 @@ def check_schema(data):
 
     rec = data.get("recovery")
     if rec is None:
-        fail("missing recovery section (run exp_rec)")
+        fail("missing recovery section (run exp_bench)")
     if not rec["sweep"]:
         fail("no recovery sweep points")
     for pt in rec["sweep"]:
@@ -152,7 +152,7 @@ def check_schema(data):
 
     faults = data.get("faults")
     if faults is None:
-        fail("missing faults section (run exp_fault)")
+        fail("missing faults section (run exp_bench)")
     if len(faults["scenarios"]) < 6:
         fail(f"fault matrix shrank: {len(faults['scenarios'])} scenarios")
     for sc in faults["scenarios"]:
@@ -170,16 +170,13 @@ def check_schema(data):
           f"+ faults ({len(faults['scenarios'])} scenarios)")
 
 
-def check_net(data, required):
-    """Validate the ``net`` section (exp_net) when present: the runtime
-    row exists, every phase carries its fields, the runtime met its SLOs,
-    and it sustained at least SATURATION_FLOOR msgs/s."""
+def check_net(data):
+    """Validate the ``net`` section: the runtime row exists, every phase
+    carries its fields, the runtime met its SLOs, and it sustained at
+    least SATURATION_FLOOR msgs/s."""
     net = data.get("net")
     if net is None:
-        if required:
-            fail("missing net section (run exp_net)")
-        print("net section absent (exp_net not run) — skipping")
-        return
+        fail("missing net section (run exp_bench)")
     if net.get("peers", 0) < 2 or not net.get("frame_mix_bytes"):
         fail(f"net: implausible topology {net.get('peers')} peers, "
              f"mix {net.get('frame_mix_bytes')}")
@@ -252,13 +249,11 @@ def main():
     ap.add_argument("--baseline",
                     help="committed baseline to compare deterministic "
                          "fields against")
-    ap.add_argument("--require-net", action="store_true",
-                    help="fail when the net section (exp_net) is absent")
     args = ap.parse_args()
     with open(args.bench) as f:
         data = json.load(f)
     check_schema(data)
-    check_net(data, args.require_net)
+    check_net(data)
     if args.baseline:
         with open(args.baseline) as f:
             baseline = json.load(f)

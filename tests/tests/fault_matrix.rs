@@ -6,7 +6,7 @@
 
 use workload::scenario::{named_scenarios, run_scenario, Scenario};
 
-/// Fixed seeds, aligned with `exp_fault` (`seed_for`).
+/// Fixed seeds, aligned with `exp_bench`'s faults section (`seed_for`).
 ///
 /// The base moved from `0xFA_0000` when the default replication mode
 /// became Merkle-diff: the new message pattern reshuffles the per-message
