@@ -4,6 +4,11 @@ use bytes::Bytes;
 
 use crate::id::Id;
 use crate::sha1::Digest;
+
+/// One expanded interior node of a `SyncNodes` reply: its `(depth,
+/// prefix)` coordinates plus its non-empty child digests `(child index,
+/// digest)`.
+pub type SyncNode = (u8, u32, Vec<(u8, Digest)>);
 use simnet::NodeId;
 
 /// A node's full address: transport address plus ring position.
@@ -214,9 +219,8 @@ pub enum ChordMsg {
     SyncNodes {
         /// Echoed round version.
         ver: u64,
-        /// Expanded interior nodes: coordinates plus non-empty child
-        /// digests (child index, digest).
-        nodes: Vec<(u8, u32, Vec<(u8, Digest)>)>,
+        /// Expanded interior nodes.
+        nodes: Vec<SyncNode>,
         /// Expanded leaf buckets: bucket number plus per-key entry
         /// digests, in key order. An empty list is meaningful — it tells
         /// the replica to drop everything it holds in that bucket.

@@ -424,10 +424,11 @@ impl ChordNode {
             // Responsibility may have returned to us while the re-home was
             // in flight (our predecessor died again): then the key is no
             // longer an orphan and must stay primary here.
-            if (ok || conflict.is_some()) && !self.is_responsible(key) {
-                if self.store.demote_to_replica(key) {
-                    self.store_version += 1;
-                }
+            if (ok || conflict.is_some())
+                && !self.is_responsible(key)
+                && self.store.demote_to_replica(key)
+            {
+                self.store_version += 1;
             }
             return;
         }

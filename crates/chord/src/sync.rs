@@ -103,7 +103,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::id::Id;
 use crate::merkle;
-use crate::msg::{ChordMsg, NodeRef};
+use crate::msg::{ChordMsg, NodeRef, SyncNode};
 use crate::sha1::{sha1, Digest, Sha1};
 use crate::storage::SyncView;
 use simnet::NodeId;
@@ -447,7 +447,7 @@ impl crate::node::ChordNode {
         &mut self,
         src: NodeId,
         ver: u64,
-        nodes: Vec<(u8, u32, Vec<(u8, Digest)>)>,
+        nodes: Vec<SyncNode>,
         leaves: Vec<(u32, Vec<(Id, Digest)>)>,
     ) {
         let sess = match self.sync_in.get(&src) {

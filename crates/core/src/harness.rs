@@ -5,6 +5,7 @@
 use chord::{Id, NodeRef};
 use simnet::{Duration, FaultPlan, NetConfig, NodeId, NodeState, Sim, Time};
 use store::{RecoveredState, Store, StoreError};
+use wire::Encode;
 
 use crate::config::LtrConfig;
 use crate::node::LtrNode;
@@ -100,6 +101,15 @@ impl LtrNet {
                 bytes: wire::frame_len(p),
                 class: p.wire_class(),
             }));
+    }
+
+    /// Start the run fingerprint ([`Sim::set_fingerprint`]) over the
+    /// messages' wire encoding; read it with `self.sim.fingerprint()`.
+    /// Call it before the first step. It changes no behaviour, but encodes
+    /// every delivered message once more.
+    pub fn enable_fingerprint(&mut self) {
+        self.sim
+            .set_fingerprint(Box::new(|p: &Payload, out: &mut Vec<u8>| p.encode(out)));
     }
 
     /// Install a seeded [`FaultPlan`] on the underlying simulator: link

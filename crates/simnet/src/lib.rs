@@ -21,7 +21,8 @@
 //!   incarnation's timers suppressed), graceful departure
 //!   ([`Sim::remove`]) and scripted control events ([`Sim::schedule_at`]);
 //! * **observability**: a [`Metrics`] registry (counters + exact-quantile
-//!   histograms) and optional message tracing;
+//!   histograms) and an optional run fingerprint
+//!   ([`Sim::set_fingerprint`]), one digest over every executed event;
 //! * **determinism**: a self-contained xoshiro256++ RNG ([`Rng64`]) and a
 //!   strictly ordered event queue, so every experiment is reproducible from
 //!   its seed.
@@ -55,6 +56,7 @@
 #![deny(clippy::disallowed_types)]
 
 pub mod fault;
+mod fingerprint;
 pub mod metrics;
 pub mod net;
 pub mod process;
@@ -63,6 +65,7 @@ pub mod sim;
 pub mod time;
 
 pub use fault::{FaultPlan, LinkFaults, ScheduledCrash, ScheduledCut};
+pub use fingerprint::MsgEncoder;
 pub use metrics::{CounterId, Histogram, HistogramId, Metrics, Summary};
 pub use net::{LatencyModel, MsgMeta, NetConfig};
 pub use process::{Ctx, Effects, Process, TimerId};

@@ -12,6 +12,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::fault::{FaultPlan, FaultState, LinkFaults, Verdict};
+use crate::fingerprint::{Event, Fingerprint, MsgEncoder};
 use crate::metrics::{CounterId, Metrics};
 use crate::net::{MsgMeta, NetConfig};
 use crate::process::{Ctx, Outbox, Process, TimerId};
@@ -183,12 +184,12 @@ pub struct Sim<M> {
     fault: Option<(FaultState, MsgCloner<M>)>,
     timer_seq: u64,
     cancelled: BTreeSet<TimerId>,
-    trace_enabled: bool,
-    trace: Vec<String>,
-    trace_cap: usize,
+    /// The run fingerprint (absent unless [`Sim::set_fingerprint`] was
+    /// called, so an unfingerprinted run pays one `None` check per event).
+    fingerprint: Option<Fingerprint<M>>,
 }
 
-impl<M: std::fmt::Debug + 'static> Sim<M> {
+impl<M: 'static> Sim<M> {
     /// Create a simulator with the given RNG seed and network model.
     pub fn new(seed: u64, net: NetConfig) -> Self {
         let mut metrics = Metrics::new();
@@ -207,9 +208,7 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
             fault: None,
             timer_seq: 0,
             cancelled: BTreeSet::new(),
-            trace_enabled: false,
-            trace: Vec::new(),
-            trace_cap: 100_000,
+            fingerprint: None,
         }
     }
 
@@ -373,14 +372,25 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
         self.fault_state_mut().set_class(node, faults);
     }
 
-    /// Enable/disable message tracing (debug aid; capped buffer).
-    pub fn set_trace(&mut self, on: bool) {
-        self.trace_enabled = on;
+    /// Start the run fingerprint: from now on every event [`Sim::step`]
+    /// executes, every crash, restart and departure, and every fault
+    /// verdict that changes a message is folded into one 64-bit digest,
+    /// with message bytes from `encode`. Fingerprinting only observes: it
+    /// draws no randomness and schedules nothing. Call it before the first
+    /// step so the value covers the whole run.
+    pub fn set_fingerprint(&mut self, encode: MsgEncoder<M>) {
+        self.fingerprint = Some(Fingerprint::new(encode));
     }
 
-    /// Drain the trace buffer.
-    pub fn take_trace(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.trace)
+    /// The run fingerprint so far, or `None` if it was never started.
+    pub fn fingerprint(&self) -> Option<u64> {
+        self.fingerprint.as_ref().map(Fingerprint::value)
+    }
+
+    fn fold(&mut self, kind: Event, fields: &[u64]) {
+        if let Some(fp) = &mut self.fingerprint {
+            fp.event(kind, self.now.as_micros(), fields);
+        }
     }
 
     /// Number of events still pending.
@@ -453,6 +463,7 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
         if slot.state == NodeState::Up {
             slot.state = NodeState::Crashed;
             self.metrics.incr_id(self.hot.crashes);
+            self.fold(Event::Crash, &[u64::from(id.0)]);
         }
     }
 
@@ -478,6 +489,7 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
         slot.state = NodeState::Up;
         slot.epoch += 1;
         self.metrics.incr_id(self.hot.restarts);
+        self.fold(Event::Restart, &[u64::from(id.0)]);
         self.dispatch(id, |p, ctx| p.on_start(ctx));
     }
 
@@ -490,6 +502,7 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
         self.dispatch_stop(id);
         self.nodes[id.0 as usize].state = NodeState::Departed;
         self.metrics.incr_id(self.hot.departures);
+        self.fold(Event::Departure, &[u64::from(id.0)]);
     }
 
     /// Inject a message "from outside the network" (e.g. a user action).
@@ -577,9 +590,16 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
                     let mut duplicate: Option<(M, Duration)> = None;
                     if from != to {
                         if let Some((fault, cloner)) = self.fault.as_mut() {
+                            let link = [u64::from(from.0), u64::from(to.0)];
                             match fault.judge(&mut self.metrics, from, to) {
-                                Verdict::Cut | Verdict::Drop => {
+                                Verdict::Cut => {
                                     self.metrics.incr_id(self.hot.msgs_dropped);
+                                    self.fold(Event::FaultCut, &link);
+                                    continue;
+                                }
+                                Verdict::Drop => {
+                                    self.metrics.incr_id(self.hot.msgs_dropped);
+                                    self.fold(Event::FaultDrop, &link);
                                     continue;
                                 }
                                 Verdict::Deliver {
@@ -590,15 +610,17 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
                                     if let Some(d) = duplicate_extra {
                                         duplicate = Some((cloner(&msg), delay + d));
                                     }
+                                    if extra > Duration::ZERO || duplicate_extra.is_some() {
+                                        let dup =
+                                            duplicate_extra.map_or(u64::MAX, Duration::as_micros);
+                                        self.fold(
+                                            Event::FaultDelay,
+                                            &[link[0], link[1], extra.as_micros(), dup],
+                                        );
+                                    }
                                 }
                             }
                         }
-                    }
-                    if self.trace_enabled && self.trace.len() < self.trace_cap {
-                        self.trace.push(format!(
-                            "{} {:?} -> {:?} (+{}) {:?}",
-                            self.now, from, to, delay, msg
-                        ));
                     }
                     let at = self.now + delay;
                     let seq = self.next_seq();
@@ -655,6 +677,7 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
             if slot.state == NodeState::Up {
                 slot.state = NodeState::Departed;
                 self.metrics.incr_id(self.hot.departures);
+                self.fold(Event::Departure, &[u64::from(from.0)]);
             }
         }
     }
@@ -671,7 +694,13 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
         self.events_processed += 1;
         match entry.kind {
             EventKind::Deliver { to, from, msg } => {
-                if self.nodes[to.0 as usize].state == NodeState::Up {
+                let up = self.nodes[to.0 as usize].state == NodeState::Up;
+                if let Some(fp) = &mut self.fingerprint {
+                    let kind = if up { Event::Delivered } else { Event::ToDead };
+                    let link = [u64::from(to.0), u64::from(from.0)];
+                    fp.message(kind, self.now.as_micros(), &link, &msg);
+                }
+                if up {
                     self.metrics.incr_id(self.hot.msgs_delivered);
                     self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
                 } else {
@@ -685,9 +714,16 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
                 epoch,
             } => {
                 let slot = &self.nodes[node.0 as usize];
-                if self.cancelled.remove(&id) {
+                let kind = if self.cancelled.remove(&id) {
                     self.metrics.incr_id(self.hot.timers_cancelled);
+                    Event::TimerCancelled
                 } else if slot.state == NodeState::Up && slot.epoch == epoch {
+                    Event::TimerFired
+                } else {
+                    Event::TimerStale
+                };
+                self.fold(kind, &[u64::from(node.0), tag]);
+                if kind == Event::TimerFired {
                     self.metrics.incr_id(self.hot.timers_fired);
                     self.dispatch(node, |p, ctx| p.on_timer(ctx, tag));
                 }
@@ -734,17 +770,28 @@ impl<M: std::fmt::Debug + 'static> Sim<M> {
 mod tests {
     use super::*;
 
-    #[derive(Debug)]
+    #[derive(Clone)]
     enum Msg {
         Ping(u32),
         Pong(u32),
     }
 
-    /// Test process: replies to pings, counts pongs, re-arms a periodic timer.
+    /// Test process: replies to pings, counts pongs, re-arms a periodic
+    /// timer; each tick pings every peer, in order.
     struct Echo {
         pongs: u32,
         ticks: u32,
-        peer: Option<NodeId>,
+        peers: Vec<NodeId>,
+    }
+
+    impl Echo {
+        fn new(peers: &[NodeId]) -> Self {
+            Echo {
+                pongs: 0,
+                ticks: 0,
+                peers: peers.to_vec(),
+            }
+        }
     }
 
     impl Process<Msg> for Echo {
@@ -760,7 +807,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
             if tag == 1 {
                 self.ticks += 1;
-                if let Some(peer) = self.peer {
+                for &peer in &self.peers {
                     ctx.send(peer, Msg::Ping(self.ticks));
                 }
                 if self.ticks < 5 {
@@ -779,16 +826,8 @@ mod tests {
     #[test]
     fn ping_pong_round_trips() {
         let mut sim = new_sim();
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
-        let _a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: Some(b),
-        });
+        let b = sim.add_node(Echo::new(&[]));
+        let _a = sim.add_node(Echo::new(&[b]));
         // b has no peer so only a sends pings: 5 ticks -> 5 pongs back to a.
         sim.run_until(Time::from_secs(1));
         let a_state = sim.node_as::<Echo>(_a).unwrap();
@@ -800,16 +839,8 @@ mod tests {
     #[test]
     fn crash_stops_message_and_timer_delivery() {
         let mut sim = new_sim();
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
-        let a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: Some(b),
-        });
+        let b = sim.add_node(Echo::new(&[]));
+        let a = sim.add_node(Echo::new(&[b]));
         sim.run_until(Time::from_millis(15)); // one tick happened
         sim.crash(b);
         sim.run_until(Time::from_secs(1));
@@ -826,16 +857,8 @@ mod tests {
             let mut net = NetConfig::lan();
             net.loss = 0.1;
             let mut sim: Sim<Msg> = Sim::new(seed, net);
-            let b = sim.add_node(Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: None,
-            });
-            let _a = sim.add_node(Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: Some(b),
-            });
+            let b = sim.add_node(Echo::new(&[]));
+            let _a = sim.add_node(Echo::new(&[b]));
             sim.run_until(Time::from_secs(2));
             (
                 sim.metrics().counter("sim.msgs_delivered"),
@@ -848,26 +871,11 @@ mod tests {
     #[test]
     fn restart_replaces_process_and_suppresses_stale_timers() {
         let mut sim = new_sim();
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
-        let a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: Some(b),
-        });
+        let b = sim.add_node(Echo::new(&[]));
+        let a = sim.add_node(Echo::new(&[b]));
         sim.run_until(Time::from_millis(15)); // one tick; next timer armed
         sim.crash(a);
-        sim.restart_node(
-            a,
-            Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: Some(b),
-            },
-        );
+        sim.restart_node(a, Echo::new(&[b]));
         sim.run_until(Time::from_secs(1));
         let st = sim.node_as::<Echo>(a).unwrap();
         // Exactly the fresh incarnation's 5 ticks/pings: a leaked timer
@@ -883,29 +891,14 @@ mod tests {
     #[should_panic(expected = "only crashed nodes")]
     fn restart_of_a_live_node_panics() {
         let mut sim = new_sim();
-        let a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
-        sim.restart_node(
-            a,
-            Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: None,
-            },
-        );
+        let a = sim.add_node(Echo::new(&[]));
+        sim.restart_node(a, Echo::new(&[]));
     }
 
     #[test]
     fn control_events_run_at_scheduled_time() {
         let mut sim = new_sim();
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
+        let b = sim.add_node(Echo::new(&[]));
         sim.schedule_at(
             Time::from_millis(25),
             Box::new(move |s: &mut Sim<Msg>| {
@@ -929,11 +922,7 @@ mod tests {
             }
         }
         let mut sim = new_sim();
-        let receiver = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
+        let receiver = sim.add_node(Echo::new(&[]));
         let leaver = sim.add_node(Goodbye { target: receiver });
         sim.run_until(Time::from_millis(5));
         sim.remove(leaver);
@@ -994,16 +983,8 @@ mod tests {
                     },
                 }));
             }
-            let b = sim.add_node(Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: None,
-            });
-            let _a = sim.add_node(Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: Some(b),
-            });
+            let b = sim.add_node(Echo::new(&[]));
+            let _a = sim.add_node(Echo::new(&[b]));
             sim.run_until(Time::from_secs(1));
             (
                 sim.metrics().counter("wire.bytes.total"),
@@ -1026,11 +1007,7 @@ mod tests {
         let mut names = Vec::new();
         {
             let mut sim: Sim<Msg> = Sim::new(1, NetConfig::lan());
-            sim.add_node(Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: None,
-            });
+            sim.add_node(Echo::new(&[]));
             sim.run_until(Time::from_millis(50));
             for (k, _) in sim.metrics().counters() {
                 names.push(k.to_string());
@@ -1054,16 +1031,8 @@ mod tests {
         // in the same tick — the successor timer belongs to the dead
         // incarnation and must be suppressed.
         let mut sim = new_sim();
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
-        let a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: Some(b),
-        });
+        let b = sim.add_node(Echo::new(&[]));
+        let a = sim.add_node(Echo::new(&[b]));
         // Echo ticks at 10, 20, 30, … (armed in on_start / re-armed in
         // on_timer). Run past the first tick so the 20 ms timer is armed
         // with a seq LOWER than the control we schedule now.
@@ -1075,14 +1044,7 @@ mod tests {
                 // fired in this very tick and re-armed the 30 ms timer.
                 assert_eq!(s.node_as::<Echo>(a).unwrap().ticks, 2);
                 s.crash(a);
-                s.restart_node(
-                    a,
-                    Echo {
-                        pongs: 0,
-                        ticks: 0,
-                        peer: Some(b),
-                    },
-                );
+                s.restart_node(a, Echo::new(&[b]));
             }),
         );
         sim.run_until(Time::from_secs(1));
@@ -1101,30 +1063,15 @@ mod tests {
         // runs first, so the tick delivery lands on a crashed node and
         // the restarted incarnation starts from a clean slate.
         let mut sim = new_sim();
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
+        let b = sim.add_node(Echo::new(&[]));
         sim.schedule_at(
             Time::from_millis(10),
             Box::new(move |s: &mut Sim<Msg>| {
                 s.crash(b);
-                s.restart_node(
-                    b,
-                    Echo {
-                        pongs: 0,
-                        ticks: 0,
-                        peer: None,
-                    },
-                );
+                s.restart_node(b, Echo::new(&[]));
             }),
         );
-        let _a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: Some(b),
-        });
+        let _a = sim.add_node(Echo::new(&[b]));
         sim.run_until(Time::from_secs(1));
         // b's first incarnation armed its 10 ms tick at t=0; the control
         // at t=10 ms (earlier seq) killed+restarted it first, so that
@@ -1138,29 +1085,14 @@ mod tests {
         // The master-crash-storm scenario kills and restarts the same
         // node several times; each incarnation's timers must be isolated.
         let mut sim = new_sim();
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
-        let a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: Some(b),
-        });
+        let b = sim.add_node(Echo::new(&[]));
+        let a = sim.add_node(Echo::new(&[b]));
         for k in 1..=3u64 {
             sim.schedule_at(
                 Time::from_millis(20 * k),
                 Box::new(move |s: &mut Sim<Msg>| {
                     s.crash(a);
-                    s.restart_node(
-                        a,
-                        Echo {
-                            pongs: 0,
-                            ticks: 0,
-                            peer: Some(b),
-                        },
-                    );
+                    s.restart_node(a, Echo::new(&[b]));
                 }),
             );
         }
@@ -1179,23 +1111,9 @@ mod tests {
             let mut lf = LinkFaults::none();
             lf.drop = drop;
             lf.duplicate = dup;
-            sim.set_fault_plan(
-                FaultPlan::new(99).with_default(lf),
-                Box::new(|m: &Msg| match m {
-                    Msg::Ping(n) => Msg::Ping(*n),
-                    Msg::Pong(n) => Msg::Pong(*n),
-                }),
-            );
-            let b = sim.add_node(Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: None,
-            });
-            let _a = sim.add_node(Echo {
-                pongs: 0,
-                ticks: 0,
-                peer: Some(b),
-            });
+            sim.set_fault_plan(FaultPlan::new(99).with_default(lf), Box::new(Msg::clone));
+            let b = sim.add_node(Echo::new(&[]));
+            let _a = sim.add_node(Echo::new(&[b]));
             sim.run_until(Time::from_secs(1));
             (
                 sim.metrics().counter("sim.msgs_delivered"),
@@ -1219,23 +1137,9 @@ mod tests {
     fn fault_cut_blocks_until_healed_and_oneway_is_asymmetric() {
         use crate::fault::FaultPlan;
         let mut sim = new_sim();
-        sim.set_fault_plan(
-            FaultPlan::new(5),
-            Box::new(|m: &Msg| match m {
-                Msg::Ping(n) => Msg::Ping(*n),
-                Msg::Pong(n) => Msg::Pong(*n),
-            }),
-        );
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
-        let a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: Some(b),
-        });
+        sim.set_fault_plan(FaultPlan::new(5), Box::new(Msg::clone));
+        let b = sim.add_node(Echo::new(&[]));
+        let a = sim.add_node(Echo::new(&[b]));
         // Cut only a → b: pings vanish, so no pongs either.
         sim.fault_cut(a, b, true);
         sim.run_until(Time::from_millis(25));
@@ -1264,21 +1168,10 @@ mod tests {
                     oneway: false,
                 })
                 .with_crash(Duration::from_millis(45), a_id),
-            Box::new(|m: &Msg| match m {
-                Msg::Ping(n) => Msg::Ping(*n),
-                Msg::Pong(n) => Msg::Pong(*n),
-            }),
+            Box::new(Msg::clone),
         );
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
-        let a = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: Some(b),
-        });
+        let b = sim.add_node(Echo::new(&[]));
+        let a = sim.add_node(Echo::new(&[b]));
         assert_eq!((a, b), (a_id, b_id));
         sim.run_until(Time::from_secs(1));
         // Ticks at 10/20/30 fell inside the cut window (5..35); the 40 ms
@@ -1289,14 +1182,87 @@ mod tests {
         assert_eq!(sim.metrics().counter("faults.cut"), 3);
     }
 
+    /// The fingerprint's message bytes: a tag, then the number.
+    fn encode(m: &Msg, out: &mut Vec<u8>) {
+        let (tag, n) = match m {
+            Msg::Ping(n) => (0, n),
+            Msg::Pong(n) => (1, n),
+        };
+        out.push(tag);
+        out.extend_from_slice(&n.to_le_bytes());
+    }
+
+    fn lossy(seed: u64) -> Sim<Msg> {
+        let mut net = NetConfig::lan();
+        net.loss = 0.1;
+        Sim::new(seed, net)
+    }
+
+    fn fingerprinted(mut sim: Sim<Msg>) -> Sim<Msg> {
+        sim.set_fingerprint(Box::new(encode));
+        sim
+    }
+
+    /// One pinger ticking into two peers, `swapped` reversing the order of
+    /// its two sends per tick: the fingerprint, the event count and every
+    /// counter after a second.
+    fn echo_run(mut sim: Sim<Msg>, swapped: bool) -> (Option<u64>, u64, Vec<(String, u64)>) {
+        let b = sim.add_node(Echo::new(&[]));
+        let c = sim.add_node(Echo::new(&[]));
+        let order = if swapped { [c, b] } else { [b, c] };
+        sim.add_node(Echo::new(&order));
+        sim.run_until(Time::from_secs(1));
+        let counters = sim.metrics().counters();
+        let counters = counters.map(|(k, v)| (k.to_string(), v)).collect();
+        (sim.fingerprint(), sim.events_processed(), counters)
+    }
+
+    #[test]
+    fn fingerprint_follows_the_seed() {
+        let a = echo_run(fingerprinted(lossy(7)), false);
+        assert!(a.0.is_some());
+        assert_eq!(a, echo_run(fingerprinted(lossy(7)), false));
+        assert_ne!(a.0, echo_run(fingerprinted(lossy(8)), false).0);
+    }
+
+    #[test]
+    fn fingerprinting_changes_nothing_it_observes() {
+        let on = echo_run(fingerprinted(lossy(7)), false);
+        let off = echo_run(lossy(7), false);
+        assert_eq!(off.0, None);
+        assert_eq!((on.1, on.2), (off.1, off.2));
+    }
+
+    #[test]
+    fn an_inert_fault_plan_leaves_the_fingerprint_alone() {
+        use crate::fault::{FaultPlan, LinkFaults};
+        let with_plan = |plan: FaultPlan| {
+            let mut sim = fingerprinted(lossy(7));
+            sim.set_fault_plan(plan, Box::new(Msg::clone));
+            echo_run(sim, false).0
+        };
+        let none = echo_run(fingerprinted(lossy(7)), false).0;
+        assert_eq!(with_plan(FaultPlan::new(3)), none);
+        let mut lf = LinkFaults::none();
+        lf.drop = 0.5;
+        assert_ne!(with_plan(FaultPlan::new(3).with_default(lf)), none);
+    }
+
+    /// The mutation drill: one handler emits the same two sends in swapped
+    /// order. Every counter, all that the drift gate compares, stays equal;
+    /// the fingerprint moves.
+    #[test]
+    fn swapped_sends_keep_the_counters_and_move_the_fingerprint() {
+        let straight = echo_run(fingerprinted(new_sim()), false);
+        let swapped = echo_run(fingerprinted(new_sim()), true);
+        assert_eq!((straight.1, &straight.2), (swapped.1, &swapped.2));
+        assert_ne!(straight.0, swapped.0);
+    }
+
     #[test]
     fn external_send_reaches_node() {
         let mut sim = new_sim();
-        let b = sim.add_node(Echo {
-            pongs: 0,
-            ticks: 0,
-            peer: None,
-        });
+        let b = sim.add_node(Echo::new(&[]));
         sim.send_external(b, Msg::Pong(1));
         sim.run_until(Time::from_millis(1));
         assert_eq!(sim.node_as::<Echo>(b).unwrap().pongs, 1);

@@ -98,13 +98,16 @@ struct WireSlot<M> {
     halted: bool,
 }
 
+/// Delivers an external frame to a node: the client path of a [`WireNet`].
+pub type Injector = Box<dyn Fn(NodeId, &[u8]) -> Result<(), crate::TransportError>>;
+
 /// A set of protocol nodes running over a real transport in real time.
 pub struct WireNet<M> {
     slots: Vec<WireSlot<M>>,
     /// Builds the endpoint of a newly added node.
     endpoint_for: Box<dyn FnMut(NodeId) -> Box<dyn Transport>>,
     /// Client-side injector (external commands).
-    inject: Box<dyn Fn(NodeId, &[u8]) -> Result<(), crate::TransportError>>,
+    inject: Injector,
     start: Instant,
     seed: u64,
 }
@@ -115,7 +118,7 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
     pub fn new(
         seed: u64,
         endpoint_for: Box<dyn FnMut(NodeId) -> Box<dyn Transport>>,
-        inject: Box<dyn Fn(NodeId, &[u8]) -> Result<(), crate::TransportError>>,
+        inject: Injector,
     ) -> Self {
         WireNet {
             slots: Vec::new(),

@@ -648,11 +648,9 @@ impl Transport for RtTransport {
             accepted += 1;
             self.stats.frames_sent += 1;
             self.stats.ring_high_water = self.stats.ring_high_water.max(w.pending() as u64);
-            if w.pending() >= self.hub.cfg.max_batch_bytes {
-                if w.flush(&mut self.stats).is_err() {
-                    self.evict_writer(to, now);
-                    return Ok(accepted); // accepted >= 1 here
-                }
+            if w.pending() >= self.hub.cfg.max_batch_bytes && w.flush(&mut self.stats).is_err() {
+                self.evict_writer(to, now);
+                return Ok(accepted); // accepted >= 1 here
             }
         }
         Ok(accepted)

@@ -33,8 +33,8 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 /// Encoded length of `v` as a varint, without encoding it.
 #[inline]
 pub fn varint_len(v: u64) -> usize {
-    // 1 + floor(bits/7); bits = 64 - leading_zeros, with 0 taking 1 byte.
-    ((64 - (v | 1).leading_zeros() as usize) + 6) / 7
+    // ceil(bits/7); bits = 64 - leading_zeros, with 0 taking 1 byte.
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Decode one varint from the front of `buf`, returning `(value, bytes

@@ -180,6 +180,9 @@ pub struct ScenarioOutcome {
     pub msgs: u64,
     /// Simulator events executed.
     pub events: u64,
+    /// The run fingerprint (`Sim::fingerprint`): one digest over every
+    /// executed event and message byte.
+    pub fingerprint: u64,
     /// Crash-stops (scripted + churn).
     pub crashes: u64,
     /// Restarts from a journal.
@@ -258,6 +261,7 @@ pub fn run_scenario(sc: &Scenario, seed: u64) -> ScenarioOutcome {
         Duration::from_millis(150),
         |_| Box::new(store::MemStore::new()),
     );
+    net.enable_fingerprint();
     net.install_faults(FaultPlan::new(seed ^ 0xFA17_FA17).with_default(LinkFaults::none()));
     net.settle(20 + sc.peers as u64 / 4);
     let t0 = net.now();
@@ -413,6 +417,7 @@ pub fn run_scenario(sc: &Scenario, seed: u64) -> ScenarioOutcome {
         grants: m.counter("ltr.publish_ok"),
         msgs: m.counter("sim.msgs_sent"),
         events: net.sim.events_processed(),
+        fingerprint: net.sim.fingerprint().expect("enabled at build"),
         crashes: m.counter("sim.crashes"),
         restarts: m.counter("sim.restarts"),
         faults_dropped: m.counter("faults.dropped"),

@@ -1,34 +1,15 @@
 //! Workspace-level reproducibility guard: the simulator's headline claim is
-//! that every experiment is a pure function of its seed. Two `LtrNet::build`
-//! runs with the same seed and workload must produce **byte-identical**
-//! metrics output — every counter, every histogram sample, every `Summary`
-//! line — while a different seed must actually perturb the run.
+//! that every experiment is a pure function of its seed. Two runs of the
+//! same editing session with the same seed must produce the same run
+//! fingerprint and **byte-identical** metrics output — every counter, every
+//! histogram sample, every `Summary` line — while a different seed must
+//! actually perturb the run. `FINGERPRINTS.lock` pins the session's value.
 
-use ltr_integration::{assert_invariants, stabilized};
+use ltr_integration::{assert_invariants, editing_session};
+use ltr_integration::{SESSION_DOC as DOC, SESSION_SEED};
 use p2p_ltr::harness::LtrNet;
-use p2p_ltr::LtrConfig;
-use simnet::{NetConfig, Summary};
+use simnet::Summary;
 use std::fmt::Write as _;
-
-const DOC: &str = "wiki/Determinism";
-
-/// Run a fixed collaborative-editing session and return the network.
-fn session(seed: u64) -> LtrNet {
-    let mut net = stabilized(seed, NetConfig::lan(), 12, LtrConfig::default());
-    let peers = net.peers.clone();
-    net.open_doc(&peers[..4], DOC, "base");
-    net.settle(1);
-    for round in 0..6 {
-        let editor = peers[round % 4];
-        let cur = net.node(editor).doc_text(DOC).unwrap();
-        net.edit(editor, DOC, &format!("{cur}\nedit-{round}"));
-        net.run_until_quiet(&[DOC], 30);
-    }
-    // A late reader joins the document and catches up from the log.
-    net.open_doc(&[peers[5]], DOC, "base");
-    net.settle(10);
-    net
-}
 
 /// Serialize the complete metrics state: counters (every `CounterId` slot,
 /// in name order), raw histogram samples (bit-exact via
@@ -74,10 +55,12 @@ fn metrics_dump(net: &LtrNet) -> String {
 
 #[test]
 fn same_seed_produces_byte_identical_metrics() {
-    let a = session(0xDE7E_12);
-    let b = session(0xDE7E_12);
+    let a = editing_session(SESSION_SEED);
+    let b = editing_session(SESSION_SEED);
     assert_invariants(&a);
     assert_invariants(&b);
+    assert!(a.sim.fingerprint().is_some());
+    assert_eq!(a.sim.fingerprint(), b.sim.fingerprint());
 
     let dump_a = metrics_dump(&a);
     let dump_b = metrics_dump(&b);
@@ -115,8 +98,9 @@ fn same_seed_produces_byte_identical_metrics() {
 fn different_seed_perturbs_the_run() {
     // Guards against the oracle being vacuous (e.g. metrics_dump returning
     // a constant): a different seed must change latency samples somewhere.
-    let a = session(0xDE7E_12);
-    let c = session(0xC0FFEE);
+    let a = editing_session(SESSION_SEED);
+    let c = editing_session(0xC0FFEE);
+    assert_ne!(a.sim.fingerprint(), c.sim.fingerprint());
     assert_ne!(
         metrics_dump(&a),
         metrics_dump(&c),

@@ -1,6 +1,6 @@
 //! Determinism survives fault injection: any seeded [`FaultPlan`]
 //! replayed with the same seeds yields a **byte-identical** event log
-//! (message trace, every counter, every replica), and an inert plan
+//! (run fingerprint, every counter, every replica), and an inert plan
 //! leaves the run indistinguishable from one with no plan installed at
 //! all — the fault engine draws from its own RNG and never perturbs the
 //! zero-fault stream.
@@ -14,7 +14,8 @@ use workload::{drive_editors, EditMix, EditorSpec};
 const DOCS: usize = 2;
 
 /// Run a small faulted collaborative session and serialize everything
-/// observable: the full message trace, event count, all counters, and
+/// observable: the run fingerprint (every executed event, message bytes
+/// and order included), event count, all counters, and
 /// per-replica document state. A run that panics (the protocol's loud
 /// divergence detector can fire inside aggressive generated envelopes —
 /// see the residual-races note in `workload::scenario`) serializes to
@@ -44,10 +45,10 @@ fn faulted_session_dump_inner(sim_seed: u64, plan: Option<FaultPlan>) -> String 
         Duration::from_millis(150),
         |_| Box::new(store::MemStore::new()),
     );
+    net.enable_fingerprint();
     if let Some(plan) = plan {
         net.install_faults(plan);
     }
-    net.sim.set_trace(true);
     net.settle(21);
     let peers = net.peers.clone();
     let docs: Vec<String> = (0..DOCS).map(|d| format!("det/doc-{d}")).collect();
@@ -72,10 +73,8 @@ fn faulted_session_dump_inner(sim_seed: u64, plan: Option<FaultPlan>) -> String 
 
     use std::fmt::Write as _;
     let mut out = String::new();
-    for line in net.sim.take_trace() {
-        out.push_str(&line);
-        out.push('\n');
-    }
+    let fingerprint = net.sim.fingerprint().expect("enabled at build");
+    writeln!(out, "fingerprint = {fingerprint:#018x}").unwrap();
     writeln!(out, "events_processed = {}", net.sim.events_processed()).unwrap();
     for (name, v) in net.sim.metrics().counters() {
         writeln!(out, "counter {name} = {v}").unwrap();

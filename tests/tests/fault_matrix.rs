@@ -4,18 +4,8 @@
 //! scenario directly in the test report, plus the zero-fault identity
 //! pin (an inert fault plan must not perturb the event stream at all).
 
+use ltr_integration::MATRIX_SEED_BASE;
 use workload::scenario::{named_scenarios, run_scenario, Scenario};
-
-/// Fixed seeds, aligned with `exp_bench`'s faults section (`seed_for`).
-///
-/// The base moved from `0xFA_0000` when the default replication mode
-/// became Merkle-diff: the new message pattern reshuffles the per-message
-/// fault draws, and the old base landed `lossy_links` on a seed that
-/// trips the dual-master grant window that grant fencing has since
-/// closed. The once-red Merkle seed is pinned below
-/// (`repro_dual_grant_seed_merkle`) as a regression, and the whole
-/// seed-neighbourhood is swept by `grant_fence_sweep.rs`.
-const SEED_BASE: u64 = 0xFA_0200;
 
 fn find(name: &str) -> (usize, Scenario) {
     let scenarios = named_scenarios(true);
@@ -29,7 +19,7 @@ fn find(name: &str) -> (usize, Scenario) {
 
 fn run_named(name: &str) -> workload::scenario::ScenarioOutcome {
     let (i, sc) = find(name);
-    let out = run_scenario(&sc, SEED_BASE + i as u64);
+    let out = run_scenario(&sc, MATRIX_SEED_BASE + i as u64);
     assert!(
         out.ok(),
         "scenario {name} violated an invariant: {}",

@@ -30,19 +30,13 @@
 //! issues) landing on a different seed. `wide_sweep_*` runs 1 024 seeds
 //! from `WIDE_BASE`, catches panics, prints the red *rate* and
 //! bounds it by what the defect's rate before grant hints allows — the
-//! evidence to look at before touching `SEED_BASE`.
+//! evidence to look at before touching `SWEEP_SEED_BASE`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use ltr_integration::{SWEEP_SEEDS, SWEEP_SEED_BASE};
 use workload::scenario::{named_scenarios, run_scenario, Scenario};
-
-/// Seeds swept per scenario. 32 consecutive seeds from the sweep
-/// base give deterministic, disjoint-from-the-matrix coverage
-/// (`fault_matrix.rs` pins `0xFA_0200 + index`; the sweep block starts
-/// well above every matrix seed).
-const SEEDS: u64 = 32;
-const SEED_BASE: u64 = 0xFE_0000;
 
 /// The wide sweep's block: disjoint from the matrix and the pinned sweep.
 const WIDE_SEEDS: u64 = 1024;
@@ -94,12 +88,12 @@ fn run_block(scenario: &str, base: u64, seeds: u64) -> Vec<String> {
 
 fn sweep(scenario: &str) {
     let wall = Instant::now();
-    let red = run_block(scenario, SEED_BASE, SEEDS);
+    let red = run_block(scenario, SWEEP_SEED_BASE, SWEEP_SEEDS);
     assert!(
         red.is_empty(),
         "{} of {} sweep runs violated an invariant:\n{}",
         red.len(),
-        SEEDS,
+        SWEEP_SEEDS,
         red.join("\n")
     );
     let spent = wall.elapsed().as_secs();

@@ -1,8 +1,9 @@
-//! The `--loc` recipe over its fixtures: test items are masked exactly,
-//! and every crate's `src/` is counted.
+//! The `--loc` recipe (`scripts/loc.py`) over its fixtures: test items are
+//! masked exactly, and every crate's `src/` is counted.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -23,28 +24,50 @@ fn mini_workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
     root
 }
 
+/// `(crate, lines)` rows of the script's table over `root`, total last.
+fn loc_by_crate(root: &Path) -> Vec<(String, usize)> {
+    let script = Path::new(env!("CARGO_MANIFEST_DIR")).join("../scripts/loc.py");
+    let out = Command::new("python3")
+        .arg(script)
+        .arg("--root")
+        .arg(root)
+        .output()
+        .expect("python3 runs scripts/loc.py");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .skip(2)
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(|c| c.trim().trim_matches('*')).collect();
+            (cells[1].to_string(), cells[2].parse().unwrap())
+        })
+        .collect()
+}
+
 #[test]
 fn loc_counts_product_code_after_a_test_only_counter() {
     // A `#[cfg(test)] thread_local!` above the product code must hide only
     // itself: the product function after it (doc and plain comment lines
     // included) counts, the gated statement inside it and `mod tests` do
     // not. Counting up to the first `#[cfg(test)]` line would give 1.
+    // Per crate, over every crate's src/ and nothing else.
     let src = fixture("loc_counter_then_code.rs");
-    assert_eq!(detlint::product_lines(&src), 6);
-
-    // Per crate, over every crate's src/ — this one's included.
     let root = mini_workspace(
-        "detlint-loc",
+        "loc-counter",
         &[
             ("crates/kts/src/lib.rs", src.as_str()),
             ("crates/kts/src/blank.rs", "\n\n"),
-            ("crates/detlint/src/lib.rs", "pub fn f() {}\n"),
+            ("crates/ot/src/lib.rs", "pub fn f() {}\n"),
             ("crates/kts/tests/t.rs", "pub fn not_src() {}\n"),
         ],
     );
-    let per_crate = detlint::loc_by_crate(&root);
-    let expect: Vec<(String, usize)> = vec![("detlint".into(), 1), ("kts".into(), 6)];
-    assert_eq!(per_crate.into_iter().collect::<Vec<_>>(), expect);
+    let expect = [("kts", 6), ("ot", 1), ("total", 7)].map(|(c, n)| (c.to_string(), n));
+    assert_eq!(loc_by_crate(&root), expect);
 }
 
 #[test]
@@ -54,5 +77,7 @@ fn loc_masks_test_items_with_a_semicolon_in_brackets() {
     // initializer stay masked, and only the product function (with its
     // doc line and the file's doc line) counts.
     let src = fixture("loc_array_signature.rs");
-    assert_eq!(detlint::product_lines(&src), 5);
+    let root = mini_workspace("loc-array", &[("crates/sha/src/lib.rs", src.as_str())]);
+    let expect = [("sha", 5), ("total", 5)].map(|(c, n)| (c.to_string(), n));
+    assert_eq!(loc_by_crate(&root), expect);
 }
