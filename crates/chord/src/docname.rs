@@ -93,7 +93,8 @@ impl fmt::Debug for DocName {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 
     #[test]
     fn clones_share_the_allocation() {
@@ -116,14 +117,14 @@ mod tests {
         bt.insert(DocName::new("a"), 1);
         assert_eq!(bt.get("a"), Some(&1));
         assert!(bt.contains_key("a"));
-        let mut hm: HashMap<DocName, u32> = HashMap::new();
-        hm.insert(DocName::new("b"), 2);
-        assert_eq!(hm.get("b"), Some(&2));
+        // A hashed map finds a `DocName` by `&str` when both hash alike.
+        let fixed = BuildHasherDefault::<DefaultHasher>::default();
+        assert_eq!(fixed.hash_one(DocName::new("b")), fixed.hash_one("b"));
     }
 
     #[test]
     fn ordering_matches_str() {
-        let mut v = vec![DocName::new("zeta"), DocName::new("alpha")];
+        let mut v = [DocName::new("zeta"), DocName::new("alpha")];
         v.sort();
         assert_eq!(v[0].as_str(), "alpha");
     }

@@ -101,9 +101,6 @@ pub struct ChordNode {
     /// Merkle sync rounds we are serving as replica, per owner address.
     pub(crate) sync_in: BTreeMap<NodeId, crate::sync::SyncIn>,
     pub(crate) acts: Vec<Action>,
-    /// Cumulative hop count of completed lookups (for metrics).
-    pub(crate) total_lookup_hops: u64,
-    pub(crate) completed_lookups: u64,
 }
 
 impl ChordNode {
@@ -130,8 +127,6 @@ impl ChordNode {
             sync_out: BTreeMap::new(),
             sync_in: BTreeMap::new(),
             acts: Vec::new(),
-            total_lookup_hops: 0,
-            completed_lookups: 0,
         }
     }
 
@@ -192,15 +187,6 @@ impl ChordNode {
     pub fn storage_mut(&mut self) -> &mut Storage {
         self.store_version += 1;
         &mut self.store
-    }
-
-    /// Mean routing hops over all completed lookups on this node.
-    pub fn mean_lookup_hops(&self) -> f64 {
-        if self.completed_lookups == 0 {
-            0.0
-        } else {
-            self.total_lookup_hops as f64 / self.completed_lookups as f64
-        }
     }
 
     // ----- effect helpers ----------------------------------------------

@@ -155,8 +155,6 @@ impl ChordNode {
             }
             OpKind::Lookup { .. } => {
                 self.ops.remove(&op);
-                self.total_lookup_hops += hops as u64;
-                self.completed_lookups += 1;
                 self.emit(ChordEvent::LookupDone { op, owner, hops });
             }
             OpKind::FingerLookup { idx } => {
@@ -168,8 +166,6 @@ impl ChordNode {
             OpKind::Put {
                 key, value, mode, ..
             } => {
-                self.total_lookup_hops += hops as u64;
-                self.completed_lookups += 1;
                 if owner.addr == self.me.addr {
                     if let Some(k) = self.rehoming.remove(&op) {
                         // An orphan re-home resolved back to us: either
@@ -210,8 +206,6 @@ impl ChordNode {
                 }
             }
             OpKind::Get { key, .. } => {
-                self.total_lookup_hops += hops as u64;
-                self.completed_lookups += 1;
                 if owner.addr == self.me.addr {
                     let value = self.store.get(key).cloned();
                     self.ops.remove(&op);
@@ -239,8 +233,6 @@ impl ChordNode {
                 }
             }
             OpKind::Fence { key, floor, .. } => {
-                self.total_lookup_hops += hops as u64;
-                self.completed_lookups += 1;
                 if owner.addr == self.me.addr {
                     let origin = self.me.id.0;
                     let (ok, current) = match self.store.raise_fence(key, floor, origin) {

@@ -401,7 +401,7 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_u64() {
         // Sanity: no accidental collisions among a few thousand keys.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..5000u32 {
             assert!(seen.insert(sha1_u64(format!("doc-{i}").as_bytes())));
         }

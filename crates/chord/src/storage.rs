@@ -473,19 +473,6 @@ impl Storage {
         n
     }
 
-    /// Drop replica items that fall inside our own primary range (they were
-    /// promoted elsewhere or are stale).
-    pub fn prune_replicas_in_range(&mut self, from: Id, to: Id) -> usize {
-        let keys = keys_in_range(&self.replica, from, to);
-        let n = keys.len();
-        for k in keys {
-            self.replica.remove(&k);
-            self.journal(|| StorageDelta::DelReplica { key: k });
-            self.touch_replica(k);
-        }
-        n
-    }
-
     /// Number of primary items.
     pub fn primary_len(&self) -> usize {
         self.primary.len()
@@ -970,15 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_replicas() {
-        let mut s = Storage::new();
-        s.put_replica(Id(10), b("x"));
-        s.put_replica(Id(30), b("y"));
-        assert_eq!(s.prune_replicas_in_range(Id(5), Id(15)), 1);
-        assert_eq!(s.replica_len(), 1);
-    }
-
-    #[test]
     fn remove_replica_leaves_primary_alone() {
         let mut s = Storage::new();
         s.put_primary(Id(7), b("p"));
@@ -1289,7 +1267,7 @@ mod tests {
         let mut reads = 0u32;
         for step in 0..2_400 {
             let k = key(&mut rng);
-            match rng.index(13) {
+            match rng.index(12) {
                 0 | 1 => s.put_primary(k, value(&mut rng)),
                 2 => {
                     // Overwrite with the bytes already there.
@@ -1307,9 +1285,8 @@ mod tests {
                 5 | 6 => s.put_replica(k, value(&mut rng)),
                 7 => drop(s.extract_primary_range(k, key(&mut rng))),
                 8 => drop(s.promote_replicas_in_range(k, key(&mut rng))),
-                9 => drop(s.prune_replicas_in_range(k, key(&mut rng))),
-                10 => drop(s.demote_to_replica(k)),
-                11 => drop(s.remove(k)),
+                9 => drop(s.demote_to_replica(k)),
+                10 => drop(s.remove(k)),
                 _ => drop(s.remove_replica(k)),
             }
             // Read after about half the calls, so caches are sometimes one

@@ -248,8 +248,10 @@ fn first_writer_wins_reports_conflict() {
 #[test]
 fn data_survives_owner_crash_via_replicas() {
     let mut sim = lan_sim(7);
-    let mut cfg = ChordConfig::default();
-    cfg.storage_replicas = 2;
+    let cfg = ChordConfig {
+        storage_replicas: 2,
+        ..ChordConfig::default()
+    };
     let refs = build_ring(&mut sim, 10, &cfg, Duration::from_millis(150));
     settle(&mut sim, 25);
 

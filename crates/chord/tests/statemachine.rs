@@ -344,7 +344,7 @@ fn pred_failure_needs_consecutive_ping_timeouts() {
                 _ => None,
             })
             .expect("ping must have a timeout");
-        t = t + CHECK_PRED_EVERY;
+        t += CHECK_PRED_EVERY;
         let acts = n.on_timer(t, ChordTimer::OpTimeout(op));
         let dropped = events(&acts)
             .iter()
@@ -379,7 +379,7 @@ fn pong_resets_the_ping_failure_count() {
                     _ => None,
                 })
                 .expect("ping must have a timeout");
-            t = t + CHECK_PRED_EVERY;
+            t += CHECK_PRED_EVERY;
             n.on_timer(t, ChordTimer::OpTimeout(op));
         }
         assert!(n.predecessor().is_some(), "phase {phase}: dropped early");
@@ -392,7 +392,7 @@ fn pong_resets_the_ping_failure_count() {
                     _ => None,
                 })
                 .expect("ping must have a timeout");
-            t = t + Duration::from_millis(100);
+            t += Duration::from_millis(100);
             n.handle(t, pred.addr, ChordMsg::Pong { op });
         }
     }

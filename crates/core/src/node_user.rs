@@ -858,9 +858,9 @@ mod tests {
     fn unanswered_polls_do_not_accumulate() {
         let me = NodeRef::new(NodeId(0), Id(7));
         let mut node = LtrNode::new(me, LtrConfig::default(), None, Duration::ZERO);
-        let (mut rng, mut metrics, mut timers) = (Rng64::new(1), Metrics::new(), 0);
+        let (mut rng, mut metrics) = (Rng64::new(1), Metrics::new());
         // A detached context: everything the node sends is dropped.
-        let mut ctx = Ctx::detached(Time::ZERO, me.addr, &mut rng, &mut metrics, &mut timers);
+        let mut ctx = Ctx::detached(Time::ZERO, me.addr, &mut rng, &mut metrics);
         node.on_start(&mut ctx);
         for doc in ["a", "b", "c"] {
             node.cmd_open_doc(&mut ctx, doc.into(), "text".into());
@@ -884,8 +884,8 @@ mod tests {
     fn idle_replica_follows_the_master_whatever_it_was_told_before() {
         let me = NodeRef::new(NodeId(0), Id(7));
         let mut node = LtrNode::new(me, LtrConfig::default(), None, Duration::ZERO);
-        let (mut rng, mut metrics, mut timers) = (Rng64::new(1), Metrics::new(), 0);
-        let mut ctx = Ctx::detached(Time::ZERO, me.addr, &mut rng, &mut metrics, &mut timers);
+        let (mut rng, mut metrics) = (Rng64::new(1), Metrics::new());
+        let mut ctx = Ctx::detached(Time::ZERO, me.addr, &mut rng, &mut metrics);
         node.on_start(&mut ctx);
         node.cmd_open_doc(&mut ctx, "a".into(), "text".into());
         let doc = DocName::from("a");

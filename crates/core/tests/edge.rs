@@ -4,7 +4,7 @@
 use p2p_ltr::consistency::{check_continuity, check_convergence};
 use p2p_ltr::harness::LtrNet;
 use p2p_ltr::LtrConfig;
-use simnet::{Duration, NetConfig};
+use simnet::{Duration, FaultPlan, NetConfig};
 
 const DOC: &str = "wiki/Main";
 
@@ -88,14 +88,15 @@ fn partition_between_user_and_master_heals() {
         .unwrap();
 
     // Cut the editor off from the master only (lookups may still route).
-    net.sim.net_mut().partition(editor.addr, master.addr);
+    net.install_faults(FaultPlan::new(0xE003));
+    net.sim.fault_cut(editor.addr, master.addr, false);
     let cur = net.node(editor).doc_text(DOC).unwrap();
     net.edit(editor, DOC, &format!("{cur}\nthrough-the-wall"));
     net.settle(5);
     // Not published yet (either timing out or backed off).
     assert!(net.node(editor).is_busy(DOC), "publish should be blocked");
 
-    net.sim.net_mut().heal_all();
+    net.sim.fault_heal_all();
     assert!(
         net.run_until_quiet(&[DOC], 90),
         "did not recover after heal"
@@ -135,8 +136,10 @@ fn overloaded_master_sheds_and_everyone_eventually_publishes() {
 
 #[test]
 fn explicit_sync_pulls_without_waiting_for_anti_entropy() {
-    let mut cfg = LtrConfig::default();
-    cfg.sync_every = None; // no background anti-entropy at all
+    let cfg = LtrConfig {
+        sync_every: None, // no background anti-entropy at all
+        ..LtrConfig::default()
+    };
     let mut net = build(0xE005, 8, cfg);
     let peers = net.peers.clone();
     net.open_doc(&peers, DOC, "base");

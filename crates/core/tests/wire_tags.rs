@@ -105,8 +105,11 @@ fn hand_kept_drift<T: Encode + Decode + Debug>(
     out
 }
 
-/// `(file, type, tag) -> variant` for every tag, or the duplicated tags.
-fn entries(types: &[Tagged]) -> Result<BTreeMap<(String, String, u8), String>, Vec<String>> {
+/// `(file, type, tag) -> variant`.
+type Entries = BTreeMap<(String, String, u8), String>;
+
+/// The entries of every tag, or the duplicated tags.
+fn entries(types: &[Tagged]) -> Result<Entries, Vec<String>> {
     let mut out = BTreeMap::new();
     let mut dups = Vec::new();
     for &(file, ty, tags) in types {
@@ -125,7 +128,7 @@ fn entries(types: &[Tagged]) -> Result<BTreeMap<(String, String, u8), String>, V
     }
 }
 
-fn render(entries: &BTreeMap<(String, String, u8), String>) -> String {
+fn render(entries: &Entries) -> String {
     let mut out = HEADER.to_string();
     for ((file, ty, tag), variant) in entries {
         out.push_str(&format!("{file} | {ty} | {tag} = {variant}\n"));

@@ -311,7 +311,7 @@ mod tests {
                 for i in 0..len {
                     s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     let r = (s >> 33) as usize;
-                    let op = if r % 2 == 0 || d.len() == 0 {
+                    let op = if r.is_multiple_of(2) || d.is_empty() {
                         TextOp::ins(r % (d.len() + 1), format!("s{site}-{i}"), site)
                     } else {
                         let pos = r % d.len();

@@ -77,10 +77,10 @@ fn run_session(seed: u64, sites_n: usize, rounds: usize) {
 
     for round in 0..rounds {
         // Random subset of sites edits concurrently.
-        for i in 0..sites_n {
+        for site in &mut sites {
             if rng.random_bool(0.6) {
-                let target = random_edit(&mut rng, sites[i].site, sites[i].working(), round);
-                sites[i].edit(&target).unwrap();
+                let target = random_edit(&mut rng, site.site, site.working(), round);
+                site.edit(&target).unwrap();
             }
         }
         // Publication attempts in random order; behind sites catch up and

@@ -146,7 +146,7 @@ impl DocHashes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn ht_is_deterministic_and_distinct_per_doc() {
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn replication_hashes_are_pairwise_distinct() {
         let locs = log_locations(8, "doc", 3);
-        let set: HashSet<_> = locs.iter().collect();
+        let set: BTreeSet<_> = locs.iter().collect();
         assert_eq!(set.len(), 8);
     }
 

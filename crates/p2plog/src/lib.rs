@@ -18,9 +18,7 @@
 //!   fetches, replica fallback (`h1`, then `h2`, …), strictly in-order
 //!   delivery of continuous timestamps;
 //! * [`probe::LogProbe`] — gallop + binary-search recovery of `last_ts`
-//!   from the log (double-failure path, extension);
-//! * [`index::LogIndex`] — per-node record index for watermark GC
-//!   (extension).
+//!   from the log (double-failure path, extension).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +27,6 @@
 pub mod config;
 pub mod fence;
 pub mod hashfam;
-pub mod index;
 pub mod probe;
 pub mod publish;
 pub mod record;
@@ -39,7 +36,6 @@ pub use chord::DocName;
 pub use config::{AckPolicy, LogConfig};
 pub use fence::{FenceResponse, FenceTracker, FenceVerdict};
 pub use hashfam::{hr, ht, log_locations, log_locations_iter, DocHashes};
-pub use index::LogIndex;
 pub use probe::{LogProbe, ProbeCmd};
 pub use publish::{PublishTracker, PublishVerdict, ReplicaResponse};
 pub use record::{LogRecord, RecordError};

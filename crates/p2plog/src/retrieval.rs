@@ -97,15 +97,6 @@ impl Retriever {
         self.finished
     }
 
-    /// The range end (can be raised if the master reports a newer last-ts
-    /// while we retrieve).
-    pub fn extend_to(&mut self, new_to: u64) {
-        if new_to > self.to {
-            self.to = new_to;
-            self.finished = false;
-        }
-    }
-
     /// Initial fetches (fills the pipeline window).
     pub fn start(&mut self) -> Vec<FetchCmd> {
         self.refill()
@@ -322,20 +313,6 @@ mod tests {
         let mut r = Retriever::new("doc", 5, 5, 2, 2);
         assert!(r.is_finished());
         assert!(r.start().is_empty());
-    }
-
-    #[test]
-    fn extend_to_continues_retrieval() {
-        let mut r = Retriever::new("doc", 0, 1, 1, 2);
-        r.start();
-        let (_, ev) = r.on_fetch_result(1, 1, Some(b("p1")));
-        assert!(matches!(ev.last(), Some(RetrieveEvent::Done)));
-        // Master reports more patches appeared meanwhile.
-        r.extend_to(2);
-        assert!(!r.is_finished());
-        let cmds = r.start();
-        assert_eq!(cmds.len(), 1);
-        assert_eq!(cmds[0].ts, 2);
     }
 
     #[test]

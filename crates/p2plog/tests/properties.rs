@@ -61,7 +61,8 @@ proptest! {
         let survivor = |ts: u64| -> usize { ((ts.wrapping_mul(seed | 1)) % n as u64) as usize + 1 };
         let available = move |ts: u64, idx: usize| -> bool {
             idx == survivor(ts)
-                || (ts.wrapping_mul(0x9E37).wrapping_add(idx as u64).wrapping_mul(seed | 1)) % 3 == 0
+                || (ts.wrapping_mul(0x9E37).wrapping_add(idx as u64).wrapping_mul(seed | 1))
+                    .is_multiple_of(3)
         };
         let (delivered, failed) = drive_retriever(0, to, n, window, available);
         prop_assert!(!failed);

@@ -65,11 +65,6 @@ impl LinkFaults {
             jitter: None,
         }
     }
-
-    /// True when this class can never perturb a message.
-    pub fn is_inert(&self) -> bool {
-        self.drop <= 0.0 && self.duplicate <= 0.0 && self.reorder <= 0.0 && self.jitter.is_none()
-    }
 }
 
 impl Default for LinkFaults {
@@ -135,12 +130,6 @@ impl FaultPlan {
     /// Set the default link class.
     pub fn with_default(mut self, faults: LinkFaults) -> Self {
         self.default = faults;
-        self
-    }
-
-    /// Override the link class of one node (both directions).
-    pub fn with_node(mut self, node: NodeId, faults: LinkFaults) -> Self {
-        self.node_overrides.insert(node, faults);
         self
     }
 
@@ -288,17 +277,6 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inert_class_is_detected() {
-        assert!(LinkFaults::none().is_inert());
-        let mut lf = LinkFaults::none();
-        lf.duplicate = 0.1;
-        assert!(!lf.is_inert());
-        let mut lf = LinkFaults::none();
-        lf.jitter = Some((Duration::ZERO, Duration::from_millis(1)));
-        assert!(!lf.is_inert());
-    }
 
     #[test]
     fn class_resolution_prefers_sender_then_receiver() {

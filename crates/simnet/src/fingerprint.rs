@@ -9,23 +9,24 @@
 /// codec's `encode`).
 pub type MsgEncoder<M> = Box<dyn Fn(&M, &mut Vec<u8>)>;
 
-/// What an executed event was; the first field of its fold.
-#[derive(Clone, Copy, PartialEq)]
+/// What an executed event was; the first field of its fold. The
+/// discriminants are written out because `kind as u64` is hashed: a
+/// renumbering would move every locked fingerprint that holds the event.
+#[derive(Clone, Copy)]
 pub(crate) enum Event {
-    Delivered,
-    ToDead,
-    TimerFired,
-    TimerCancelled,
+    Delivered = 0,
+    ToDead = 1,
+    TimerFired = 2,
     /// A timer of a node that is down, or of an earlier incarnation.
-    TimerStale,
-    Crash,
-    Restart,
-    Departure,
-    FaultCut,
-    FaultDrop,
+    TimerStale = 4,
+    Crash = 5,
+    Restart = 6,
+    Departure = 7,
+    FaultCut = 8,
+    FaultDrop = 9,
     /// Extra delay or a duplicate. A verdict that leaves the message as it
     /// was folds nothing, so an inert fault plan reads as no plan.
-    FaultDelay,
+    FaultDelay = 10,
 }
 
 /// The running digest and the encoder that feeds it message bytes.
@@ -76,6 +77,42 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::Event;
+
+    /// Each kind's number is part of every locked fingerprint that holds
+    /// it (3 was timer cancellation, removed). The match is exhaustive, so
+    /// a new kind does not compile until it is pinned here too.
+    #[test]
+    fn event_discriminants_are_pinned() {
+        let pinned = |kind| match kind {
+            Event::Delivered => 0,
+            Event::ToDead => 1,
+            Event::TimerFired => 2,
+            Event::TimerStale => 4,
+            Event::Crash => 5,
+            Event::Restart => 6,
+            Event::Departure => 7,
+            Event::FaultCut => 8,
+            Event::FaultDrop => 9,
+            Event::FaultDelay => 10,
+        };
+        let kinds = [
+            ("Delivered", Event::Delivered),
+            ("ToDead", Event::ToDead),
+            ("TimerFired", Event::TimerFired),
+            ("TimerStale", Event::TimerStale),
+            ("Crash", Event::Crash),
+            ("Restart", Event::Restart),
+            ("Departure", Event::Departure),
+            ("FaultCut", Event::FaultCut),
+            ("FaultDrop", Event::FaultDrop),
+            ("FaultDelay", Event::FaultDelay),
+        ];
+        for (name, kind) in kinds {
+            assert_eq!(kind as u64, pinned(kind), "Event::{name} was renumbered");
+        }
+    }
+
     /// The published FNV-1a 64 test vectors.
     #[test]
     fn fnv1a_matches_the_reference_vectors() {

@@ -10,11 +10,12 @@
 //! * **nodes** implementing [`Process`]: message + timer driven state
 //!   machines receiving a capability handle ([`Ctx`]);
 //! * **network model** ([`NetConfig`]): constant / uniform / log-normal
-//!   latency, Bernoulli loss, pairwise partitions;
+//!   latency, Bernoulli loss, per-link bandwidth;
 //! * **fault injection** ([`FaultPlan`], [`Sim::set_fault_plan`]): seeded
 //!   per-link-class message drop / duplicate / reorder / delay,
-//!   directional link cuts, scheduled crashes — decisions draw from a
-//!   dedicated RNG, so the zero-fault event stream is untouched;
+//!   directional link cuts ([`Sim::fault_cut`], the only partition
+//!   mechanism), scheduled crashes — decisions draw from a dedicated RNG,
+//!   so the zero-fault event stream is untouched;
 //! * **churn**: crash-stop ([`Sim::crash`]), crash-with-disk restart
 //!   ([`Sim::restart_node`] — a replacement process, typically rebuilt
 //!   from a durable store, resumes at the same address with the dead
@@ -68,7 +69,7 @@ pub use fault::{FaultPlan, LinkFaults, ScheduledCrash, ScheduledCut};
 pub use fingerprint::MsgEncoder;
 pub use metrics::{CounterId, Histogram, HistogramId, Metrics, Summary};
 pub use net::{LatencyModel, MsgMeta, NetConfig};
-pub use process::{Ctx, Effects, Process, TimerId};
+pub use process::{Ctx, Effects, Process};
 pub use rng::{Rng64, Zipf};
 pub use sim::{ControlFn, MsgCloner, NodeState, ProcessAny, Sim, WireMeter};
 pub use time::{Duration, Time};

@@ -1,9 +1,8 @@
-//! Network model: per-message latency sampling, loss, and partitions.
+//! Network model: per-message latency sampling, loss and bandwidth.
+//! Link cuts are the fault layer's ([`Sim::fault_cut`](crate::Sim::fault_cut)).
 //!
 //! The paper's prototype let the operator "specify the number of peers or
 //! network latencies, or provoke failures"; this module is that knob set.
-
-use std::collections::BTreeSet;
 
 use crate::rng::Rng64;
 use crate::time::Duration;
@@ -92,8 +91,6 @@ pub struct NetConfig {
     /// additionally charged its serialization delay `bytes / bandwidth`,
     /// opening bandwidth-constrained scenarios.
     pub bandwidth: Option<u64>,
-    /// Blocked unordered pairs (network partition edges).
-    partitions: BTreeSet<(NodeId, NodeId)>,
 }
 
 impl Default for NetConfig {
@@ -103,7 +100,6 @@ impl Default for NetConfig {
             local_delay: Duration::from_micros(10),
             loss: 0.0,
             bandwidth: None,
-            partitions: BTreeSet::new(),
         }
     }
 }
@@ -120,34 +116,6 @@ impl NetConfig {
             latency: LatencyModel::wan(),
             ..Self::default()
         }
-    }
-
-    fn edge(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a.0 <= b.0 {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    /// Block all traffic between `a` and `b` (both directions).
-    pub fn partition(&mut self, a: NodeId, b: NodeId) {
-        self.partitions.insert(Self::edge(a, b));
-    }
-
-    /// Restore traffic between `a` and `b`.
-    pub fn heal(&mut self, a: NodeId, b: NodeId) {
-        self.partitions.remove(&Self::edge(a, b));
-    }
-
-    /// Remove all partitions.
-    pub fn heal_all(&mut self) {
-        self.partitions.clear();
-    }
-
-    /// Is the link currently cut?
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.partitions.contains(&Self::edge(a, b))
     }
 
     /// Decide the fate of a message: `None` = dropped, `Some(delay)` =
@@ -171,9 +139,6 @@ impl NetConfig {
     ) -> Option<Duration> {
         if from == to {
             return Some(self.local_delay);
-        }
-        if self.is_partitioned(from, to) {
-            return None;
         }
         if self.loss > 0.0 && rng.chance(self.loss) {
             return None;
@@ -233,18 +198,6 @@ mod tests {
         for _ in 0..2000 {
             assert!(m.sample(&mut rng) >= Duration::from_millis(2));
         }
-    }
-
-    #[test]
-    fn partition_blocks_both_directions() {
-        let mut cfg = NetConfig::lan();
-        let mut rng = Rng64::new(4);
-        cfg.partition(n(1), n(2));
-        assert!(cfg.route(&mut rng, n(1), n(2)).is_none());
-        assert!(cfg.route(&mut rng, n(2), n(1)).is_none());
-        assert!(cfg.route(&mut rng, n(1), n(3)).is_some());
-        cfg.heal(n(2), n(1));
-        assert!(cfg.route(&mut rng, n(1), n(2)).is_some());
     }
 
     #[test]

@@ -15,44 +15,18 @@ use crate::rng::Rng64;
 use crate::time::{Duration, Time};
 use crate::NodeId;
 
-/// Identifies an armed timer so it can be cancelled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TimerId(pub u64);
-
-/// Buffered effects produced by one upcall.
-#[derive(Debug, Default)]
-pub(crate) struct Outbox<M> {
-    pub msgs: Vec<(NodeId, M)>,
-    pub timers: Vec<(TimerId, Duration, u64)>,
-    pub cancels: Vec<TimerId>,
-    pub halt: bool,
-}
-
-impl<M> Outbox<M> {
-    pub(crate) fn new() -> Self {
-        Outbox {
-            msgs: Vec::new(),
-            timers: Vec::new(),
-            cancels: Vec::new(),
-            halt: false,
-        }
-    }
-}
-
-/// The buffered outputs of one upcall, handed back to an external driver.
+/// The buffered outputs of one upcall.
 ///
-/// Inside the simulator the [`Sim`](crate::Sim) event loop consumes these
-/// directly; real transports (e.g. the `wire` crate's TCP runner) obtain
-/// them via [`Ctx::detached`] + [`Ctx::take_effects`] and execute them
-/// against sockets and a real-time timer wheel.
+/// Both drivers build a [`Ctx`] with [`Ctx::detached`], run the handler and
+/// take these back with [`Ctx::take_effects`]: the [`Sim`](crate::Sim)
+/// event loop queues them as events, the `wire` crate's runner executes
+/// them against sockets and a real-time timer wheel.
 #[derive(Debug)]
 pub struct Effects<M> {
     /// Messages to deliver, in send order.
     pub msgs: Vec<(NodeId, M)>,
-    /// Timers armed: `(id, delay, tag)`.
-    pub timers: Vec<(TimerId, Duration, u64)>,
-    /// Timers cancelled.
-    pub cancels: Vec<TimerId>,
+    /// Timers armed: `(delay, tag)`.
+    pub timers: Vec<(Duration, u64)>,
     /// The node asked to stop itself.
     pub halt: bool,
 }
@@ -63,41 +37,36 @@ pub struct Ctx<'a, M> {
     pub(crate) self_id: NodeId,
     pub(crate) rng: &'a mut Rng64,
     pub(crate) metrics: &'a mut Metrics,
-    pub(crate) timer_seq: &'a mut u64,
-    pub(crate) out: Outbox<M>,
+    pub(crate) out: Effects<M>,
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Build a context detached from any simulator, for driving a
-    /// [`Process`] over a real transport (see the `wire` crate). The caller
-    /// owns the RNG, metrics registry and timer sequence per node and
-    /// executes the buffered [`Effects`] after the upcall returns.
+    /// Build the context of one upcall on `self_id` at `now`. The driver
+    /// owns the RNG and metrics registry and executes the buffered
+    /// [`Effects`] after the upcall returns.
     pub fn detached(
         now: Time,
         self_id: NodeId,
         rng: &'a mut Rng64,
         metrics: &'a mut Metrics,
-        timer_seq: &'a mut u64,
     ) -> Self {
         Ctx {
             now,
             self_id,
             rng,
             metrics,
-            timer_seq,
-            out: Outbox::new(),
+            out: Effects {
+                msgs: Vec::new(),
+                timers: Vec::new(),
+                halt: false,
+            },
         }
     }
 
     /// Consume the context, returning the effects buffered during the
     /// upcall (companion to [`Ctx::detached`]).
     pub fn take_effects(self) -> Effects<M> {
-        Effects {
-            msgs: self.out.msgs,
-            timers: self.out.timers,
-            cancels: self.out.cancels,
-            halt: self.out.halt,
-        }
+        self.out
     }
 
     /// Current simulated time.
@@ -132,19 +101,10 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Arm a one-shot timer firing after `delay`, carrying the opaque `tag`
-    /// back to [`Process::on_timer`]. Returns an id usable with
-    /// [`Ctx::cancel_timer`].
-    pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
-        *self.timer_seq += 1;
-        let id = TimerId(*self.timer_seq);
-        self.out.timers.push((id, delay, tag));
-        id
-    }
-
-    /// Cancel a previously armed timer. Cancelling an already-fired or
-    /// unknown timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.out.cancels.push(id);
+    /// back to [`Process::on_timer`]. Timers cannot be cancelled: a
+    /// handler drops a stale one by its tag.
+    pub fn set_timer(&mut self, delay: Duration, tag: u64) {
+        self.out.timers.push((delay, tag));
     }
 
     /// Request the simulator to stop this node after the upcall (used by
@@ -186,80 +146,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ctx_buffers_effects() {
-        let mut rng = Rng64::new(1);
-        let mut metrics = Metrics::new();
-        let mut seq = 0u64;
-        let mut ctx: Ctx<'_, &'static str> = Ctx {
-            now: Time::from_millis(1),
-            self_id: NodeId(3),
-            rng: &mut rng,
-            metrics: &mut metrics,
-            timer_seq: &mut seq,
-            out: Outbox::new(),
-        };
-        ctx.send(NodeId(4), "hello");
-        let t1 = ctx.set_timer(Duration::from_millis(10), 7);
-        let t2 = ctx.set_timer(Duration::from_millis(20), 8);
-        ctx.cancel_timer(t1);
-        assert_ne!(t1, t2);
-        assert_eq!(ctx.out.msgs.len(), 1);
-        assert_eq!(ctx.out.timers.len(), 2);
-        assert_eq!(ctx.out.cancels, vec![t1]);
-        assert_eq!(ctx.now().as_millis(), 1);
-        assert_eq!(ctx.self_id(), NodeId(3));
-    }
-
-    #[test]
     fn detached_ctx_hands_back_effects() {
         let mut rng = Rng64::new(9);
         let mut metrics = Metrics::new();
-        let mut seq = 0u64;
-        let mut ctx: Ctx<'_, u32> = Ctx::detached(
-            Time::from_millis(7),
-            NodeId(1),
-            &mut rng,
-            &mut metrics,
-            &mut seq,
-        );
+        let mut ctx: Ctx<'_, u32> =
+            Ctx::detached(Time::from_millis(7), NodeId(1), &mut rng, &mut metrics);
+        assert_eq!(ctx.now().as_millis(), 7);
+        assert_eq!(ctx.self_id(), NodeId(1));
         ctx.send(NodeId(2), 42);
-        let t = ctx.set_timer(Duration::from_millis(3), 5);
-        ctx.cancel_timer(t);
+        ctx.set_timer(Duration::from_millis(3), 5);
+        ctx.set_timer(Duration::from_millis(4), 6);
         ctx.halt_self();
         let eff = ctx.take_effects();
         assert_eq!(eff.msgs, vec![(NodeId(2), 42)]);
-        assert_eq!(eff.timers, vec![(t, Duration::from_millis(3), 5)]);
-        assert_eq!(eff.cancels, vec![t]);
+        assert_eq!(
+            eff.timers,
+            vec![(Duration::from_millis(3), 5), (Duration::from_millis(4), 6)]
+        );
         assert!(eff.halt);
-    }
-
-    #[test]
-    fn timer_ids_are_unique_across_ctxs() {
-        let mut rng = Rng64::new(1);
-        let mut metrics = Metrics::new();
-        let mut seq = 0u64;
-        let id_a = {
-            let mut ctx: Ctx<'_, ()> = Ctx {
-                now: Time::ZERO,
-                self_id: NodeId(0),
-                rng: &mut rng,
-                metrics: &mut metrics,
-                timer_seq: &mut seq,
-                out: Outbox::new(),
-            };
-            ctx.set_timer(Duration::from_millis(1), 0)
-        };
-        let id_b = {
-            let mut ctx: Ctx<'_, ()> = Ctx {
-                now: Time::ZERO,
-                self_id: NodeId(0),
-                rng: &mut rng,
-                metrics: &mut metrics,
-                timer_seq: &mut seq,
-                out: Outbox::new(),
-            };
-            ctx.set_timer(Duration::from_millis(1), 0)
-        };
-        assert_ne!(id_a, id_b);
     }
 }

@@ -9,13 +9,13 @@
 
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::fault::{FaultPlan, FaultState, LinkFaults, Verdict};
 use crate::fingerprint::{Event, Fingerprint, MsgEncoder};
 use crate::metrics::{CounterId, Metrics};
 use crate::net::{MsgMeta, NetConfig};
-use crate::process::{Ctx, Outbox, Process, TimerId};
+use crate::process::{Ctx, Effects, Process};
 use crate::rng::Rng64;
 use crate::time::{Duration, Time};
 use crate::NodeId;
@@ -42,7 +42,6 @@ enum EventKind<M> {
     },
     Timer {
         node: NodeId,
-        id: TimerId,
         tag: u64,
         /// Incarnation of the node that armed the timer: a timer armed
         /// before a crash must not fire into a restarted process.
@@ -83,21 +82,16 @@ impl<M> Ord for Entry<M> {
 pub trait ProcessAny<M>: Process<M> {
     /// Upcast to `&dyn Any` for downcasting.
     fn as_any(&self) -> &dyn Any;
-    /// Upcast to `&mut dyn Any` for downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl<M, T: Process<M> + Any> ProcessAny<M> for T {
     fn as_any(&self) -> &dyn Any {
         self
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct Slot<M> {
-    proc: Option<Box<dyn ProcessAny<M>>>,
+    proc: Box<dyn ProcessAny<M>>,
     state: NodeState,
     /// Incarnation counter, bumped by [`Sim::restart_node`]. Timers are
     /// stamped with it so a restarted process never receives the previous
@@ -119,7 +113,6 @@ struct HotCounters {
     msgs_dropped: CounterId,
     msgs_to_dead: CounterId,
     timers_fired: CounterId,
-    timers_cancelled: CounterId,
 }
 
 impl HotCounters {
@@ -134,7 +127,6 @@ impl HotCounters {
             msgs_dropped: m.register_counter("sim.msgs_dropped"),
             msgs_to_dead: m.register_counter("sim.msgs_to_dead"),
             timers_fired: m.register_counter("sim.timers_fired"),
-            timers_cancelled: m.register_counter("sim.timers_cancelled"),
         }
     }
 }
@@ -182,8 +174,6 @@ pub struct Sim<M> {
     /// [`FaultPlan`] is installed, so un-faulted simulations pay nothing
     /// and their event stream is untouched).
     fault: Option<(FaultState, MsgCloner<M>)>,
-    timer_seq: u64,
-    cancelled: BTreeSet<TimerId>,
     /// The run fingerprint (absent unless [`Sim::set_fingerprint`] was
     /// called, so an unfingerprinted run pays one `None` check per event).
     fingerprint: Option<Fingerprint<M>>,
@@ -206,8 +196,6 @@ impl<M: 'static> Sim<M> {
             net,
             wire: None,
             fault: None,
-            timer_seq: 0,
-            cancelled: BTreeSet::new(),
             fingerprint: None,
         }
     }
@@ -229,14 +217,10 @@ impl<M: 'static> Sim<M> {
         &mut self.metrics
     }
 
-    /// Network configuration (mutable: partitions/loss can change mid-run).
+    /// Network configuration (mutable: loss and bandwidth can change
+    /// mid-run).
     pub fn net_mut(&mut self) -> &mut NetConfig {
         &mut self.net
-    }
-
-    /// The simulator RNG (e.g. for workload decisions in control scripts).
-    pub fn rng_mut(&mut self) -> &mut Rng64 {
-        &mut self.rng
     }
 
     /// Install a wire meter: from now on every sent message is sized and
@@ -335,11 +319,6 @@ impl<M: 'static> Sim<M> {
         }
     }
 
-    /// True when a [`FaultPlan`] is installed.
-    pub fn has_fault_plan(&self) -> bool {
-        self.fault.is_some()
-    }
-
     fn fault_state_mut(&mut self) -> &mut FaultState {
         &mut self
             .fault
@@ -349,9 +328,8 @@ impl<M: 'static> Sim<M> {
     }
 
     /// Cut the `a → b` link (and `b → a` unless `oneway`) at the fault
-    /// layer. Unlike [`NetConfig::partition`], cuts can be asymmetric and
-    /// are bookkept by the fault engine (`faults.cut` counts vetoed
-    /// messages). Requires an installed plan.
+    /// layer, the simulator's only partition mechanism (`faults.cut` counts
+    /// vetoed messages). Requires an installed plan.
     pub fn fault_cut(&mut self, a: NodeId, b: NodeId, oneway: bool) {
         self.fault_state_mut().cut_link(a, b, oneway);
     }
@@ -393,11 +371,6 @@ impl<M: 'static> Sim<M> {
         }
     }
 
-    /// Number of events still pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Total events executed so far (deliveries, timers, control actions,
     /// drops — everything popped by [`Sim::step`]). The perf harness
     /// divides this by wall-clock time for a sim-events/sec figure.
@@ -414,7 +387,7 @@ impl<M: 'static> Sim<M> {
     pub fn add_node<P: Process<M> + Any>(&mut self, proc: P) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Slot {
-            proc: Some(Box::new(proc)),
+            proc: Box::new(proc),
             state: NodeState::Up,
             epoch: 0,
         });
@@ -443,18 +416,7 @@ impl<M: 'static> Sim<M> {
 
     /// Downcast a node's process state for inspection.
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.nodes[id.0 as usize]
-            .proc
-            .as_ref()
-            .and_then(|p| p.as_any().downcast_ref::<T>())
-    }
-
-    /// Downcast a node's process state for mutation (test/debug only).
-    pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        self.nodes[id.0 as usize]
-            .proc
-            .as_mut()
-            .and_then(|p| p.as_any_mut().downcast_mut::<T>())
+        self.nodes[id.0 as usize].proc.as_any().downcast_ref::<T>()
     }
 
     /// Crash-stop a node: it silently drops all future messages and timers.
@@ -485,7 +447,7 @@ impl<M: 'static> Sim<M> {
             NodeState::Crashed,
             "only crashed nodes can be restarted"
         );
-        slot.proc = Some(Box::new(proc));
+        slot.proc = Box::new(proc);
         slot.state = NodeState::Up;
         slot.epoch += 1;
         self.metrics.incr_id(self.hot.restarts);
@@ -499,7 +461,11 @@ impl<M: 'static> Sim<M> {
         if self.nodes[id.0 as usize].state != NodeState::Up {
             return;
         }
-        self.dispatch_stop(id);
+        // Goodbye messages fly; timers from a departing node are meaningless.
+        self.dispatch(id, |p, ctx| {
+            p.on_stop(ctx);
+            ctx.out.timers.clear();
+        });
         self.nodes[id.0 as usize].state = NodeState::Departed;
         self.metrics.incr_id(self.hot.departures);
         self.fold(Event::Departure, &[u64::from(id.0)]);
@@ -540,45 +506,14 @@ impl<M: 'static> Sim<M> {
     where
         F: FnOnce(&mut dyn ProcessAny<M>, &mut Ctx<'_, M>),
     {
-        let mut proc = match self.nodes[node.0 as usize].proc.take() {
-            Some(p) => p,
-            None => return, // re-entrant dispatch is impossible; defensive
-        };
-        let mut ctx = Ctx {
-            now: self.now,
-            self_id: node,
-            rng: &mut self.rng,
-            metrics: &mut self.metrics,
-            timer_seq: &mut self.timer_seq,
-            out: Outbox::new(),
-        };
-        f(proc.as_mut(), &mut ctx);
-        let out = ctx.out;
-        self.nodes[node.0 as usize].proc = Some(proc);
-        self.flush(node, out, true);
+        let proc = self.nodes[node.0 as usize].proc.as_mut();
+        let mut ctx = Ctx::detached(self.now, node, &mut self.rng, &mut self.metrics);
+        f(proc, &mut ctx);
+        let effects = ctx.take_effects();
+        self.flush(node, effects);
     }
 
-    fn dispatch_stop(&mut self, node: NodeId) {
-        let mut proc = match self.nodes[node.0 as usize].proc.take() {
-            Some(p) => p,
-            None => return,
-        };
-        let mut ctx = Ctx {
-            now: self.now,
-            self_id: node,
-            rng: &mut self.rng,
-            metrics: &mut self.metrics,
-            timer_seq: &mut self.timer_seq,
-            out: Outbox::new(),
-        };
-        proc.on_stop(&mut ctx);
-        let out = ctx.out;
-        self.nodes[node.0 as usize].proc = Some(proc);
-        // Goodbye messages fly; timers from a departing node are meaningless.
-        self.flush(node, out, false);
-    }
-
-    fn flush(&mut self, from: NodeId, out: Outbox<M>, allow_timers: bool) {
+    fn flush(&mut self, from: NodeId, out: Effects<M>) {
         for (to, msg) in out.msgs {
             self.metrics.incr_id(self.hot.msgs_sent);
             let bytes = self.meter_msg(&msg);
@@ -651,25 +586,19 @@ impl<M: 'static> Sim<M> {
                 }
             }
         }
-        if allow_timers {
-            let epoch = self.nodes[from.0 as usize].epoch;
-            for (id, delay, tag) in out.timers {
-                let at = self.now + delay;
-                let seq = self.next_seq();
-                self.queue.push(Entry {
-                    at,
-                    seq,
-                    kind: EventKind::Timer {
-                        node: from,
-                        id,
-                        tag,
-                        epoch,
-                    },
-                });
-            }
-        }
-        for id in out.cancels {
-            self.cancelled.insert(id);
+        let epoch = self.nodes[from.0 as usize].epoch;
+        for (delay, tag) in out.timers {
+            let at = self.now + delay;
+            let seq = self.next_seq();
+            self.queue.push(Entry {
+                at,
+                seq,
+                kind: EventKind::Timer {
+                    node: from,
+                    tag,
+                    epoch,
+                },
+            });
         }
         if out.halt {
             // Node asked to stop itself (after a graceful handoff).
@@ -707,23 +636,16 @@ impl<M: 'static> Sim<M> {
                     self.metrics.incr_id(self.hot.msgs_to_dead);
                 }
             }
-            EventKind::Timer {
-                node,
-                id,
-                tag,
-                epoch,
-            } => {
+            EventKind::Timer { node, tag, epoch } => {
                 let slot = &self.nodes[node.0 as usize];
-                let kind = if self.cancelled.remove(&id) {
-                    self.metrics.incr_id(self.hot.timers_cancelled);
-                    Event::TimerCancelled
-                } else if slot.state == NodeState::Up && slot.epoch == epoch {
+                let fired = slot.state == NodeState::Up && slot.epoch == epoch;
+                let kind = if fired {
                     Event::TimerFired
                 } else {
                     Event::TimerStale
                 };
                 self.fold(kind, &[u64::from(node.0), tag]);
-                if kind == Event::TimerFired {
+                if fired {
                     self.metrics.incr_id(self.hot.timers_fired);
                     self.dispatch(node, |p, ctx| p.on_timer(ctx, tag));
                 }
@@ -752,17 +674,6 @@ impl<M: 'static> Sim<M> {
     pub fn run_for(&mut self, d: Duration) {
         let target = self.now + d;
         self.run_until(target);
-    }
-
-    /// Run until the event queue is completely empty or `horizon` is hit.
-    /// Only safe when no recurring timers are armed; mainly for unit tests.
-    pub fn run_to_quiescence(&mut self, horizon: Time) {
-        while let Some(head) = self.queue.peek() {
-            if head.at > horizon {
-                break;
-            }
-            self.step();
-        }
     }
 }
 
@@ -930,30 +841,6 @@ mod tests {
         assert_eq!(sim.node_state(leaver), NodeState::Departed);
         // The goodbye ping was delivered (receiver replied to a dead node).
         assert!(sim.metrics().counter("sim.msgs_to_dead") >= 1);
-    }
-
-    #[test]
-    fn cancelled_timer_does_not_fire() {
-        struct Canceller {
-            fired: bool,
-        }
-        impl Process<Msg> for Canceller {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                let id = ctx.set_timer(Duration::from_millis(10), 1);
-                ctx.cancel_timer(id);
-                ctx.set_timer(Duration::from_millis(20), 2);
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _f: NodeId, _m: Msg) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, tag: u64) {
-                assert_eq!(tag, 2, "cancelled timer fired");
-                self.fired = true;
-            }
-        }
-        let mut sim = new_sim();
-        let n = sim.add_node(Canceller { fired: false });
-        sim.run_until(Time::from_millis(100));
-        assert!(sim.node_as::<Canceller>(n).unwrap().fired);
-        assert_eq!(sim.metrics().counter("sim.timers_cancelled"), 1);
     }
 
     #[test]

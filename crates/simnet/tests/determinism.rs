@@ -2,7 +2,7 @@
 //! event ordering, FIFO-per-latency behaviour, partition semantics under
 //! in-flight traffic, and timer/crash interactions.
 
-use simnet::{Ctx, Duration, LatencyModel, NetConfig, NodeId, Process, Sim, Time};
+use simnet::{Ctx, Duration, FaultPlan, LatencyModel, NetConfig, NodeId, Process, Sim, Time};
 
 /// Records every delivery with its arrival time.
 struct Recorder {
@@ -95,7 +95,8 @@ fn partition_mid_flight_only_blocks_future_sends() {
     });
     // The burst was sent at t≈0 with 20ms latency; cut the link at 10ms.
     sim.run_until(Time::from_millis(10));
-    sim.net_mut().partition(burst, rec);
+    sim.set_fault_plan(FaultPlan::new(3), Box::new(|m: &Tagged| Tagged(m.0)));
+    sim.fault_cut(burst, rec, false);
     sim.run_until(Time::from_millis(100));
     assert_eq!(
         sim.node_as::<Recorder>(rec).unwrap().log.len(),

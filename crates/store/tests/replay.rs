@@ -98,7 +98,7 @@ fn segment_files(dir: &PathBuf) -> Vec<PathBuf> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn write_reopen_roundtrips(seed in 0u64..1_000_000) {

@@ -1,12 +1,13 @@
 //! [`WireNet`] — run the *same* protocol state machines that run on the
 //! simulator over a real transport and real time.
 //!
-//! Each node is a [`simnet::Process`] exactly as in the simulator; the
-//! runner owns per-node RNG/metrics/timer state, constructs a detached
-//! [`Ctx`] for every upcall, and executes the buffered [`Effects`]
-//! against the transport (messages become encoded frames) and a
-//! real-time timer wheel (sim [`Duration`](simnet::Duration)s map 1:1 to
-//! wall-clock).
+//! Each node is a [`simnet::Process`] exactly as in the simulator, and an
+//! upcall runs as it does there: [`Ctx::detached`] over the node's own RNG
+//! and metrics, the handler, then [`Ctx::take_effects`]. The runner
+//! executes the returned [`Effects`](simnet::Effects) against the
+//! transport (messages become encoded frames) and a real-time timer wheel
+//! (sim [`Duration`](simnet::Duration)s map 1:1 to wall-clock). Timers
+//! cannot be cancelled; a killed node's are discarded.
 //!
 //! The runner is single-threaded and cooperative — node state stays
 //! inspectable between pumps. When a pump finds nothing to do it parks
@@ -22,18 +23,18 @@
 )]
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::time::Instant;
 
 use bytes::Bytes;
-use simnet::{CounterId, Ctx, Effects, Metrics, NodeId, ProcessAny, Rng64, Time, TimerId};
+use simnet::{CounterId, Ctx, Metrics, NodeId, ProcessAny, Rng64, Time};
 
 use crate::codec::{Decode, Encode};
 use crate::frame::{decode_frame_bytes, encode_frame};
 use crate::transport::{Transport, TransportError};
 
 /// One armed timer: fires at `at`, insertion-ordered within an instant.
-type TimerEntry = Reverse<(Time, u64, u64, TimerId)>; // (at, seq, tag, id)
+type TimerEntry = Reverse<(Time, u64, u64)>; // (at, seq, tag)
 
 /// Frames a slot may hold back for retry after backpressure before it
 /// starts dropping (the loss model of a full NIC queue).
@@ -91,10 +92,8 @@ struct WireSlot<M> {
     pending: VecDeque<(NodeId, Bytes)>,
     /// Reusable receive scratch for `recv_batch`.
     recv_buf: Vec<Bytes>,
-    timer_seq: u64,
     seq: u64,
     timers: BinaryHeap<TimerEntry>,
-    cancelled: HashSet<TimerId>,
     halted: bool,
 }
 
@@ -180,24 +179,13 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
             decode_errors,
             pending: VecDeque::new(),
             recv_buf: Vec::new(),
-            timer_seq: 0,
             seq: 0,
             timers: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             halted: false,
         });
         let now = self.now();
         let slot = self.slots.last_mut().expect("just pushed");
-        let mut ctx = Ctx::detached(
-            now,
-            me,
-            &mut slot.rng,
-            &mut slot.metrics,
-            &mut slot.timer_seq,
-        );
-        slot.proc.on_start(&mut ctx);
-        let eff = ctx.take_effects();
-        Self::apply_effects(slot, now, eff);
+        Self::upcall(slot, now, |p, ctx| p.on_start(ctx));
         Self::flush_pending(slot);
         me
     }
@@ -220,11 +208,6 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
         &self.slots[id.0 as usize].metrics
     }
 
-    /// True once the node called `halt_self` (or was [`WireNet::kill`]ed).
-    pub fn is_halted(&self, id: NodeId) -> bool {
-        self.slots[id.0 as usize].halted
-    }
-
     /// Kill a node's process: inbound frames are drained and dropped and
     /// its timers stop firing, while the transport endpoint (socket,
     /// queue) stays bound — the process-crash half of a recovery drill.
@@ -244,21 +227,20 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
         slot.proc = Box::new(proc);
         slot.halted = false;
         slot.timers.clear();
-        slot.cancelled.clear();
-        let mut ctx = Ctx::detached(
-            now,
-            slot.me,
-            &mut slot.rng,
-            &mut slot.metrics,
-            &mut slot.timer_seq,
-        );
-        slot.proc.on_start(&mut ctx);
-        let eff = ctx.take_effects();
-        Self::apply_effects(slot, now, eff);
+        Self::upcall(slot, now, |p, ctx| p.on_start(ctx));
         Self::flush_pending(slot);
     }
 
-    fn apply_effects(slot: &mut WireSlot<M>, now: Time, eff: Effects<M>) {
+    /// Run one upcall on `slot`'s process at `now`, then queue what it
+    /// produced: messages as frames for the next flush, timers on the
+    /// wheel.
+    fn upcall<F>(slot: &mut WireSlot<M>, now: Time, f: F)
+    where
+        F: FnOnce(&mut dyn ProcessAny<M>, &mut Ctx<'_, M>),
+    {
+        let mut ctx = Ctx::detached(now, slot.me, &mut slot.rng, &mut slot.metrics);
+        f(slot.proc.as_mut(), &mut ctx);
+        let eff = ctx.take_effects();
         for (to, msg) in eff.msgs {
             if slot.pending.len() >= PENDING_CAP {
                 // The retry queue is the NIC queue: full means this frame
@@ -270,12 +252,9 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
             slot.pending
                 .push_back((to, Bytes::from(encode_frame(slot.me, &msg))));
         }
-        for (id, delay, tag) in eff.timers {
+        for (delay, tag) in eff.timers {
             slot.seq += 1;
-            slot.timers.push(Reverse((now + delay, slot.seq, tag, id)));
-        }
-        for id in eff.cancels {
-            slot.cancelled.insert(id);
+            slot.timers.push(Reverse((now + delay, slot.seq, tag)));
         }
         if eff.halt {
             slot.halted = true;
@@ -348,16 +327,7 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
                         slot.metrics.incr_id(slot.decode_errors);
                         continue;
                     };
-                    let mut ctx = Ctx::detached(
-                        now,
-                        slot.me,
-                        &mut slot.rng,
-                        &mut slot.metrics,
-                        &mut slot.timer_seq,
-                    );
-                    slot.proc.on_message(&mut ctx, from, msg);
-                    let eff = ctx.take_effects();
-                    Self::apply_effects(slot, now, eff);
+                    Self::upcall(slot, now, |p, ctx| p.on_message(ctx, from, msg));
                     dispatched += 1;
                 }
                 slot.recv_buf = buf;
@@ -366,24 +336,12 @@ impl<M: Encode + Decode + 'static> WireNet<M> {
                 }
             }
             // Due timers.
-            while let Some(&Reverse((at, _, _, _))) = slot.timers.peek() {
+            while let Some(&Reverse((at, _, tag))) = slot.timers.peek() {
                 if at > now || slot.halted {
                     break;
                 }
-                let Reverse((_, _, tag, id)) = slot.timers.pop().expect("peeked");
-                if slot.cancelled.remove(&id) {
-                    continue;
-                }
-                let mut ctx = Ctx::detached(
-                    now,
-                    slot.me,
-                    &mut slot.rng,
-                    &mut slot.metrics,
-                    &mut slot.timer_seq,
-                );
-                slot.proc.on_timer(&mut ctx, tag);
-                let eff = ctx.take_effects();
-                Self::apply_effects(slot, now, eff);
+                slot.timers.pop();
+                Self::upcall(slot, now, |p, ctx| p.on_timer(ctx, tag));
                 dispatched += 1;
             }
             // Everything the handlers queued this pump goes out as one
@@ -567,6 +525,43 @@ mod tests {
         assert_eq!(net.metrics(a).counter("wire.send_err.backpressure"), 0);
         assert_eq!(net.metrics(a).counter("wire.send_err.disconnected"), 0);
         assert_eq!(net.metrics(a).counter("wire.send_err.io"), 0);
+    }
+
+    /// Arms one timer in `on_start` and records every tag that fires.
+    struct Alarm {
+        delay: Duration,
+        tag: u64,
+        fired: Vec<u64>,
+    }
+
+    impl simnet::Process<Msg> for Alarm {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            ctx.set_timer(self.delay, self.tag);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            self.fired.push(tag);
+        }
+    }
+
+    #[test]
+    fn restart_discards_the_dead_incarnations_timers() {
+        let mut net = WireNet::<Msg>::in_process(4);
+        let alarm = |delay, tag| Alarm {
+            delay: Duration::from_millis(delay),
+            tag,
+            fired: Vec::new(),
+        };
+        let a = net.add_node(alarm(10, 1));
+        net.kill(a);
+        // The replacement's timer is due after the dead one's: had the
+        // 10 ms timer survived the restart, it would fire first.
+        net.restart_node(a, alarm(20, 2));
+        assert!(net.run_until(std::time::Duration::from_secs(5), |n| {
+            n.node_as::<Alarm>(a).is_some_and(|p| !p.fired.is_empty())
+        }));
+        net.run_for(std::time::Duration::from_millis(30));
+        assert_eq!(net.node_as::<Alarm>(a).unwrap().fired, vec![2]);
     }
 
     #[test]

@@ -715,7 +715,7 @@ mod tests {
         while got.len() < want && Instant::now() < deadline {
             a.poll(Duration::ZERO);
             b.poll(Duration::from_micros(100));
-            b.recv_batch(got, usize::MAX.min(want - got.len()));
+            b.recv_batch(got, want - got.len());
         }
     }
 
@@ -829,7 +829,7 @@ mod tests {
         let big = Bytes::from(encode_frame(NodeId(0), &Bytes::from(vec![0u8; 1500])));
         let mut hit_backpressure = false;
         for _ in 0..10_000 {
-            match a.send_batch(NodeId(1), &[big.clone()]) {
+            match a.send_batch(NodeId(1), std::slice::from_ref(&big)) {
                 Ok(_) => {}
                 Err(TransportError::Backpressure) => {
                     hit_backpressure = true;
@@ -855,7 +855,7 @@ mod tests {
         // the ring does.
         let mut refused = false;
         for _ in 0..100_000 {
-            let sent = a.send_batch(NodeId(1), &[big.clone()]);
+            let sent = a.send_batch(NodeId(1), std::slice::from_ref(&big));
             a.poll(Duration::ZERO);
             refused = sent == Err(TransportError::Backpressure) && a.stats().writes_would_block > 0;
             if refused {
@@ -915,13 +915,13 @@ mod tests {
         hub.registry.lock().unwrap().insert(NodeId(1), addr);
         let frame = bframe(NodeId(0), &1u64);
         assert_eq!(
-            a.send_batch(NodeId(1), &[frame.clone()]),
+            a.send_batch(NodeId(1), std::slice::from_ref(&frame)),
             Err(TransportError::Disconnected(NodeId(1)))
         );
         let t0 = Instant::now();
         for _ in 0..50 {
             assert_eq!(
-                a.send_batch(NodeId(1), &[frame.clone()]),
+                a.send_batch(NodeId(1), std::slice::from_ref(&frame)),
                 Err(TransportError::Disconnected(NodeId(1)))
             );
         }

@@ -195,6 +195,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "times a real kernel wait: the timeout's resolution is the point"
+    )]
     fn nested_set_wakes_its_parent_and_sub_millisecond_timeouts_hold() {
         let (parent, child) = (Epoll::new().unwrap(), Epoll::new().unwrap());
         parent.add(&child, 7, Interest::Read).unwrap();

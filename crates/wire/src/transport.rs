@@ -281,6 +281,10 @@ mod tests {
         Bytes::from(encode_frame(from, msg))
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a real transport delivers in real time: the deadline is wall time"
+    )]
     fn wait_frame<T: Transport>(t: &mut T, ms: u64) -> Option<Bytes> {
         let deadline = Instant::now() + Duration::from_millis(ms);
         let mut out = Vec::new();

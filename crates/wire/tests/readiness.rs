@@ -5,6 +5,11 @@
 //! descriptor that stays ready — moves these counts by an order of
 //! magnitude, whatever the machine's speed.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "wake-up latency and park timeouts of real sockets are measured in wall time"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Barrier};

@@ -331,7 +331,7 @@ fn wirenet_ping_pong_through_worst_case_chaos() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn stream_integrity_under_arbitrary_chaos(

@@ -96,7 +96,7 @@ fn faulted_session_dump_inner(sim_seed: u64, plan: Option<FaultPlan>) -> String 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Replaying any seeded fault plan is bit-reproducible — including
     /// executions where the protocol's divergence detector fires (those

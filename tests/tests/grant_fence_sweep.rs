@@ -86,6 +86,10 @@ fn run_block(scenario: &str, base: u64, seeds: u64) -> Vec<String> {
     red
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the budget times the harness; no wall time reaches the simulated runs"
+)]
 fn sweep(scenario: &str) {
     let wall = Instant::now();
     let red = run_block(scenario, SWEEP_SEED_BASE, SWEEP_SEEDS);

@@ -31,8 +31,7 @@ fn double_failure_recovers_last_ts_from_the_log() {
     net.open_doc(&peers, DOC, "base");
     net.settle(1);
 
-    for i in 0..4 {
-        let editor = peers[i];
+    for (i, &editor) in peers.iter().enumerate().take(4) {
         let cur = net.node(editor).doc_text(DOC).unwrap();
         net.edit(editor, DOC, &format!("{cur}\nedit-{i}"));
         assert!(net.run_until_quiet(&[DOC], 60));
@@ -135,8 +134,7 @@ fn master_crash_with_disk_restart_recovers_locally() {
     net.open_doc(&peers, DOC, "base");
     net.settle(1);
 
-    for i in 0..4 {
-        let editor = peers[i];
+    for (i, &editor) in peers.iter().enumerate().take(4) {
         let cur = net.node(editor).doc_text(DOC).unwrap();
         net.edit(editor, DOC, &format!("{cur}\nedit-{i}"));
         assert!(net.run_until_quiet(&[DOC], 60));
@@ -217,8 +215,7 @@ fn file_store_survives_repeated_crashes() {
 
     let mut expected_ts = 0;
     for round in 0..2 {
-        for i in 0..2 {
-            let editor = peers[i];
+        for (i, &editor) in peers.iter().enumerate().take(2) {
             let cur = net.node(editor).doc_text(DOC).unwrap();
             net.edit(editor, DOC, &format!("{cur}\nround-{round}-edit-{i}"));
             assert!(net.run_until_quiet(&[DOC], 60));
@@ -257,11 +254,13 @@ fn file_store_survives_repeated_crashes() {
 
 #[test]
 fn gc_prunes_old_records_but_keeps_retention_window() {
-    let mut cfg = LtrConfig::default();
-    cfg.gc = Some(GcConfig {
-        every: Duration::from_secs(2),
-        retain: 5,
-    });
+    let cfg = LtrConfig {
+        gc: Some(GcConfig {
+            every: Duration::from_secs(2),
+            retain: 5,
+        }),
+        ..LtrConfig::default()
+    };
     let mut net = stabilized(0x6C6C, NetConfig::lan(), 8, cfg);
     let peers = net.peers.clone();
     let editor = peers[0];

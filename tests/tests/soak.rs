@@ -79,8 +79,7 @@ fn message_loss_is_survivable() {
     let peers = net.peers.clone();
     net.open_doc(&peers, "doc", "base");
     net.settle(1);
-    for i in 0..4 {
-        let editor = peers[i];
+    for (i, &editor) in peers.iter().enumerate().take(4) {
         let cur = net.node(editor).doc_text("doc").unwrap();
         net.edit(editor, "doc", &format!("{cur}\nedit-{i}"));
         assert!(
