@@ -1,7 +1,7 @@
 //! **The paper's claims, checked.** Each row of [`CLAIMS`] is one claim of
 //! *P2P Logging and Timestamping for Reconciliation* (Figures 4–5, the
 //! Master-key departure and join scenarios, §6 response times, §5 log
-//! availability, §1 against a central reconciler): its paper anchor, the
+//! availability, §1 no single point of failure): its paper anchor, the
 //! scenario that measures it on the deterministic simulator, the measured
 //! fields and a predicate over them. The binary prints one table and exits
 //! non-zero when any claim fails. It takes no flags; every scenario is
@@ -13,7 +13,6 @@ use std::process::ExitCode;
 
 use chord::stabilize::CHECK_PRED_EVERY;
 use chord::NodeRef;
-use ltr_bench::baseline::{BaseCmd, BaseMsg, BaselineUser, Coordinator};
 use ltr_bench::table::{Col, Table};
 use ltr_bench::{emit, ok, settled_net};
 use p2p_ltr::harness::LtrNet;
@@ -21,8 +20,8 @@ use p2p_ltr::{
     check_continuity, check_convergence, check_total_order, LtrConfig, LtrEvent, LtrEventKind,
 };
 use p2plog::AckPolicy;
-use simnet::{Duration, NetConfig, NodeId, NodeState, Rng64, Sim, Time, Zipf};
-use workload::{drive_churn, drive_editors, mutate_text, ChurnSpec, EditMix, EditorSpec};
+use simnet::{Duration, NetConfig, Rng64, Time};
+use workload::{drive_churn, drive_editors, ChurnSpec, EditMix, EditorSpec};
 
 const DOC: &str = "wiki/Main";
 
@@ -887,134 +886,35 @@ const A2: Claim<Vec<AckRun>> = Claim {
 };
 
 // ---------------------------------------------------------------------------
-// §1: against a central reconciler
+// §1: no single point of failure
 // ---------------------------------------------------------------------------
 
-const B1_EDITORS: usize = 12;
-const B1_THINK: Duration = Duration::from_millis(400);
-const B1_EDIT_SECS: u64 = 25;
 const B1_CRASH_AFTER: Duration = Duration::from_secs(8);
 const B1_RUN: Duration = Duration::from_secs(35);
 
-/// One editor of the centralized run: the editor model of
-/// `workload::drive_editors`, as self-rescheduling events on the
-/// baseline's simulator.
-struct BaseEditor {
-    user: NodeId,
-    site: u64,
-    docs: Vec<String>,
-    horizon: Time,
-    rng: Rng64,
-    edits: u64,
-}
-
-impl BaseEditor {
-    fn step(mut self, s: &mut Sim<BaseMsg>) {
-        if s.node_state(self.user) == NodeState::Up {
-            let doc = self.docs[Zipf::new(self.docs.len(), 0.0).sample(&mut self.rng)].clone();
-            let edit = s.node_as::<BaselineUser>(self.user).and_then(|n| {
-                if n.is_busy(&doc) {
-                    return None;
-                }
-                n.doc_text(&doc).map(|text| {
-                    let kind = EditMix::default().sample(&mut self.rng);
-                    mutate_text(&text, kind, self.site, self.edits, &mut self.rng)
-                })
-            });
-            if let Some(new_text) = edit {
-                s.send_external(self.user, BaseMsg::Cmd(BaseCmd::Edit { doc, new_text }));
-            }
-        }
-        let think = self.rng.exp_mean(B1_THINK.as_micros() as f64).max(1.0);
-        let next = s.now() + Duration::from_micros(think as u64);
-        self.edits += 1;
-        if next <= self.horizon {
-            s.schedule_at(next, Box::new(move |s: &mut Sim<BaseMsg>| self.step(s)));
-        }
-    }
-}
-
-/// Grants before and after a crash at `B1_CRASH_AFTER` into the editing.
-struct Outage {
+/// A loaded master crash: grants before and after it.
+struct Takeover {
     before: u64,
     after: u64,
-}
-
-struct Reconcilers {
-    central: Outage,
-    central_timeouts: u64,
-    ltr: Outage,
     /// Grants of the crashed master's key after the crash.
-    ltr_key_after: usize,
+    key_after: usize,
     promoted: u64,
     continuity: bool,
 }
 
-/// The centralized run: `B1_EDITORS` users over 8 documents; the
-/// coordinator crashes.
-fn central(seed: u64) -> (Outage, u64) {
-    // Coordinator per-request service time (journal write + bookkeeping
-    // of a single-threaded reconciler).
-    const SERVICE: Duration = Duration::from_millis(2);
-    let mut sim: Sim<BaseMsg> = Sim::new(seed, NetConfig::lan());
-    let coord = sim.add_node(Coordinator::new(SERVICE));
-    let users: Vec<NodeId> = (1..=B1_EDITORS as u64)
-        .map(|site| {
-            let validate_timeout = Duration::from_millis(500);
-            let sync = Some(Duration::from_secs(1));
-            sim.add_node(BaselineUser::new(site, coord, validate_timeout, sync))
-        })
-        .collect();
-    let docs = docs("doc-", 8);
-    for &u in &users {
-        for doc in &docs {
-            let open = BaseCmd::OpenDoc {
-                doc: doc.clone(),
-                initial: "seed".into(),
-            };
-            sim.send_external(u, BaseMsg::Cmd(open));
-        }
-    }
-    sim.run_for(Duration::from_millis(200));
-    let horizon = sim.now() + Duration::from_secs(B1_EDIT_SECS);
-    let mut seeder = Rng64::new(seed ^ 0x11);
-    for (site, &user) in (1..).zip(&users) {
-        let editor = BaseEditor {
-            user,
-            site,
-            docs: docs.clone(),
-            horizon,
-            rng: seeder.fork(),
-            edits: 0,
-        };
-        let first = sim.now() + B1_THINK / 2;
-        sim.schedule_at(first, Box::new(move |s: &mut Sim<BaseMsg>| editor.step(s)));
-    }
-    sim.run_for(B1_CRASH_AFTER);
-    let before = sim.metrics().counter("base.grants");
-    sim.crash(coord);
-    sim.run_for(B1_RUN - B1_CRASH_AFTER);
-    let outage = Outage {
-        before,
-        after: sim.metrics().counter("base.grants") - before,
-    };
-    (outage, sim.metrics().counter("base.validate_timeout"))
-}
-
-const B1: Claim<Reconcilers> = Claim {
+const B1: Claim<Takeover> = Claim {
     id: "b1",
     anchor: "§1, no single point of failure",
-    predicate: "after one crash P2P-LTR promotes a backup and grants the crashed master's key \
-                again; the central reconciler grants nothing",
+    predicate: "after its master crashes, a backup is promoted and the key is granted again, \
+                with continuity",
     scenario: || {
-        let (central, central_timeouts) = central(0xB301);
         let mut net = settled_net(0xB302, NetConfig::lan(), 24, LtrConfig::default());
-        let (master, editors) = master_and_editors(&net, "doc-0", B1_EDITORS);
+        let (master, editors) = master_and_editors(&net, "doc-0", 12);
         let session = Session {
             docs: docs("doc-", 8),
             opened: 2,
-            secs: B1_EDIT_SECS,
-            think_ms: B1_THINK.as_millis(),
+            secs: 25,
+            think_ms: 400,
             seed: 0xB302 ^ 0x22,
             drain: [0; 3],
         };
@@ -1024,34 +924,26 @@ const B1: Claim<Reconcilers> = Claim {
         let t_crash = net.now();
         net.crash(master);
         net.run_for(B1_RUN - B1_CRASH_AFTER);
-        Reconcilers {
-            central,
-            central_timeouts,
-            ltr: Outage {
-                before,
-                after: counter(&net, "kts.grants") - before,
-            },
-            ltr_key_after: grants_after(&net, "doc-0", t_crash).len(),
+        Takeover {
+            before,
+            after: counter(&net, "kts.grants") - before,
+            key_after: grants_after(&net, "doc-0", t_crash).len(),
             promoted: counter(&net, "kts.backups_promoted"),
             continuity: check_continuity(&net.sim).is_clean(),
         }
     },
     fields: |m| {
         format!(
-            "central: {} grants before the crash, {} after ({} validate timeouts); \
-             P2P-LTR: {} before, {} after ({} for the crashed master's key), {} promoted; \
-             continuity {}",
-            m.central.before,
-            m.central.after,
-            m.central_timeouts,
-            m.ltr.before,
-            m.ltr.after,
-            m.ltr_key_after,
+            "{} grants before the crash, {} after ({} for the crashed master's key), \
+             {} promoted; continuity {}",
+            m.before,
+            m.after,
+            m.key_after,
             m.promoted,
             ok(m.continuity)
         )
     },
-    holds: |m| m.central.after == 0 && m.promoted >= 1 && m.ltr_key_after > 0 && m.continuity,
+    holds: |m| m.promoted >= 1 && m.key_after > 0 && m.continuity,
 };
 
 #[cfg(test)]
@@ -1082,6 +974,55 @@ mod tests {
             REPORT.cells(&verdict),
             ["t", "-", "the measurement is 7", "7", "FAIL"]
         );
+    }
+
+    /// `b1`'s measurement at seed `0xB302`.
+    const TAKEOVER: Takeover = Takeover {
+        before: 236,
+        after: 394,
+        key_after: 56,
+        promoted: 3,
+        continuity: true,
+    };
+
+    #[test]
+    fn the_takeover_claim_needs_promotion_key_grants_and_continuity() {
+        const HELD: Claim<Takeover> = Claim {
+            scenario: || TAKEOVER,
+            ..B1
+        };
+        const NOT_PROMOTED: Claim<Takeover> = Claim {
+            scenario: || Takeover {
+                promoted: 0,
+                ..TAKEOVER
+            },
+            ..B1
+        };
+        const KEY_UNGRANTED: Claim<Takeover> = Claim {
+            scenario: || Takeover {
+                key_after: 0,
+                ..TAKEOVER
+            },
+            ..B1
+        };
+        const DISCONTINUOUS: Claim<Takeover> = Claim {
+            scenario: || Takeover {
+                continuity: false,
+                ..TAKEOVER
+            },
+            ..B1
+        };
+        assert_eq!(
+            REPORT.cells(&HELD.check())[3..],
+            [
+                "236 grants before the crash, 394 after (56 for the crashed master's key), \
+                 3 promoted; continuity yes",
+                "PASS"
+            ]
+        );
+        for broken in [NOT_PROMOTED, KEY_UNGRANTED, DISCONTINUOUS] {
+            assert!(!run(&[&HELD, &broken]));
+        }
     }
 
     #[test]

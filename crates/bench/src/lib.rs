@@ -1,12 +1,10 @@
 //! Shared helpers for the experiment binaries (`exp_paper` checks the
 //! paper's claims, `exp_bench` writes `BENCH_hotpath.json`; see
-//! `EXPERIMENTS.md` at the workspace root), the one report [`table`] type
-//! both print with, and the centralized reconciler the paper argues
-//! against ([`baseline`]).
+//! `EXPERIMENTS.md` at the workspace root) and the one report [`table`]
+//! type both print with.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod table;
 
 use p2p_ltr::harness::LtrNet;

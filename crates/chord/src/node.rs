@@ -164,9 +164,9 @@ impl ChordNode {
 
     /// Is this node currently responsible for `key`?
     ///
-    /// True iff `key ∈ (pred, me]`; a singleton ring owns everything. With
-    /// an unknown predecessor we answer `true` conservatively — the KTS
-    /// layer adds epoch fencing on top (see DESIGN.md).
+    /// True iff `key ∈ (pred, me]`; a singleton ring owns everything. With an
+    /// unknown predecessor we answer `true` conservatively: the KTS layer adds
+    /// epoch fencing on top (ARCHITECTURE.md, "Grant fencing and master epochs").
     pub fn is_responsible(&self, key: Id) -> bool {
         if !self.joined {
             return false;

@@ -5,7 +5,7 @@ use kts::KtsConfig;
 use p2plog::LogConfig;
 use simnet::Duration;
 
-/// Log garbage-collection settings (extension; see DESIGN.md §6).
+/// Log garbage-collection settings (extension over the paper).
 #[derive(Clone, Debug)]
 pub struct GcConfig {
     /// Sweep period.

@@ -28,10 +28,6 @@
 //!   total order, replica convergence, equivocation (dual-master
 //!   detector), epoch monotonicity.
 //!
-//! The centralized reconciler the paper's introduction argues against
-//! lives with the experiment that compares against it
-//! (`ltr_bench::baseline`, the `b1` row of `exp_paper`).
-//!
 //! ## Quickstart
 //!
 //! ```

@@ -12,11 +12,11 @@
 //!   successor, which promotes the backup on master failure;
 //! * **takeover**: authoritative table handoff on graceful leave and on
 //!   join-splits, with epoch bumps;
-//! * **log-probe recovery** (extension, DESIGN.md §6): before first serving
-//!   a key — unknown, promoted, restored or handed over — the master
-//!   verifies `last_ts` against the P2P-Log. The log is the ground truth,
-//!   and first-writer conflicts there expose stale masters, which stand
-//!   down.
+//! * **log-probe recovery** (extension; ARCHITECTURE.md, "The master's
+//!   stage table"): before first serving a key — unknown, promoted,
+//!   restored or handed over — the master verifies `last_ts` against the
+//!   P2P-Log. The log is the ground truth, and first-writer conflicts
+//!   there expose stale masters, which stand down.
 //!
 //! The state machine ([`master::KtsMaster`]) is sans-IO: publishing and
 //! probing are delegated to the embedding layer (see the `p2p_ltr` crate).

@@ -4,8 +4,8 @@
 //! Correctness rests on the continuity invariant: the log of a document
 //! contains exactly the timestamps `1..=last_ts`, so "present" is monotone
 //! and binary search is sound. This is the recovery path when both the
-//! Master-key and its successor are lost (extension over the paper,
-//! DESIGN.md §6).
+//! Master-key and its successor are lost (extension over the paper;
+//! ARCHITECTURE.md, "The master's stage table").
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::indexing_slicing, clippy::unreachable)]

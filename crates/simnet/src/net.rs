@@ -118,19 +118,14 @@ impl NetConfig {
         }
     }
 
-    /// Decide the fate of a message: `None` = dropped, `Some(delay)` =
-    /// delivered after `delay`.
-    pub fn route(&self, rng: &mut Rng64, from: NodeId, to: NodeId) -> Option<Duration> {
-        self.route_sized(rng, from, to, 0)
-    }
-
-    /// Size-aware [`NetConfig::route`]: remote messages additionally pay
-    /// the serialization delay of `bytes` at the configured [`bandwidth`]
-    /// (zero extra when the bandwidth is unset or `bytes` is 0). Local
-    /// dispatch never serializes.
+    /// Decide the fate of a `bytes`-sized message: `None` = dropped,
+    /// `Some(delay)` = delivered after `delay`. Remote messages pay the
+    /// serialization delay of `bytes` at the configured [`bandwidth`] on
+    /// top of the latency sample (zero extra when the bandwidth is unset or
+    /// `bytes` is 0). Local dispatch never serializes.
     ///
     /// [`bandwidth`]: NetConfig::bandwidth
-    pub fn route_sized(
+    pub fn route(
         &self,
         rng: &mut Rng64,
         from: NodeId,
@@ -206,7 +201,7 @@ mod tests {
         cfg.loss = 0.25;
         let mut rng = Rng64::new(5);
         let delivered = (0..10_000)
-            .filter(|_| cfg.route(&mut rng, n(1), n(2)).is_some())
+            .filter(|_| cfg.route(&mut rng, n(1), n(2), 0).is_some())
             .count();
         assert!((7000..8000).contains(&delivered), "delivered {delivered}");
     }
@@ -232,17 +227,14 @@ mod tests {
         cfg.bandwidth = Some(1_000_000);
         let mut rng = Rng64::new(8);
         assert_eq!(
-            cfg.route_sized(&mut rng, n(1), n(2), 500),
+            cfg.route(&mut rng, n(1), n(2), 500),
             Some(Duration::from_micros(2_500))
         );
         // Self-sends dispatch locally without serializing.
-        assert_eq!(
-            cfg.route_sized(&mut rng, n(1), n(1), 500),
-            Some(cfg.local_delay)
-        );
+        assert_eq!(cfg.route(&mut rng, n(1), n(1), 500), Some(cfg.local_delay));
         // Size 0 (or no meter) keeps the pure latency sample.
         assert_eq!(
-            cfg.route_sized(&mut rng, n(1), n(2), 0),
+            cfg.route(&mut rng, n(1), n(2), 0),
             Some(Duration::from_millis(2))
         );
     }
@@ -252,6 +244,6 @@ mod tests {
         let mut cfg = NetConfig::lan();
         cfg.loss = 1.0;
         let mut rng = Rng64::new(6);
-        assert_eq!(cfg.route(&mut rng, n(7), n(7)), Some(cfg.local_delay));
+        assert_eq!(cfg.route(&mut rng, n(7), n(7), 0), Some(cfg.local_delay));
     }
 }

@@ -133,12 +133,6 @@ impl Rng64 {
         r * theta.cos()
     }
 
-    /// Normal deviate with the given mean and standard deviation.
-    #[inline]
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.gauss()
-    }
-
     /// Log-normal deviate parameterised by the *median* (`exp(mu)`) and
     /// `sigma`. Medians are the natural way to express network latency.
     #[inline]

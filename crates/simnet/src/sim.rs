@@ -517,7 +517,7 @@ impl<M: 'static> Sim<M> {
         for (to, msg) in out.msgs {
             self.metrics.incr_id(self.hot.msgs_sent);
             let bytes = self.meter_msg(&msg);
-            match self.net.route_sized(&mut self.rng, from, to, bytes) {
+            match self.net.route(&mut self.rng, from, to, bytes) {
                 Some(mut delay) => {
                     // Fault layer: may veto, delay or duplicate the
                     // deliverable message. Draws only from the plan's own
